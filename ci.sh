@@ -162,6 +162,13 @@ timeout 60 cargo run --release -p weblint-cli --bin weblint-serve -- \
 timeout 120 cargo test -q --release --test streaming_parity
 timeout 180 cargo bench -p weblint-bench --bench streaming -- --test
 
+# Benchmark oracles (E21): a short `files` run over the whole seeded
+# corpus exits non-zero unless every document's streamed diagnostics
+# equal its one-shot ones and the Fixer reports the one-shot ids. Only
+# the exit status is gated here, not the timings.
+timeout 120 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.toml -- \
+    --workload files --seed 1 --seconds 5 --trace 0
+
 # weblint - must lint an unbuffered stdin stream like the file path.
 printf '<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>' \
     | cargo run --release -p weblint-cli --bin weblint -- - \

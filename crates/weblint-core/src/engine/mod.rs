@@ -37,7 +37,7 @@ use weblint_tokenizer::{Pos, Span, Step, Token, TokenKind, Tokenizer};
 
 use crate::fix::{Edit, Fix};
 use crate::message::Diagnostic;
-use crate::options::LintConfig;
+use crate::options::{CaseStyle, LintConfig};
 
 use names::known;
 
@@ -116,8 +116,10 @@ pub(crate) struct DocState {
     pub(crate) end_pos: Pos,
     /// The enabled-rule mask, computed from the config on the first
     /// resume and reused for every later one. A streamed document is
-    /// resumed once per token, and recomputing the mask (a registry walk
-    /// with a hash lookup per rule) there would dominate the feed path.
+    /// resumed once per drain, which is once per feed that completes a
+    /// token — up to once per byte under byte-at-a-time feeding — and
+    /// recomputing the mask (a registry walk with a hash lookup per rule)
+    /// that often would dominate small feeds.
     pub(crate) mask: Option<u64>,
 }
 
@@ -165,6 +167,10 @@ pub(crate) struct Checker<'a> {
     /// Whether any enabled rule inspects comments. The comment handler is
     /// pure emissions, so it can be skipped wholesale when this is false.
     check_comments: bool,
+    /// The name-case style, read off `mask` once: every tag and attribute
+    /// name consults it, and [`LintConfig::case_style`] costs two map
+    /// lookups per call.
+    case_style: CaseStyle,
 }
 
 impl<'a> Checker<'a> {
@@ -210,6 +216,13 @@ impl<'a> Checker<'a> {
             custom,
             profile: None,
             check_comments: mask & kind_mask(applies::COMMENT) != 0,
+            case_style: if mask & Rule::UpperCase.bit() != 0 {
+                CaseStyle::Upper
+            } else if mask & Rule::LowerCase.bit() != 0 {
+                CaseStyle::Lower
+            } else {
+                CaseStyle::Any
+            },
         }
     }
 

@@ -690,7 +690,7 @@ impl Checker<'_> {
     /// `name` must be a subslice of the source (tag and attribute names
     /// are), so the fix can rewrite exactly its bytes.
     pub(crate) fn check_name_case(&mut self, name: &str, span: Span, what: &str) {
-        let (check, to_case): (_, fn(&str) -> String) = match self.config.case_style() {
+        let (check, to_case): (_, fn(&str) -> String) = match self.case_style {
             CaseStyle::Any => return,
             CaseStyle::Upper if name.bytes().any(|b| b.is_ascii_lowercase()) => {
                 (Rule::UpperCase, str::to_ascii_uppercase)

@@ -1,7 +1,9 @@
 //! Text, comment and DOCTYPE handling.
 
 use weblint_rules::Rule;
-use weblint_tokenizer::{scan_entities, scan_metachars, Comment, Decl, MetaCharKind, Span, Text};
+use weblint_tokenizer::{
+    find_metachar, scan_entities, scan_metachars, Comment, Decl, MetaCharKind, Span, Text,
+};
 
 use crate::fix::{Edit, Fix};
 
@@ -44,6 +46,11 @@ impl Checker<'_> {
         }
         if self.scratch.title_active {
             self.scratch.title_buf.push_str(text.raw);
+        }
+        // Both scanners need a `&`, `<` or `>` to report anything; most
+        // text runs have none, and one word-at-a-time search skips both.
+        if find_metachar(text.raw).is_none() {
+            return;
         }
         let t0 = self.prof_start();
         self.check_entities(text.raw, span);

@@ -260,14 +260,17 @@ impl LintSession {
     }
 
     /// Run every token the stream can currently complete through the
-    /// checker, suspending the per-document state between tokens so the
-    /// borrow of the stream buffer never outlives one callback.
+    /// checker: one resume, every token of the drain, one suspend. The
+    /// per-document state is suspended between drains so the borrow of the
+    /// stream buffer never outlives the callback.
     fn drain(spec: &HtmlSpec, config: &LintConfig, scratch: &mut Scratch, state: &mut StreamState) {
         let doc = &mut state.doc;
-        state.tok.drain_tokens(|token, slice, offset| {
+        state.tok.drain_tokens(|slice, offset, tokens| {
             let view = SrcView::resumed(slice, offset);
             let mut checker = Checker::resume(spec, config, view, scratch, doc);
-            checker.on_token(&token);
+            for token in tokens {
+                checker.on_token(&token);
+            }
             checker.suspend(doc);
         });
     }

@@ -6,6 +6,7 @@
 //! construction a literal metacharacter; `>` in text is always literal; `&`
 //! is literal when it does not begin an entity reference.
 
+use crate::cursor::find_metachar;
 use crate::pos::{Pos, Span};
 
 /// Which metacharacter appeared literally.
@@ -69,12 +70,10 @@ pub fn scan_metachars(text: &str, base: Pos) -> Vec<MetaChar> {
     let bytes = text.as_bytes();
     // Jump metacharacter to metacharacter; everything between them only
     // needs line/column accounting, done byte-wise by advance_str. The
-    // candidate bytes are ASCII, so a byte hit is always a real character.
+    // candidate bytes are ASCII, so a byte hit is always a real character
+    // and `i` always lands on a character boundary.
     let mut i = 0;
-    while let Some(j) = bytes[i..]
-        .iter()
-        .position(|&b| matches!(b, b'<' | b'>' | b'&'))
-    {
+    while let Some(j) = find_metachar(&text[i..]) {
         let hit = i + j;
         pos.advance_str(&text[i..hit]);
         let ch = bytes[hit] as char;
@@ -120,6 +119,7 @@ pub fn scan_metachars(text: &str, base: Pos) -> Vec<MetaChar> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan_entities;
 
     fn kinds(text: &str) -> Vec<MetaCharKind> {
         scan_metachars(text, Pos::START)
@@ -164,6 +164,38 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].span.start.line, 2);
         assert_eq!(hits[0].span.start.col, 3);
+    }
+
+    #[test]
+    fn find_metachar_gates_both_scanners_exactly() {
+        // Pieces of HTML text: the three metacharacters, the bytes entity
+        // references are made of, markup punctuation, whitespace, and
+        // multibyte characters (whose bytes must never match).
+        const CLEAN: &[&str] = &[
+            "#", "x", "X", ";", "a", "T", "9", "/", "!", "\"", "=", " ", "\n", "é", "日", "—",
+            "amp", "lt",
+        ];
+        const META: &[&str] = &["&", "<", ">", "&amp;", "&#", "&#x4"];
+        let mut rng = proptest::TestRng::for_test("find_metachar_gates_both_scanners_exactly");
+        for case in 0..20_000 {
+            // Half the cases are metacharacter-free, the rest get some.
+            let with_meta = case % 2 == 1;
+            let mut text = String::new();
+            for _ in 0..rng.below(64) {
+                let piece = if with_meta && rng.below(8) == 0 {
+                    META[rng.below(META.len() as u64) as usize]
+                } else {
+                    CLEAN[rng.below(CLEAN.len() as u64) as usize]
+                };
+                text.push_str(piece);
+            }
+            let naive = text.bytes().position(|b| matches!(b, b'&' | b'<' | b'>'));
+            assert_eq!(find_metachar(&text), naive, "{text:?}");
+            if naive.is_none() {
+                assert!(scan_entities(&text, Pos::START).is_empty(), "{text:?}");
+                assert!(scan_metachars(&text, Pos::START).is_empty(), "{text:?}");
+            }
+        }
     }
 
     #[test]

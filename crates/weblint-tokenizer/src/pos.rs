@@ -48,28 +48,61 @@ impl Pos {
     /// Advance this position over every character in `s`.
     ///
     /// Equivalent to calling [`Pos::advance`] per character, but works on
-    /// bytes: count newlines, then count the characters after the last one
-    /// (a character per non-continuation byte). This is what makes skipping
-    /// a long text run cheap — the byte loops vectorize, where the per-char
-    /// decode loop cannot.
+    /// bytes in one pass, eight at a time: per word it marks the newline
+    /// bytes and the character starts (every byte that is not a
+    /// continuation byte, `0b10xx_xxxx`), counts the newlines, and counts
+    /// the characters after the word's last newline. This is what makes
+    /// skipping a long text run cheap — no per-character decode at all.
     pub fn advance_str(&mut self, s: &str) {
         let bytes = s.as_bytes();
         self.offset += bytes.len();
-        match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(last_nl) => {
-                let newlines = 1 + bytes[..last_nl].iter().filter(|&&b| b == b'\n').count();
-                self.line += newlines as u32;
-                self.col = 1 + count_chars(&bytes[last_nl + 1..]) as u32;
+        let mut newlines = 0usize;
+        // Characters since the last newline (or since `self`, if none).
+        let mut tail = 0usize;
+        let mut count_word = |word: u64| {
+            let v = word ^ NEWLINES;
+            let nl = !(((v & LOW7) + LOW7) | v) & HIGH;
+            let starts = (!word | (word << 1)) & HIGH;
+            if nl == 0 {
+                tail += count_marks(starts);
+            } else {
+                newlines += count_marks(nl);
+                // Bit 7 of the last newline byte; the bytes above it
+                // follow that newline.
+                let last = 63 - nl.leading_zeros();
+                tail = count_marks(starts.checked_shr(last + 1).unwrap_or(0));
             }
-            None => self.col += count_chars(bytes) as u32,
+        };
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            count_word(u64::from_le_bytes(
+                word.try_into().expect("chunks_exact yields 8 bytes"),
+            ));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            // Pad with continuation bytes: neither newlines nor characters.
+            let mut word = [0x80; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            count_word(u64::from_le_bytes(word));
+        }
+        if newlines == 0 {
+            self.col += tail as u32;
+        } else {
+            self.line += newlines as u32;
+            self.col = 1 + tail as u32;
         }
     }
 }
 
-/// Number of characters in a valid UTF-8 byte sequence: one per byte that
-/// is not a continuation byte (`0b10xx_xxxx`).
-fn count_chars(bytes: &[u8]) -> usize {
-    bytes.iter().filter(|&&b| (b & 0xC0) != 0x80).count()
+const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+const NEWLINES: u64 = 0x0A0A_0A0A_0A0A_0A0A;
+
+/// Number of bytes of `marks` whose bit 7 is set; every other bit must be
+/// clear. The multiply sums the eight 0/1 bytes into the top byte.
+fn count_marks(marks: u64) -> usize {
+    ((marks >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize
 }
 
 impl Default for Pos {
@@ -166,6 +199,15 @@ mod tests {
 
     #[test]
     fn advance_str_matches_per_char_advance() {
+        let check = |s: &str| {
+            let mut fast = Pos::new(3, 9, 17);
+            fast.advance_str(s);
+            let mut slow = Pos::new(3, 9, 17);
+            for ch in s.chars() {
+                slow.advance(ch);
+            }
+            assert_eq!(fast, slow, "{s:?}");
+        };
         for s in [
             "",
             "plain ascii",
@@ -175,13 +217,23 @@ mod tests {
             "tab\tand\rcarriage",
             "\n",
         ] {
-            let mut fast = Pos::new(3, 9, 17);
-            fast.advance_str(s);
-            let mut slow = Pos::new(3, 9, 17);
-            for ch in s.chars() {
-                slow.advance(ch);
+            check(s);
+        }
+        // Seeded random strings of 0–200 bytes, so every word lane and the
+        // padded tail word see newlines and 1- to 4-byte characters.
+        const CHARS: &[char] = &['a', ' ', '\n', '\t', '\r', 'é', '—', '日', '😀', '\u{80}'];
+        let mut rng = proptest::TestRng::for_test("advance_str_matches_per_char_advance");
+        for _ in 0..5_000 {
+            let len = rng.below(201) as usize;
+            let mut s = String::new();
+            loop {
+                let ch = CHARS[rng.below(CHARS.len() as u64) as usize];
+                if s.len() + ch.len_utf8() > len {
+                    break;
+                }
+                s.push(ch);
             }
-            assert_eq!(fast, slow, "{s:?}");
+            check(&s);
         }
     }
 

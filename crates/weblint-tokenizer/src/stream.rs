@@ -24,9 +24,10 @@
 //!
 //! [`feed`]: StreamTokenizer::feed
 
+use crate::cursor::find_ci;
 use crate::pos::{Pos, Span};
 use crate::token::{Token, TokenKind};
-use crate::tokenizer::{Step, Tokenizer};
+use crate::tokenizer::{find_markup_start, Step, Tokenizer};
 
 /// Compact the buffer only once this many consumed bytes have piled up (and
 /// they are at least half the buffer), so steady chunked feeding does not
@@ -44,10 +45,10 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 /// let mut names = Vec::new();
 /// for chunk in [&b"<HTML><BO"[..], b"DY>hi</BODY", b"></HTML>"] {
 ///     stream.feed(chunk);
-///     stream.drain_tokens(|tok, _, _| names.push(tok.to_string()));
+///     stream.drain_tokens(|_, _, tokens| names.extend(tokens.map(|t| t.to_string())));
 /// }
 /// stream.finish();
-/// stream.drain_tokens(|tok, _, _| names.push(tok.to_string()));
+/// stream.drain_tokens(|_, _, tokens| names.extend(tokens.map(|t| t.to_string())));
 /// assert_eq!(
 ///     names,
 ///     ["<HTML>", "<BODY>", "text(2 bytes)", "</BODY>", "</HTML>"]
@@ -71,11 +72,16 @@ pub struct StreamTokenizer {
     plaintext: bool,
     /// `finish` was called: the next drain treats the buffer end as EOF.
     eof: bool,
-    /// Length of the unconsumed suffix's prefix already known to contain
-    /// no `<`. A text run (or raw-text body) can only terminate at a `<`,
-    /// so while none has arrived, a drain has nothing to do — without
-    /// this watermark, every feed of a long text run would re-scan the
-    /// whole carry, turning a streamed `<PRE>` dump quadratic.
+    /// How far into the unconsumed suffix the search for the pending text
+    /// run's terminator has got: no terminator *starts* before this
+    /// offset. The terminator is the raw-text close pattern (`</script`
+    /// …) in raw-text mode, else a `<` that begins markup. A bare `<`
+    /// (`a<b`, `i < 3`) does not end a run, so the watermark passes it;
+    /// it stops short only of a tail that could still grow into a
+    /// terminator (a trailing `<`, or a close-pattern prefix), which the
+    /// next feed re-reads. Without it, every feed of a long text run
+    /// would re-scan the whole carry, turning a streamed `<PRE>` dump or
+    /// `<SCRIPT>` body quadratic.
     text_scan: usize,
 }
 
@@ -147,46 +153,70 @@ impl StreamTokenizer {
     /// Emit every token that is already stable (every remaining token, after
     /// [`finish`](Self::finish)).
     ///
-    /// The callback receives the token with **global** (whole-document)
-    /// spans, plus the backing text slice and the global byte offset of that
-    /// slice's first byte — enough to resolve any span the token carries via
-    /// `&slice[span.start.offset - slice_offset..]`.
-    pub fn drain_tokens<F: FnMut(Token<'_>, &str, usize)>(&mut self, mut f: F) {
-        if !self.eof {
-            // `<PLAINTEXT>` swallows the rest of the document as one
-            // token; nothing can stabilize until finish.
-            if self.plaintext {
-                return;
-            }
-            // Every token terminator in both remaining modes begins with
-            // `<` (the next tag for text, the close pattern for raw
-            // text). No `<` in the suffix means no token can complete:
-            // skip the resume and remember how far we looked.
-            let suffix = &self.buf.as_bytes()[self.consumed..];
-            let scanned = self.text_scan.min(suffix.len());
-            if !suffix[scanned..].contains(&b'<') {
-                self.text_scan = suffix.len();
-                return;
-            }
-            self.text_scan = 0;
+    /// `f` runs at most once per drain — not at all when no token can have
+    /// completed. It receives the backing text slice, the global byte
+    /// offset of that slice's first byte, and an iterator over the stable
+    /// tokens, each with **global** (whole-document) spans: any span a
+    /// token carries resolves via `&slice[span.start.offset - offset..]`.
+    /// Tokens the callback leaves unread stay in the stream for the next
+    /// drain.
+    pub fn drain_tokens<F: FnOnce(&str, usize, &mut StreamTokens<'_>)>(&mut self, f: F) {
+        // `<PLAINTEXT>` swallows the rest of the document as one token;
+        // nothing can stabilize until finish.
+        if !self.eof && (self.plaintext || !self.pending_run_may_end()) {
+            return;
         }
+        self.text_scan = 0;
         self.compact();
         let slice = &self.buf[self.consumed..];
-        let base = self.base;
-        let mut tok = Tokenizer::resume(slice, self.raw_text_until, self.plaintext);
-        let mut advanced = 0usize;
-        let mut end = base;
-        while let Step::Token(mut t) = tok.step(self.eof) {
-            rebase_token(&mut t, base);
-            advanced = t.span.end.offset - base.offset;
-            end = t.span.end;
-            f(t, slice, base.offset);
-        }
-        let (raw_text_until, plaintext) = tok.mode();
+        let mut tokens = StreamTokens {
+            tok: Tokenizer::resume(slice, self.raw_text_until, self.plaintext),
+            eof: self.eof,
+            base: self.base,
+            end: self.base,
+        };
+        f(slice, self.base.offset, &mut tokens);
+        let (raw_text_until, plaintext) = tokens.tok.mode();
+        let end = tokens.end;
         self.raw_text_until = raw_text_until;
         self.plaintext = plaintext;
-        self.consumed += advanced;
+        self.consumed += end.offset - self.base.offset;
         self.base = end;
+    }
+
+    /// Whether the token pending at the start of the unconsumed suffix may
+    /// complete with the bytes buffered so far. Only a text run (or a raw
+    /// text body) is answered from the suffix: its search resumes at the
+    /// [`text_scan`](Self::text_scan) watermark and moves it on, so each
+    /// byte of a long run is read a bounded number of times however many
+    /// feeds it spans. Any other pending token defers to the tokenizer.
+    fn pending_run_may_end(&mut self) -> bool {
+        let suffix = &self.buf[self.consumed..];
+        let from = self.text_scan.min(suffix.len());
+        self.text_scan = match self.raw_text_until {
+            Some(close) => {
+                // The close pattern is ASCII, so a match starts on a
+                // character boundary; the watermark may not, so back it up
+                // to one.
+                let from = (0..=from)
+                    .rev()
+                    .find(|&i| suffix.is_char_boundary(i))
+                    .unwrap_or(0);
+                if find_ci(&suffix[from..], close).is_some() {
+                    return true;
+                }
+                // A match could still start in the last `close.len() - 1`
+                // bytes, completed by the next chunk.
+                suffix.len().saturating_sub(close.len() - 1)
+            }
+            // A pending tag, comment or declaration starts with a `<` that
+            // begins markup, so it is found at offset 0 and answered true.
+            None => match find_markup_start(suffix.as_bytes(), from) {
+                Ok(_) => return true,
+                Err(resume) => resume,
+            },
+        };
+        false
     }
 
     /// Bytes currently buffered (unconsumed suffix plus any undecoded
@@ -211,6 +241,31 @@ impl StreamTokenizer {
             self.buf.drain(..self.consumed);
             self.consumed = 0;
         }
+    }
+}
+
+/// The stable tokens of one [`StreamTokenizer::drain_tokens`] call, in
+/// document order, with whole-document spans.
+#[derive(Debug)]
+pub struct StreamTokens<'a> {
+    tok: Tokenizer<'a>,
+    eof: bool,
+    /// Global position of the drained slice's first byte.
+    base: Pos,
+    /// Global position just past the last token yielded.
+    end: Pos,
+}
+
+impl<'a> Iterator for StreamTokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let Step::Token(mut token) = self.tok.step(self.eof) else {
+            return None;
+        };
+        rebase_token(&mut token, self.base);
+        self.end = token.span.end;
+        Some(token)
     }
 }
 
@@ -256,6 +311,7 @@ fn rebase_token(token: &mut Token<'_>, base: Pos) {
 mod tests {
     use super::*;
     use crate::tokenize;
+    use crate::tokenizer::tests::TRICKY_DOCS;
 
     /// Render a token to a form that captures everything the engine ever
     /// looks at: kind, span, attribute spans, text content and flags. Debug
@@ -266,12 +322,15 @@ mod tests {
         let one_shot: Vec<String> = tokenize(&text).iter().map(|t| format!("{t:?}")).collect();
         let mut streamed = Vec::new();
         let mut stream = StreamTokenizer::new();
+        let mut drain = |stream: &mut StreamTokenizer| {
+            stream.drain_tokens(|_, _, tokens| streamed.extend(tokens.map(|t| format!("{t:?}"))))
+        };
         for chunk in chunks {
             stream.feed(chunk);
-            stream.drain_tokens(|t, _, _| streamed.push(format!("{t:?}")));
+            drain(&mut stream);
         }
         stream.finish();
-        stream.drain_tokens(|t, _, _| streamed.push(format!("{t:?}")));
+        drain(&mut stream);
         (one_shot, streamed)
     }
 
@@ -298,45 +357,45 @@ mod tests {
 
     #[test]
     fn every_split_of_every_tricky_document_matches_one_shot() {
-        let docs: &[&[u8]] = &[
-            b"",
-            b"<HTML><BODY>hi</BODY></HTML>",
-            b"<A HREF=\"a.html>here</B></A>",
-            b"<IMG ALT=\"a > b\" SRC=\"x.gif\">text",
-            b"<IMG ALT=\"two\nlines\">",
-            b"<P <B>x",
-            b"<A HREF=x",
-            b"<A HREF=\"x",
-            b"i < 3 and j <3",
-            b"trailing lt <",
-            b"<BR/>",
-            b"</ HEAD>",
-            b"</A HREF=x>",
-            b"</>",
-            b"<!-- hello -->after",
-            b"<!-- runs off the end",
-            b"<!-- a -- b -->",
-            b"<!-- <B>bold</B> -->",
-            b"<!-->",
-            b"<!doctype html><HTML>",
-            b"<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0//EN\"><HTML>",
-            b"<!ENTITY foo \"bar\">x",
-            b"<!ENTITY gt \">\" done>y",
-            b"<?xml version=\"1.0\"?>x",
-            b"<![CDATA[ <not-a-tag> ]]>x",
-            b"<![CDATA[ never closed",
-            b"<SCRIPT>if (a<b) { x(); }</SCRIPT>after",
-            b"<style>b { color: red }</STYLE>",
-            b"<SCRIPT>never closed",
-            b"<SCRIPT></SCRIPT>x",
-            b"<PLAINTEXT><B>not markup</B>",
-            b"<P \"\">x",
-            "caf\u{e9} \u{65e5}\u{672c}\u{8a9e} text<B>x</B>".as_bytes(),
-            "<IMG ALT=\"caf\u{e9}\">".as_bytes(),
-            b"<HTML>\n<HEAD>\n<TITLE>example page\n</HEAD>\n<BODY BGCOLOR=\"fffff\" TEXT=#00ff00>\n<H1>My Example</H2>\nClick <B><A HREF=\"a.html>here</B></A>\nfor more details.\n</BODY>\n</HTML>\n",
-        ];
-        for doc in docs {
+        for doc in TRICKY_DOCS {
             assert_split_equivalence(doc);
+        }
+    }
+
+    #[test]
+    fn watermark_never_delays_a_stable_token() {
+        // finish() flushes everything, so a watermark that skipped past a
+        // terminator would still pass the split tests. Here a stream fed
+        // byte by byte must, after every byte, have drained exactly as
+        // many tokens as a fresh stream given that prefix in one chunk
+        // (whose first drain starts with no watermark).
+        let docs: &[&[u8]] = &[
+            b"<SCRIPT>a<b; c</scr; d</SCRIP</script>x<B>y</B>",
+            b"<STYLE>p<q</STYL</style >y",
+            "<XMP>\u{65e5}\u{672c}<\u{e9}</xmp>z<I>".as_bytes(),
+            b"<PRE>i < 3 <\n j <= 4 < </PRE>x<B>",
+            b"a < b <<P>c <</P> d <!-- e -->",
+        ];
+        let drained = |stream: &mut StreamTokenizer| {
+            let mut n = 0;
+            stream.drain_tokens(|_, _, tokens| n = tokens.count());
+            n
+        };
+        for doc in docs {
+            let mut stream = StreamTokenizer::new();
+            let mut total = 0;
+            for cut in 1..=doc.len() {
+                stream.feed(&doc[cut - 1..cut]);
+                total += drained(&mut stream);
+                let mut fresh = StreamTokenizer::new();
+                fresh.feed(&doc[..cut]);
+                assert_eq!(
+                    total,
+                    drained(&mut fresh),
+                    "after {cut} bytes of {:?}",
+                    String::from_utf8_lossy(doc)
+                );
+            }
         }
     }
 
@@ -366,11 +425,16 @@ mod tests {
         for cut in 0..=src.len() {
             let mut got = Vec::new();
             let mut stream = StreamTokenizer::new();
+            let mut drain = |stream: &mut StreamTokenizer| {
+                stream.drain_tokens(|_, _, tokens| {
+                    got.extend(tokens.map(|t| (t.span, format!("{t}"))))
+                })
+            };
             stream.feed(&src.as_bytes()[..cut]);
-            stream.drain_tokens(|t, _, _| got.push((t.span, format!("{t}"))));
+            drain(&mut stream);
             stream.feed(&src.as_bytes()[cut..]);
             stream.finish();
-            stream.drain_tokens(|t, _, _| got.push((t.span, format!("{t}"))));
+            drain(&mut stream);
             assert_eq!(expected, got, "split at {cut}");
         }
     }
@@ -386,13 +450,15 @@ mod tests {
         stream.finish();
         stream.drain_tokens(check_slice);
 
-        fn check_slice(t: Token<'_>, slice: &str, offset: usize) {
+        fn check_slice(slice: &str, offset: usize, tokens: &mut StreamTokens<'_>) {
             let local = |span: Span| &slice[span.start.offset - offset..span.end.offset - offset];
-            if let TokenKind::StartTag(tag) = &t.kind {
-                for attr in &tag.attrs {
-                    assert_eq!(local(attr.span), attr.name);
-                    if let Some(v) = &attr.value {
-                        assert_eq!(local(v.span), v.raw);
+            for t in tokens {
+                if let TokenKind::StartTag(tag) = &t.kind {
+                    for attr in &tag.attrs {
+                        assert_eq!(local(attr.span), attr.name);
+                        if let Some(v) = &attr.value {
+                            assert_eq!(local(v.span), v.raw);
+                        }
                     }
                 }
             }
@@ -409,7 +475,7 @@ mod tests {
         let mut peak = 0usize;
         for _ in 0..10_000 {
             stream.feed(para);
-            stream.drain_tokens(|_, _, _| {});
+            stream.drain_tokens(|_, _, tokens| tokens.for_each(drop));
             peak = peak.max(stream.buffered());
         }
         assert!(
@@ -417,7 +483,7 @@ mod tests {
             "buffer grew to {peak} bytes over a 460 KB stream"
         );
         stream.finish();
-        stream.drain_tokens(|_, _, _| {});
+        stream.drain_tokens(|_, _, tokens| tokens.for_each(drop));
         assert_eq!(stream.buffered(), 0);
     }
 

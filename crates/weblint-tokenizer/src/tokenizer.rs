@@ -64,16 +64,17 @@ pub struct Tokenizer<'a> {
     raw_text_until: Option<&'static str>,
     /// A `PLAINTEXT` start tag was seen: the rest of the file is text.
     plaintext: bool,
+    /// The last token's extent rests on the end of the buffer: its scan ran
+    /// out of input before finding a terminator (or, for a tag, decided on
+    /// a quote still open there), so bytes appended later could change it.
+    /// Every scanner sets it.
+    open_ended: bool,
 }
 
 impl<'a> Tokenizer<'a> {
     /// Create a tokenizer over `src`.
     pub fn new(src: &'a str) -> Tokenizer<'a> {
-        Tokenizer {
-            cur: Cursor::new(src),
-            raw_text_until: None,
-            plaintext: false,
-        }
+        Tokenizer::resume(src, None, false)
     }
 
     /// Create a tokenizer over `src` that resumes mid-document: `src` is a
@@ -84,6 +85,7 @@ impl<'a> Tokenizer<'a> {
             cur: Cursor::new(src),
             raw_text_until,
             plaintext,
+            open_ended: false,
         }
     }
 
@@ -107,53 +109,28 @@ impl<'a> Tokenizer<'a> {
     /// change it. A scan that terminates on a delimiter found *inside* the
     /// buffer (a closing `>`, a `-->`, a markup-starting `<`) is stable; a
     /// scan that ran to the end of the buffer is not, and yields
-    /// [`Step::NeedMore`] without consuming anything.
+    /// [`Step::NeedMore`] without consuming anything. The token is scanned
+    /// once either way: the scanner itself reports whether it ran out of
+    /// input, and an open-ended scan is rolled back.
     ///
     /// `step(true)` is exactly the [`Iterator`] implementation.
     pub fn step(&mut self, eof: bool) -> Step<'a> {
         if self.cur.is_eof() {
             return if eof { Step::Done } else { Step::NeedMore };
         }
-        if !eof && !self.next_token_stable() {
-            return Step::NeedMore;
-        }
-        match self.next_token() {
-            Some(tok) => Step::Token(tok),
-            None => Step::Done,
-        }
-    }
-
-    /// Whether the next token's extent and kind are already fully determined
-    /// by the bytes in the buffer (see [`Tokenizer::step`]). Read-only: a
-    /// `false` answer must leave the tokenizer untouched for the retry.
-    fn next_token_stable(&self) -> bool {
-        let rest = self.cur.rest();
-        if self.plaintext {
-            // PLAINTEXT swallows everything to end-of-file.
-            return false;
-        }
-        if let Some(close) = self.raw_text_until {
-            // Raw text runs to the close pattern; finding it in the buffer
-            // pins the text token (an earlier match can never appear). A
-            // match at offset 0 means the end tag parses next instead.
-            return match crate::cursor::find_ci(rest, close) {
-                Some(0) => tag_stable(rest),
-                Some(_) => true,
-                None => false,
+        if eof {
+            return match self.next_token() {
+                Some(tok) => Step::Token(tok),
+                None => Step::Done,
             };
         }
-        let bytes = rest.as_bytes();
-        match (bytes.first(), bytes.get(1)) {
-            (Some(b'<'), Some(b'!')) => markup_decl_stable(rest),
-            (Some(b'<'), Some(b'?')) => decl_stable(&rest[2..]),
-            (Some(b'<'), Some(b'/')) => tag_stable(rest),
-            (Some(b'<'), Some(c)) if c.is_ascii_alphabetic() => tag_stable(rest),
-            // A `<` as the buffer's last byte: could become any markup class.
-            (Some(b'<'), None) => false,
-            // Bare `<` followed by a non-markup byte, or any other first
-            // byte: a text run.
-            (Some(_), _) => text_stable(rest),
-            (None, _) => false,
+        let before = self.clone();
+        match self.next_token() {
+            Some(tok) if !self.open_ended => Step::Token(tok),
+            _ => {
+                *self = before;
+                Step::NeedMore
+            }
         }
     }
 
@@ -177,6 +154,8 @@ impl<'a> Tokenizer<'a> {
             }
             None => self.cur.eat_to_eof(),
         };
+        // Only a close pattern inside the buffer pins the run.
+        self.open_ended = self.cur.is_eof();
         Some(self.token(start, TokenKind::Text(Text { raw, is_raw: true })))
     }
 
@@ -198,6 +177,9 @@ impl<'a> Tokenizer<'a> {
                 }
             }
         }
+        // Only a markup-starting `<` inside the buffer pins the run; a
+        // trailing `<` may yet begin markup.
+        self.open_ended = self.cur.is_eof();
         let raw = &self.cur.src()[start.offset..self.cur.pos().offset];
         self.token(start, TokenKind::Text(Text { raw, is_raw: false }))
     }
@@ -209,6 +191,7 @@ impl<'a> Tokenizer<'a> {
             Some(t) => (t, false),
             None => (self.cur.eat_to_eof(), true),
         };
+        self.open_ended = unterminated;
         let contains_markup = looks_like_markup(text);
         let interior_dashes = text.contains("--");
         self.token(
@@ -235,6 +218,7 @@ impl<'a> Tokenizer<'a> {
                 Some(t) => (t, false),
                 None => (self.cur.eat_to_eof(), true),
             };
+            self.open_ended = unterminated;
             return (Decl { text, unterminated }, start);
         }
         let body_start = self.cur.pos().offset;
@@ -259,6 +243,9 @@ impl<'a> Tokenizer<'a> {
         if terminated {
             self.cur.bump(); // '>'
         }
+        // A walk that ran off the buffer, in a quote or not, could still
+        // meet its `>` (or close its quote and move it) in later bytes.
+        self.open_ended = !terminated;
         (
             Decl {
                 text,
@@ -295,7 +282,8 @@ impl<'a> Tokenizer<'a> {
         let space_before_name = is_end && self.cur.eat_ws();
         let name = self.cur.eat_while(is_name_char);
 
-        let (body_len, end_kind, odd_quotes) = scan_tag_body(self.cur.rest());
+        let (body_len, end_kind, odd_quotes, open_ended) = scan_tag_body(self.cur.rest());
+        self.open_ended = open_ended;
         let body_end_offset = self.cur.pos().offset + body_len;
 
         // An XML-style "/>" self-close: strip the trailing '/' from the body
@@ -446,6 +434,8 @@ impl<'a> Tokenizer<'a> {
         if self.plaintext {
             let start = self.cur.pos();
             let raw = self.cur.eat_to_eof();
+            // PLAINTEXT swallows everything to end-of-file.
+            self.open_ended = true;
             return Some(self.token(start, TokenKind::Text(Text { raw, is_raw: true })));
         }
         if let Some(close) = self.raw_text_until.take() {
@@ -483,125 +473,24 @@ impl<'a> Iterator for Tokenizer<'a> {
     }
 }
 
-/// Stability of a text run: [`Tokenizer::scan_text`] ends only at a `<` that
-/// begins markup, so the run is pinned once such a `<` is in the buffer. A
-/// run that consumed to the buffer's end (no `<`, a trailing bare `<`, or
-/// only non-markup `<`s) could still grow.
-fn text_stable(rest: &str) -> bool {
-    let bytes = rest.as_bytes();
-    let mut i = 0;
+/// Search `bytes` from `from` for the `<` that ends a text run — one that
+/// begins markup. `Ok(at)` is its offset. `Err(resume)` means none is
+/// buffered yet: every `<` before `resume` is a bare one, and a search
+/// after more bytes arrive may start at `resume` (a trailing `<` is not yet
+/// decided, so `resume` stops at it).
+pub(crate) fn find_markup_start(bytes: &[u8], from: usize) -> Result<usize, usize> {
+    let mut i = from;
     while let Some(k) = crate::cursor::memchr(b'<', &bytes[i..]) {
         let at = i + k;
         match bytes.get(at + 1) {
             Some(&n) if n.is_ascii_alphabetic() || n == b'!' || n == b'?' || n == b'/' => {
-                return true
+                return Ok(at)
             }
             Some(_) => i = at + 1,
-            None => return false,
+            None => return Err(at),
         }
     }
-    false
-}
-
-/// Stability of a `<!…>` markup declaration. Classification between comment,
-/// DOCTYPE and other declarations is itself buffer-dependent, but every
-/// ambiguous spelling (a proper prefix of `<!--` or `<!doctype`) contains no
-/// terminator, so the per-class terminator checks below already refuse it.
-fn markup_decl_stable(rest: &str) -> bool {
-    if let Some(after_opener) = rest.strip_prefix("<!--") {
-        // A comment ends at `-->`, searched past the 4-byte opener.
-        return after_opener.contains("-->");
-    }
-    decl_stable(&rest[2..])
-}
-
-/// Stability of a declaration/PI body (`after` starts past the `<!`/`<?`
-/// opener): CDATA sections are pinned by `]]>`, everything else by a
-/// quote-aware `>`. A walk that ends inside the buffer — or inside an open
-/// quote — is not stable; a later byte could close the quote and move the
-/// real terminator.
-fn decl_stable(after: &str) -> bool {
-    // Byte-wise prefix compare: slicing the str at 7 could split a
-    // multibyte character.
-    let bytes = after.as_bytes();
-    if bytes.len() >= 7 && bytes[..7].eq_ignore_ascii_case(b"[CDATA[") {
-        return after[7..].contains("]]>");
-    }
-    let mut in_quote: Option<u8> = None;
-    for &b in after.as_bytes() {
-        match in_quote {
-            None => match b {
-                b'>' => return true,
-                b'"' | b'\'' => in_quote = Some(b),
-                _ => {}
-            },
-            Some(q) if b == q => in_quote = None,
-            Some(_) => {}
-        }
-    }
-    false
-}
-
-/// Stability of a start or end tag (`rest` starts at the `<`). The name must
-/// terminate inside the buffer (a name running to the buffer's end could
-/// continue), then the body must reach a stable verdict under the same
-/// quote-aware rules as [`scan_tag_body`].
-fn tag_stable(rest: &str) -> bool {
-    let bytes = rest.as_bytes();
-    let mut i = 1; // '<'
-    if bytes.get(1) == Some(&b'/') {
-        i = 2;
-        // End tags tolerate whitespace before the name (`</ HEAD>`).
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-    }
-    while i < bytes.len() && is_name_byte(bytes[i]) {
-        i += 1;
-    }
-    if i == bytes.len() {
-        return false;
-    }
-    tag_body_stable(&rest[i..])
-}
-
-/// Stability of a tag body, mirroring [`scan_tag_body`]: a quote-aware `>`
-/// or an unquoted `<` in the buffer pins the tag. An abort (a `<` inside a
-/// quote, or a quote run past [`QUOTE_SCAN_CAP`]) is itself stable and falls
-/// to the quote-parity heuristic, which cuts at the first `>` anywhere — so
-/// it is stable only once some `>` is in the buffer. Running off the end of
-/// the buffer (in or out of a quote) is never stable.
-fn tag_body_stable(rest: &str) -> bool {
-    let bytes = rest.as_bytes();
-    let mut in_quote: Option<u8> = None;
-    let mut quote_start = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match in_quote {
-            None => match b {
-                b'>' | b'<' => return true,
-                b'"' | b'\'' => {
-                    in_quote = Some(b);
-                    quote_start = i;
-                }
-                _ => {}
-            },
-            Some(q) => {
-                if b == q {
-                    in_quote = None;
-                } else if b == b'<' || ((b & 0xC0) != 0x80 && i - quote_start > QUOTE_SCAN_CAP) {
-                    return rest.contains('>');
-                }
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
-fn is_name_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || matches!(b, b'.' | b'-' | b'_' | b':')
+    Err(bytes.len())
 }
 
 /// How a tag body scan ended.
@@ -625,7 +514,13 @@ enum BodyEnd {
 /// the tag is cut at the first `>` regardless of quotes, and `odd_quotes`
 /// reports whether the quote count in that span is odd (the paper's §4.2
 /// "odd number of quotes in element" diagnostic).
-fn scan_tag_body(rest: &str) -> (usize, BodyEnd, bool) {
+///
+/// The last field is true when bytes appended after `rest` could change the
+/// result. A quote-aware `>` or unquoted `<` pins it, and so does an abort
+/// (a `<` inside a quote, or a quote past the cap) once the fallback finds
+/// its `>`. Running off the end of `rest`, in a quote or not, pins nothing:
+/// a later byte could close the quote and move the real terminator.
+fn scan_tag_body(rest: &str) -> (usize, BodyEnd, bool, bool) {
     // A byte walk, not a char walk: every byte that decides anything
     // (`>` `<` `"` `'`) is ASCII and can never match inside a multibyte
     // character. The cap check fires only at character starts so the abort
@@ -639,8 +534,8 @@ fn scan_tag_body(rest: &str) -> (usize, BodyEnd, bool) {
         let b = bytes[i];
         match in_quote {
             None => match b {
-                b'>' => return (i, BodyEnd::Gt, false),
-                b'<' => return (i, BodyEnd::EarlyLt, false),
+                b'>' => return (i, BodyEnd::Gt, false, false),
+                b'<' => return (i, BodyEnd::EarlyLt, false, false),
                 b'"' | b'\'' => {
                     in_quote = Some(b);
                     quote_start = i;
@@ -658,15 +553,14 @@ fn scan_tag_body(rest: &str) -> (usize, BodyEnd, bool) {
         }
         i += 1;
     }
-    if !aborted {
-        return match in_quote {
-            // EOF outside a quote: tag just never closed.
-            None => (rest.len(), BodyEnd::Eof, false),
-            // EOF inside a quote: fall through to the parity heuristic.
-            Some(_) => naive_tag_body(rest),
-        };
-    }
-    naive_tag_body(rest)
+    let (len, end, odd_quotes) = match in_quote {
+        // EOF outside a quote: tag just never closed.
+        None if !aborted => (rest.len(), BodyEnd::Eof, false),
+        // EOF inside a quote, or an abort: the parity heuristic.
+        _ => naive_tag_body(rest),
+    };
+    let open_ended = !aborted || end != BodyEnd::Gt;
+    (len, end, odd_quotes, open_ended)
 }
 
 /// The quote-parity fallback: cut the tag at the first `>` (quote-blind).
@@ -707,9 +601,266 @@ fn looks_like_markup(text: &str) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tokenize;
+
+    /// Documents that exercise every token class, every terminator, and
+    /// the ways a scan can run off the end of a buffer. Every prefix of
+    /// each is a buffer the stream tokenizer may hold.
+    pub(crate) const TRICKY_DOCS: &[&[u8]] = &[
+        b"",
+        b"<HTML><BODY>hi</BODY></HTML>",
+        b"<A HREF=\"a.html>here</B></A>",
+        // Quote-aware walks that abort (a `<` inside a quote), with and
+        // without a `>` for the parity fallback, and quotes holding `>`.
+        b"<A HREF=\"a<b>c</A>",
+        b"<A HREF=\"a<b c",
+        b"<A TITLE=\"x>y\"z>w<P CLASS='q\"r'>s",
+        b"<!DOCTYPE x \"a>b\">c<?pi 'x>y'?>z",
+        b"<![CDATA[a]]b]]>c<!-- a --->b<!--->d",
+        b"<IMG ALT=\"a > b\" SRC=\"x.gif\">text",
+        b"<IMG ALT=\"two\nlines\">",
+        b"<P <B>x",
+        b"<A HREF=x",
+        b"<A HREF=\"x",
+        b"i < 3 and j <3",
+        b"trailing lt <",
+        b"<BR/>",
+        b"</ HEAD>",
+        b"</A HREF=x>",
+        b"</>",
+        b"<!-- hello -->after",
+        b"<!-- runs off the end",
+        b"<!-- a -- b -->",
+        b"<!-- <B>bold</B> -->",
+        b"<!-->",
+        b"<!doctype html><HTML>",
+        b"<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0//EN\"><HTML>",
+        b"<!ENTITY foo \"bar\">x",
+        b"<!ENTITY gt \">\" done>y",
+        b"<?xml version=\"1.0\"?>x",
+        b"<![CDATA[ <not-a-tag> ]]>x",
+        b"<![CDATA[ never closed",
+        b"<SCRIPT>if (a<b) { x(); }</SCRIPT>after",
+        b"<style>b { color: red }</STYLE>",
+        b"<SCRIPT>never closed",
+        b"<SCRIPT></SCRIPT>x",
+        // Bare `<`s and partial close patterns that must not end a run,
+        // and multibyte text the raw-text watermark must back out of.
+        b"<SCRIPT>a<b; c</scr; d</SCRIP</script>x",
+        b"<STYLE>p<q</STYL</style >y",
+        "<SCRIPT>\u{65e5}\u{672c}<\u{e9}</SCRIPT>z".as_bytes(),
+        b"<PRE>i < 3 <\n j <= 4 < </PRE>x",
+        b"a < b <",
+        b"<PLAINTEXT><B>not markup</B>",
+        b"<P \"\">x",
+        "caf\u{e9} \u{65e5}\u{672c}\u{8a9e} text<B>x</B>".as_bytes(),
+        "<IMG ALT=\"caf\u{e9}\">".as_bytes(),
+        b"<HTML>\n<HEAD>\n<TITLE>example page\n</HEAD>\n<BODY BGCOLOR=\"fffff\" TEXT=#00ff00>\n<H1>My Example</H2>\nClick <B><A HREF=\"a.html>here</B></A>\nfor more details.\n</BODY>\n</HTML>\n",
+    ];
+
+    /// The stability verdicts as they stood before the scanners reported
+    /// them: a separate read-only pass over the buffer per token. Kept as
+    /// the oracle `step` is checked against.
+    mod reference {
+        use crate::cursor::find_ci;
+        use crate::tokenizer::{find_markup_start, QUOTE_SCAN_CAP};
+
+        /// Whether the next token of `rest` (tokenized in the given mode)
+        /// is already fully determined by the bytes in the buffer.
+        pub(super) fn next_token_stable(
+            rest: &str,
+            raw_text_until: Option<&'static str>,
+            plaintext: bool,
+        ) -> bool {
+            if plaintext {
+                return false;
+            }
+            if let Some(close) = raw_text_until {
+                return match find_ci(rest, close) {
+                    Some(0) => tag_stable(rest),
+                    Some(_) => true,
+                    None => false,
+                };
+            }
+            let bytes = rest.as_bytes();
+            match (bytes.first(), bytes.get(1)) {
+                (Some(b'<'), Some(b'!')) => markup_decl_stable(rest),
+                (Some(b'<'), Some(b'?')) => decl_stable(&rest[2..]),
+                (Some(b'<'), Some(b'/')) => tag_stable(rest),
+                (Some(b'<'), Some(c)) if c.is_ascii_alphabetic() => tag_stable(rest),
+                (Some(b'<'), None) => false,
+                (Some(_), _) => text_stable(rest),
+                (None, _) => false,
+            }
+        }
+
+        /// Stability of a text run: [`Tokenizer::scan_text`] ends only at a `<` that
+        /// begins markup, so the run is pinned once such a `<` is in the buffer. A
+        /// run that consumed to the buffer's end (no `<`, a trailing bare `<`, or
+        /// only non-markup `<`s) could still grow.
+        fn text_stable(rest: &str) -> bool {
+            find_markup_start(rest.as_bytes(), 0).is_ok()
+        }
+
+        /// Stability of a `<!…>` markup declaration. Classification between comment,
+        /// DOCTYPE and other declarations is itself buffer-dependent, but every
+        /// ambiguous spelling (a proper prefix of `<!--` or `<!doctype`) contains no
+        /// terminator, so the per-class terminator checks below already refuse it.
+        fn markup_decl_stable(rest: &str) -> bool {
+            if let Some(after_opener) = rest.strip_prefix("<!--") {
+                // A comment ends at `-->`, searched past the 4-byte opener.
+                return after_opener.contains("-->");
+            }
+            decl_stable(&rest[2..])
+        }
+
+        /// Stability of a declaration/PI body (`after` starts past the `<!`/`<?`
+        /// opener): CDATA sections are pinned by `]]>`, everything else by a
+        /// quote-aware `>`. A walk that ends inside the buffer — or inside an open
+        /// quote — is not stable; a later byte could close the quote and move the
+        /// real terminator.
+        fn decl_stable(after: &str) -> bool {
+            // Byte-wise prefix compare: slicing the str at 7 could split a
+            // multibyte character.
+            let bytes = after.as_bytes();
+            if bytes.len() >= 7 && bytes[..7].eq_ignore_ascii_case(b"[CDATA[") {
+                return after[7..].contains("]]>");
+            }
+            let mut in_quote: Option<u8> = None;
+            for &b in after.as_bytes() {
+                match in_quote {
+                    None => match b {
+                        b'>' => return true,
+                        b'"' | b'\'' => in_quote = Some(b),
+                        _ => {}
+                    },
+                    Some(q) if b == q => in_quote = None,
+                    Some(_) => {}
+                }
+            }
+            false
+        }
+
+        /// Stability of a start or end tag (`rest` starts at the `<`). The name must
+        /// terminate inside the buffer (a name running to the buffer's end could
+        /// continue), then the body must reach a stable verdict under the same
+        /// quote-aware rules as `scan_tag_body`.
+        fn tag_stable(rest: &str) -> bool {
+            let bytes = rest.as_bytes();
+            let mut i = 1; // '<'
+            if bytes.get(1) == Some(&b'/') {
+                i = 2;
+                // End tags tolerate whitespace before the name (`</ HEAD>`).
+                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+                    i += 1;
+                }
+            }
+            while i < bytes.len() && is_name_byte(bytes[i]) {
+                i += 1;
+            }
+            if i == bytes.len() {
+                return false;
+            }
+            tag_body_stable(&rest[i..])
+        }
+
+        /// Stability of a tag body, mirroring `scan_tag_body`: a quote-aware `>`
+        /// or an unquoted `<` in the buffer pins the tag. An abort (a `<` inside a
+        /// quote, or a quote run past `QUOTE_SCAN_CAP`) is itself stable and falls
+        /// to the quote-parity heuristic, which cuts at the first `>` anywhere — so
+        /// it is stable only once some `>` is in the buffer. Running off the end of
+        /// the buffer (in or out of a quote) is never stable.
+        fn tag_body_stable(rest: &str) -> bool {
+            let bytes = rest.as_bytes();
+            let mut in_quote: Option<u8> = None;
+            let mut quote_start = 0usize;
+            let mut i = 0;
+            while i < bytes.len() {
+                let b = bytes[i];
+                match in_quote {
+                    None => match b {
+                        b'>' | b'<' => return true,
+                        b'"' | b'\'' => {
+                            in_quote = Some(b);
+                            quote_start = i;
+                        }
+                        _ => {}
+                    },
+                    Some(q) => {
+                        if b == q {
+                            in_quote = None;
+                        } else if b == b'<'
+                            || ((b & 0xC0) != 0x80 && i - quote_start > QUOTE_SCAN_CAP)
+                        {
+                            return rest.contains('>');
+                        }
+                    }
+                }
+                i += 1;
+            }
+            false
+        }
+
+        fn is_name_byte(b: u8) -> bool {
+            b.is_ascii_alphanumeric() || matches!(b, b'.' | b'-' | b'_' | b':')
+        }
+    }
+
+    /// Step `buf` with `eof == false` until it needs more, checking before
+    /// every step that a token comes out exactly when the reference says
+    /// the next token is already stable.
+    fn assert_steps_match_reference(buf: &str) {
+        let mut tok = Tokenizer::new(buf);
+        loop {
+            let (raw_text_until, plaintext) = tok.mode();
+            let rest = tok.cur.rest();
+            let stable =
+                !rest.is_empty() && reference::next_token_stable(rest, raw_text_until, plaintext);
+            match tok.step(false) {
+                Step::Token(_) => assert!(stable, "unstable token taken at {rest:?} of {buf:?}"),
+                Step::NeedMore => {
+                    assert!(!stable, "stable token refused at {rest:?} of {buf:?}");
+                    assert_eq!(tok.cur.rest(), rest, "NeedMore consumed input");
+                    assert_eq!(tok.mode(), (raw_text_until, plaintext));
+                    return;
+                }
+                Step::Done => panic!("Done is unreachable before eof"),
+            }
+        }
+    }
+
+    #[test]
+    fn step_takes_exactly_the_stable_tokens_of_every_prefix() {
+        for doc in TRICKY_DOCS {
+            let doc = String::from_utf8_lossy(doc);
+            for cut in (0..=doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+                assert_steps_match_reference(&doc[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn step_matches_reference_around_the_quote_scan_cap() {
+        // A quote that runs past the cap aborts the quote-aware walk; the
+        // fallback then needs a `>` anywhere to pin the tag.
+        let long = "x".repeat(QUOTE_SCAN_CAP + 8);
+        let doc = format!("<A TITLE=\"{long}\" HREF=y>tail<B>");
+        let open = "<A TITLE=\"".len();
+        for cut in [
+            open + QUOTE_SCAN_CAP - 1,
+            open + QUOTE_SCAN_CAP,
+            open + QUOTE_SCAN_CAP + 1,
+            open + QUOTE_SCAN_CAP + 2,
+            doc.len() - 10,
+            doc.len() - 9,
+            doc.len() - 3,
+            doc.len(),
+        ] {
+            assert_steps_match_reference(&doc[..cut]);
+        }
+    }
 
     fn kinds(src: &str) -> Vec<String> {
         tokenize(src)

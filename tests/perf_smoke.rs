@@ -144,6 +144,57 @@ fn custom_rules_stay_off_the_hot_path() {
 }
 
 #[test]
+fn streamed_raw_text_with_bare_lt_stays_linear() {
+    // A 2 MiB <SCRIPT> body whose every line holds a bare `<`: no `<` ends
+    // the raw text but the close pattern, so each 8 KiB feed must resume
+    // the terminator search where the last one stopped. Re-scanning the
+    // whole carry per feed made this ~76x one-shot.
+    let mut doc = String::from("<HTML><HEAD><TITLE>t</TITLE>\n<SCRIPT>\n");
+    while doc.len() < 2 << 20 {
+        doc.push_str("if (a<b) { x(); }\n");
+    }
+    doc.push_str("</SCRIPT></HEAD><BODY><P>done</BODY></HTML>\n");
+
+    let mut session = LintSession::new();
+    let expected = session.check_string(&doc);
+    let stream = |session: &mut LintSession| {
+        let mut diags: Vec<_> = Vec::new();
+        for chunk in doc.as_bytes().chunks(8 << 10) {
+            diags.extend(session.feed(chunk));
+        }
+        diags.extend(session.finish());
+        diags
+    };
+    assert_eq!(stream(&mut session), expected);
+
+    // Alternate the two paths within each round; keep each side's best.
+    let iters = 5;
+    let (mut oneshot, mut streamed) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        let started = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(session.check_string(&doc));
+        }
+        oneshot = oneshot.min(started.elapsed().as_secs_f64());
+        let started = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(stream(&mut session));
+        }
+        streamed = streamed.min(started.elapsed().as_secs_f64());
+    }
+    let ratio = streamed / oneshot;
+    eprintln!("2 MiB <SCRIPT> of `a<b`: streamed/one-shot = {ratio:.2}x");
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: ratio ceiling not armed");
+        return;
+    }
+    assert!(
+        ratio <= 5.0,
+        "streamed raw text took {ratio:.1}x one-shot; the terminator search re-scans its carry"
+    );
+}
+
+#[test]
 fn corpus_document_rate_floor() {
     let docs: Vec<String> = (0..32u64)
         .map(|seed| weblint_corpus::generate_document(seed, 8 << 10))
