@@ -8,6 +8,12 @@ cargo test -q --workspace
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc links: every intra-doc link in the first-party crates must resolve,
+# including links into private items (the vendored stand-ins are skipped).
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --exclude criterion --exclude proptest --exclude rand \
+    --exclude serde_json --no-deps --lib
+
 # HTTP front-end smoke: bind an ephemeral port, drive every route over a
 # real socket (POST fixture, duplicate for a cache hit, url= flow,
 # /metrics), and require a clean graceful shutdown. Exits non-zero on any
@@ -168,6 +174,13 @@ timeout 180 cargo bench -p weblint-bench --bench streaming -- --test
 # the exit status is gated here, not the timings.
 timeout 120 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.toml -- \
     --workload files --seed 1 --seconds 5 --trace 0
+
+# The `crawl` workload's oracle: a short sharded crawl over the seeded
+# federations exits non-zero unless every generated page is crawled
+# exactly once and the planted lint defects and dead links are all
+# reported. Again only the exit status is gated.
+timeout 180 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.toml -- \
+    --workload crawl --seed 1 --seconds 5 --trace 0
 
 # weblint - must lint an unbuffered stdin stream like the file path.
 printf '<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>' \

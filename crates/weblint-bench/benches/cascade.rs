@@ -20,8 +20,8 @@ fn print_cascade_table() {
         "E5",
         "messages per injected defect: heuristics on vs off (cascade factor)",
     );
-    let on = default_weblint();
-    let off = naive_weblint();
+    let mut on = default_weblint();
+    let mut off = naive_weblint();
     println!(
         "  {:<24} {:>10} {:>10} {:>8}",
         "defect class", "heuristics", "naive", "factor"
@@ -64,8 +64,8 @@ fn bench_heuristics_cost(c: &mut Criterion) {
     print_cascade_table();
     // The heuristics are nearly free: same corpus, both configurations.
     let doc = weblint_bench::dirty_document(5, 64 << 10, 16);
-    let on = default_weblint();
-    let off = naive_weblint();
+    let mut on = default_weblint();
+    let mut off = naive_weblint();
     let mut group = c.benchmark_group("cascade_ablation");
     group.bench_function("heuristics_on", |b| {
         b.iter(|| black_box(on.check_string(black_box(&doc))))

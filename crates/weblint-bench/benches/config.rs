@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use weblint_bench::{dirty_document, experiment_header};
 use weblint_config::{apply_config_text, extract_pragmas};
-use weblint_core::{Category, LintConfig, Weblint};
+use weblint_core::{Category, LintConfig, LintSession};
 
 fn configs() -> Vec<(&'static str, LintConfig)> {
     let mut none = LintConfig::default();
@@ -30,7 +30,7 @@ fn bench_config(c: &mut Criterion) {
     let doc = dirty_document(8, 64 << 10, 16);
     let mut group = c.benchmark_group("config");
     for (label, config) in configs() {
-        let weblint = Weblint::with_config(config);
+        let mut weblint = LintSession::with_config(config);
         println!(
             "  {label}: {} messages on the 64KiB dirty document",
             weblint.check_string(&doc).len()

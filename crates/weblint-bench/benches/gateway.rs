@@ -13,7 +13,7 @@ use weblint_site::{SimulatedWeb, WebFetcher};
 fn bench_gateway(c: &mut Criterion) {
     experiment_header("E9", "gateway report rendering vs page size");
     let gateway = Gateway::default();
-    let weblint = weblint_core::Weblint::new();
+    let mut weblint = weblint_core::LintSession::new();
     let mut group = c.benchmark_group("gateway");
     for &(label, bytes) in DOC_SIZES {
         let doc = dirty_document(9, bytes, bytes / 4096);

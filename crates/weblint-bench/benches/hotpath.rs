@@ -90,7 +90,7 @@ fn bench_tokenizer_hotpath(c: &mut Criterion) {
 
 fn bench_lint_single_thread(c: &mut Criterion) {
     experiment_header("E14b", "single-thread lint MB/s: big.html and corpus mix");
-    let weblint = default_weblint();
+    let mut weblint = default_weblint();
     let big = big_html();
     let corpus = corpus_batch(32, 16 << 10);
     let corpus_bytes: u64 = corpus.iter().map(|d| d.len() as u64).sum();

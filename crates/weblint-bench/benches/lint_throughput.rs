@@ -12,7 +12,7 @@ fn bench_lint(c: &mut Criterion) {
         "E4",
         "end-to-end lint throughput vs size and defect density",
     );
-    let weblint = default_weblint();
+    let mut weblint = default_weblint();
     let mut group = c.benchmark_group("lint");
     for &(label, bytes) in DOC_SIZES {
         for (density_label, defects) in [("clean", 0), ("1-per-4KiB", bytes / 4096)] {
@@ -28,17 +28,9 @@ fn bench_lint(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_checker_construction(c: &mut Criterion) {
-    // Building a Weblint assembles the HTML tables; callers reuse it, but
-    // the constant matters for run-once CLI use.
-    c.bench_function("weblint_new", |b| {
-        b.iter(|| black_box(weblint_core::Weblint::new()))
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_lint, bench_checker_construction
+    targets = bench_lint
 }
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use weblint_bench::experiment_header;
-use weblint_core::{LintConfig, Weblint};
+use weblint_core::{LintConfig, LintSession};
 use weblint_html::{Extensions, HtmlSpec, HtmlVersion};
 
 /// A page using HTML 4.0 features, deprecated markup, and both vendors'
@@ -64,7 +64,7 @@ fn bench_versions(c: &mut Criterion) {
         let mut config = LintConfig::default();
         config.version = version;
         config.extensions = extensions;
-        let weblint = Weblint::with_config(config);
+        let mut weblint = LintSession::with_config(config);
         let diags = weblint.check_string(&doc);
         let ext = diags.iter().filter(|d| d.id == "extension-markup").count();
         let ver = diags.iter().filter(|d| d.id == "version-markup").count();

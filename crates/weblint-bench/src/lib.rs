@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use weblint_core::{LintConfig, Weblint};
+use weblint_core::{LintConfig, LintSession};
 
 /// The standard document sizes the throughput experiments sweep.
 pub const DOC_SIZES: &[(&str, usize)] = &[
@@ -18,17 +18,17 @@ pub const DOC_SIZES: &[(&str, usize)] = &[
     ("1MiB", 1 << 20),
 ];
 
-/// A weblint with default configuration.
-pub fn default_weblint() -> Weblint {
-    Weblint::new()
+/// A lint session with the default configuration.
+pub fn default_weblint() -> LintSession {
+    LintSession::new()
 }
 
-/// A weblint with the cascade heuristics disabled (the naive checker used
-/// by the E5 ablation).
-pub fn naive_weblint() -> Weblint {
+/// A lint session with the cascade heuristics disabled (the naive checker
+/// used by the E5 ablation).
+pub fn naive_weblint() -> LintSession {
     let mut config = LintConfig::default();
     config.heuristics = false;
-    Weblint::with_config(config)
+    LintSession::with_config(config)
 }
 
 /// Inject `count` defects of rotating classes into a clean document,
@@ -61,7 +61,7 @@ mod tests {
 
     #[test]
     fn dirty_document_is_dirty() {
-        let weblint = default_weblint();
+        let mut weblint = default_weblint();
         let clean = dirty_document(1, 4096, 0);
         assert!(weblint.check_string(&clean).is_empty());
         let dirty = dirty_document(1, 4096, 5);

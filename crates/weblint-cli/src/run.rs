@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use weblint_config::{apply_directive, apply_pragmas, load_config_file, ConfigWarning};
 use weblint_core::{
     format_report, CheckDef, Diagnostic, LintConfig, LintSession, OutputFormat, Profile, Rule,
-    Summary, Weblint, CATALOG, REGISTRY,
+    Summary, CATALOG, REGISTRY,
 };
 use weblint_service::{JobHandle, LintService, ServiceConfig};
 use weblint_site::{DirStore, SiteChecker};
@@ -136,28 +136,16 @@ fn run_parallel(
 
     let mut prepared: Vec<Prepared> = Vec::with_capacity(args.inputs.len());
     for input in &args.inputs {
-        let source = if input == "-" {
-            let mut src = String::new();
-            match std::io::stdin().read_to_string(&mut src) {
-                Ok(_) => Ok(("stdin".to_string(), src)),
-                Err(e) => Err(format!("weblint: stdin: {e}")),
+        let source = if is_dir(input) {
+            if args.recurse {
+                prepared.push(Prepared::Dir(PathBuf::from(input)));
+                continue;
             }
+            Err(format!(
+                "weblint: {input} is a directory (use -R to check a whole tree)"
+            ))
         } else {
-            let path = Path::new(input);
-            if path.is_dir() {
-                if args.recurse {
-                    prepared.push(Prepared::Dir(path.to_path_buf()));
-                    continue;
-                }
-                Err(format!(
-                    "weblint: {input} is a directory (use -R to check a whole tree)"
-                ))
-            } else {
-                match std::fs::read(path) {
-                    Ok(bytes) => Ok((input.clone(), String::from_utf8_lossy(&bytes).into_owned())),
-                    Err(e) => Err(format!("weblint: {input}: {e}")),
-                }
-            }
+            read_input(input)
         };
         prepared.push(match source {
             Ok((name, src)) => {
@@ -214,6 +202,32 @@ enum InputStatus {
     Failed,
 }
 
+/// Whether `input` names a directory (`-`, stdin, never does).
+fn is_dir(input: &str) -> bool {
+    input != "-" && Path::new(input).is_dir()
+}
+
+/// Read a whole input — `-` is stdin — as `(name, text)`, the name being
+/// what reports call it. Invalid UTF-8 is replaced, exactly as a plain
+/// `weblint FILE` or streamed `weblint -` replaces it, so every mode lints
+/// the same text. The error is the finished `weblint: …` message.
+fn read_input(input: &str) -> Result<(String, String), String> {
+    let (name, bytes) = if input == "-" {
+        let mut bytes = Vec::new();
+        let read = std::io::stdin().read_to_end(&mut bytes);
+        ("stdin", read.map(|_| bytes))
+    } else {
+        (input, std::fs::read(input))
+    };
+    match bytes {
+        Ok(bytes) => Ok((
+            name.to_string(),
+            String::from_utf8_lossy(&bytes).into_owned(),
+        )),
+        Err(e) => Err(format!("weblint: {name}: {e}")),
+    }
+}
+
 /// Fix passes before giving up on convergence. Every mechanical repair
 /// lands in one pass; a second pass picks up fixes that were skipped over
 /// a conflict; the rest is headroom.
@@ -242,31 +256,18 @@ fn fix_one(
     err: &mut impl std::io::Write,
 ) -> i32 {
     let from_stdin = input == "-";
-    let (name, src) = if from_stdin {
-        let mut src = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut src) {
-            let _ = writeln!(err, "weblint: stdin: {e}");
+    if is_dir(input) {
+        let _ = writeln!(
+            err,
+            "weblint: {input} is a directory (-fix takes files; use poacher -fix for a tree)"
+        );
+        return EXIT_ERROR;
+    }
+    let (name, src) = match read_input(input) {
+        Ok(source) => source,
+        Err(message) => {
+            let _ = writeln!(err, "{message}");
             return EXIT_ERROR;
-        }
-        ("stdin".to_string(), src)
-    } else {
-        let path = Path::new(input);
-        if path.is_dir() {
-            let _ = writeln!(
-                err,
-                "weblint: {input} is a directory (-fix takes files; use poacher -fix for a tree)"
-            );
-            return EXIT_ERROR;
-        }
-        match std::fs::read(path) {
-            Ok(bytes) => (
-                input.to_string(),
-                String::from_utf8_lossy(&bytes).into_owned(),
-            ),
-            Err(e) => {
-                let _ = writeln!(err, "weblint: {input}: {e}");
-                return EXIT_ERROR;
-            }
         }
     };
 
@@ -448,8 +449,7 @@ fn lint_source(
             return InputStatus::Failed;
         }
     }
-    let weblint = Weblint::with_config(page_config);
-    let diags = weblint.check_string(src);
+    let diags = LintSession::with_config(page_config).check_string(src);
     let _ = write!(out, "{}", format_report(&diags, name, format));
     if diags.is_empty() {
         InputStatus::Clean
@@ -734,33 +734,20 @@ fn run_profile(
     let mut session = LintSession::with_config(config.clone());
     let mut code = EXIT_CLEAN;
     for input in &args.inputs {
-        let (name, src) = if input == "-" {
-            let mut src = String::new();
-            match std::io::stdin().read_to_string(&mut src) {
-                Ok(_) => ("stdin".to_string(), src),
-                Err(e) => {
-                    let _ = writeln!(err, "weblint: stdin: {e}");
-                    code = code.max(EXIT_ERROR);
-                    continue;
-                }
-            }
-        } else {
-            let path = Path::new(input);
-            if path.is_dir() {
-                let _ = writeln!(
-                    err,
-                    "weblint: {input} is a directory (-profile takes files)"
-                );
+        if is_dir(input) {
+            let _ = writeln!(
+                err,
+                "weblint: {input} is a directory (-profile takes files)"
+            );
+            code = code.max(EXIT_ERROR);
+            continue;
+        }
+        let (name, src) = match read_input(input) {
+            Ok(source) => source,
+            Err(message) => {
+                let _ = writeln!(err, "{message}");
                 code = code.max(EXIT_ERROR);
                 continue;
-            }
-            match std::fs::read(path) {
-                Ok(bytes) => (input.clone(), String::from_utf8_lossy(&bytes).into_owned()),
-                Err(e) => {
-                    let _ = writeln!(err, "weblint: {input}: {e}");
-                    code = code.max(EXIT_ERROR);
-                    continue;
-                }
             }
         };
         let mut page_config = config.clone();
@@ -773,13 +760,7 @@ fn run_profile(
             }
         }
         session.set_config(page_config);
-        let diags = session.lint(
-            &src,
-            weblint_core::LintRequest {
-                profile: Some(&mut profile),
-                ..Default::default()
-            },
-        );
+        let diags = session.check_string_profiled(&src, &mut profile);
         let _ = write!(out, "{}", format_report(&diags, &name, args.format));
         if !diags.is_empty() {
             code = code.max(EXIT_MESSAGES);

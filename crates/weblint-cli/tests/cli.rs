@@ -83,6 +83,65 @@ fn stdin_via_dash() {
         .contains("malformed heading"));
 }
 
+/// Run `weblint -noglobals ARGS -` with `input` on stdin.
+fn weblint_stdin(args: &[&str], input: &[u8]) -> Output {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_weblint"))
+        .arg("-noglobals")
+        .args(args)
+        .arg("-")
+        .env_remove("WEBLINTRC")
+        .env_remove("WEBLINT_SITE_CONFIG")
+        .env("HOME", "/nonexistent")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    child.stdin.take().unwrap().write_all(input).unwrap();
+    child.wait_with_output().unwrap()
+}
+
+/// A page with one Latin-1 byte (0xE9, é), which is not UTF-8.
+const LATIN1_PAGE: &[u8] =
+    b"<HTML><HEAD><TITLE>caf\xe9</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>";
+
+#[test]
+fn latin1_stdin_lints_alike_in_every_mode() {
+    // Every mode that reads stdin whole replaces the byte, just as the
+    // streamed `weblint -` does.
+    let plain = weblint_stdin(&[], LATIN1_PAGE);
+    assert_eq!(plain.status.code(), Some(1));
+    let stdout = String::from_utf8(plain.stdout).unwrap();
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    for args in [&["-profile"][..], &["-jobs", "2"], &["-stats"]] {
+        let out = weblint_stdin(args, LATIN1_PAGE);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), stdout, "{args:?}");
+    }
+}
+
+#[test]
+fn latin1_stdin_is_fixed() {
+    // Both findings are fixable, so nothing is left over: exit 0.
+    let out = weblint_stdin(&["-fix", "-diff"], LATIN1_PAGE);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("+<HTML><HEAD><TITLE>caf\u{fffd}</TITLE></HEAD><BODY><H1>x</H1></BODY></HTML>"));
+}
+
 #[test]
 fn usage_error_exits_2() {
     let out = weblint(&["-bogus-flag"]);

@@ -585,14 +585,14 @@ mod tests {
         let mut c = LintConfig::default();
         c.fragment = true;
         apply_config_text("element GENERATOR-NOTE\nattribute * toolid\n", &mut c).unwrap();
-        let weblint = weblint_core::Weblint::with_config(c);
+        let mut weblint = weblint_core::LintSession::with_config(c);
         let page = "<GENERATOR-NOTE>made by tool</GENERATOR-NOTE>\
                     <P TOOLID=\"77\">content</P>";
         assert_eq!(weblint.check_string(page), vec![]);
         // Without the declarations the same page is noisy.
         let mut plain = LintConfig::default();
         plain.fragment = true;
-        let weblint = weblint_core::Weblint::with_config(plain);
+        let mut weblint = weblint_core::LintSession::with_config(plain);
         assert_eq!(weblint.check_string(page).len(), 2);
     }
 

@@ -124,7 +124,7 @@ mod tests {
         let page = "<!-- weblint: fragment on -->\n<B>bold</B>\n";
         let mut config = LintConfig::default();
         apply_pragmas(page, &mut config).unwrap();
-        let weblint = weblint_core::Weblint::with_config(config);
+        let mut weblint = weblint_core::LintSession::with_config(config);
         assert_eq!(weblint.check_string(page), vec![]);
     }
 

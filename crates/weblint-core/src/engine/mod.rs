@@ -42,58 +42,38 @@ use crate::options::{CaseStyle, LintConfig};
 use names::known;
 
 /// Run every enabled check over `src` and return the diagnostics in source
-/// order.
+/// order: the engine's single one-shot entry.
 ///
 /// This is the pure-function core: (tokens, HTML tables, config) →
-/// diagnostics. [`crate::Weblint`] provides the friendlier object API, and
-/// [`crate::LintSession`] the amortized-allocation one.
-pub fn check(spec: &HtmlSpec, config: &LintConfig, src: &str) -> Vec<Diagnostic> {
-    let mut scratch = Scratch::default();
-    check_with(spec, config, src, &mut scratch)
-}
-
-/// [`check`] against caller-provided scratch buffers. The scratch is reset
-/// first, so any prior contents are irrelevant.
-pub(crate) fn check_with(
+/// diagnostics, with [`crate::LintSession`] as the object API over it.
+/// `scratch` is reset first, so any prior contents are irrelevant. With a
+/// `profile`, the check sections are bracketed by timers and the
+/// document's per-rule hits and total engine time are added to it; the
+/// diagnostics are the same either way.
+pub(crate) fn check(
     spec: &HtmlSpec,
     config: &LintConfig,
     src: &str,
     scratch: &mut Scratch,
+    mut profile: Option<&mut Profile>,
 ) -> Vec<Diagnostic> {
     scratch.reset();
+    let t0 = profile.is_some().then(Instant::now);
     let mut checker = Checker::new(spec, config, SrcView::new(src), scratch);
-    drive(&mut checker, src);
-    checker.finish()
-}
-
-/// Pump every token of an in-memory document through the checker, via the
-/// same eof-aware [`Tokenizer::step`] the streaming session uses —
-/// `step(true)` is the whole-input case of the one engine path, with none
-/// of the stream path's copying or prefix-stability checks.
-fn drive(checker: &mut Checker<'_>, src: &str) {
+    checker.profile = profile.as_deref_mut();
+    // Every token goes through the same eof-aware `Tokenizer::step` the
+    // streaming session uses — `step(true)` is the whole-input case of the
+    // one engine path, with none of the stream path's copying or
+    // prefix-stability checks.
     let mut tokens = Tokenizer::new(src);
     while let Step::Token(token) = tokens.step(true) {
         checker.on_token(&token);
     }
-}
-
-/// [`check_with`], filling `profile` with per-rule hit and wall-time
-/// counters plus the document's total engine time.
-pub(crate) fn check_profiled(
-    spec: &HtmlSpec,
-    config: &LintConfig,
-    src: &str,
-    scratch: &mut Scratch,
-    profile: &mut Profile,
-) -> Vec<Diagnostic> {
-    scratch.reset();
-    let t0 = Instant::now();
-    let mut checker = Checker::new(spec, config, SrcView::new(src), scratch);
-    checker.profile = Some(profile);
-    drive(&mut checker, src);
     let diags = checker.finish();
-    profile.total_nanos += t0.elapsed().as_nanos() as u64;
-    profile.documents += 1;
+    if let (Some(profile), Some(t0)) = (profile, t0) {
+        profile.total_nanos += t0.elapsed().as_nanos() as u64;
+        profile.documents += 1;
+    }
     diags
 }
 
@@ -433,7 +413,7 @@ mod tests {
     fn lint(src: &str) -> Vec<Diagnostic> {
         let spec = HtmlSpec::default();
         let config = LintConfig::default();
-        check(&spec, &config, src)
+        check(&spec, &config, src, &mut Scratch::default(), None)
     }
 
     fn ids(src: &str) -> Vec<&'static str> {
@@ -485,7 +465,13 @@ mod tests {
         let spec = HtmlSpec::default();
         let mut config = LintConfig::default();
         config.fragment = true;
-        let diags = check(&spec, &config, "<B>bold</B> and <I>italic</I>");
+        let diags = check(
+            &spec,
+            &config,
+            "<B>bold</B> and <I>italic</I>",
+            &mut Scratch::default(),
+            None,
+        );
         assert_eq!(diags, vec![]);
     }
 
@@ -522,8 +508,8 @@ mod tests {
         ];
         let mut scratch = Scratch::default();
         for doc in docs {
-            let reused = check_with(&spec, &config, doc, &mut scratch);
-            let fresh = check(&spec, &config, doc);
+            let reused = check(&spec, &config, doc, &mut scratch, None);
+            let fresh = check(&spec, &config, doc, &mut Scratch::default(), None);
             assert_eq!(reused, fresh, "{doc:?}");
         }
     }

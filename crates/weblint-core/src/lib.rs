@@ -11,16 +11,16 @@
 //!
 //! * `weblint-tokenizer` — the ad-hoc, error-tolerant parser (§5.1)
 //! * `weblint-html` — the table-driven HTML version modules (§5.5)
-//! * this crate — the `Weblint` class (§5.4), the warnings catalog (§5.6)
-//!   and output formatting
+//! * this crate — the Weblint class (§5.4), here [`LintSession`], the
+//!   warnings catalog (§5.6) and output formatting
 //! * `weblint-config` — configuration files and switches (§5.7)
 //!
 //! # Examples
 //!
 //! ```
-//! use weblint_core::{Weblint, format_report, OutputFormat};
+//! use weblint_core::{LintSession, format_report, OutputFormat};
 //!
-//! let weblint = Weblint::new();
+//! let mut weblint = LintSession::new();
 //! let diags = weblint.check_string("<H1>My Example</H2>");
 //! assert!(diags.iter().any(|d| d.id == "heading-mismatch"));
 //! let report = format_report(&diags, "test.html", OutputFormat::Short);
@@ -34,19 +34,16 @@ pub mod catalog;
 mod engine;
 mod fix;
 mod format;
-mod linter;
 mod message;
 mod options;
 mod session;
 
 pub use catalog::{check_def, ids_in_category, CheckDef, CATALOG};
-pub use engine::check;
 pub use fix::{Edit, Fix};
 pub use format::{format_diagnostic, format_report, OutputFormat, Summary};
-pub use linter::Weblint;
 pub use message::{Category, Diagnostic};
 pub use options::{CaseStyle, LintConfig, UnknownCheck};
-pub use session::{LintRequest, LintSession};
+pub use session::LintSession;
 
 // The registry this engine dispatches over, re-exported whole: descriptors,
 // custom pattern rules, and the profiling counters.

@@ -1,13 +1,24 @@
-//! Reusable lint sessions: check many documents with amortized-zero
-//! allocation churn, one-shot or incrementally.
+//! The lint object: check many documents with amortized-zero allocation
+//! churn, one-shot or incrementally.
 //!
-//! [`crate::Weblint`] builds fresh engine state per document; a
-//! [`LintSession`] owns that state — the element stacks, the seen-line
-//! table, the side name intern, and the text accumulators — and reuses it
-//! across [`LintSession::check_string`] calls. After the first few
-//! documents the hot path performs no per-document allocations beyond the
-//! returned diagnostics themselves, which is what a long-lived service
-//! worker wants.
+//! "The weblint module is a Perl class which encapsulates the HTML checking
+//! functionality. This makes it easy to embed weblint functionality into any
+//! application" (§5.4). [`LintSession`] is that class, and the simplest use
+//! translates directly:
+//!
+//! ```text
+//! use Weblint;                     let mut weblint = LintSession::new();
+//! $weblint = Weblint->new();   →   let diags = weblint.check_file(path)?;
+//! $weblint->check_file($filename);
+//! ```
+//!
+//! A session owns the engine's working memory — the element stacks, the
+//! seen-line table, the side name intern, and the text accumulators — and
+//! reuses it across [`LintSession::check_string`] calls. After the first
+//! few documents the hot path performs no per-document allocations beyond
+//! the returned diagnostics themselves, which is what a long-lived service
+//! worker wants. A fresh session per document gives byte-identical
+//! diagnostics; it only pays for the buffers again.
 //!
 //! A session can also lint a document *incrementally*: push byte chunks
 //! with [`LintSession::feed`] as they arrive off a socket and collect
@@ -30,21 +41,6 @@ use crate::engine::{self, Checker, DocState, Scratch, SrcView, NO_FIX};
 use crate::message::Diagnostic;
 use crate::options::LintConfig;
 
-/// Options for a single [`LintSession::lint`] call — the one entry point
-/// behind [`LintSession::check_string`] and the deprecated
-/// [`LintSession::check_string_profiled`].
-#[derive(Debug, Default)]
-pub struct LintRequest<'p> {
-    /// Override the session configuration's `emit_fixes` for this document:
-    /// `Some(true)` collects mechanical repairs on the diagnostics,
-    /// `Some(false)` suppresses them, `None` inherits the config.
-    pub emit_fixes: Option<bool>,
-    /// Accumulate per-rule hit and wall-time counters for this document.
-    /// Diagnostics are identical to the unprofiled path; the engine merely
-    /// brackets its check sections with timers.
-    pub profile: Option<&'p mut weblint_rules::profile::Profile>,
-}
-
 /// In-flight state of a document being linted incrementally.
 #[derive(Debug, Clone, Default)]
 struct StreamState {
@@ -54,11 +50,11 @@ struct StreamState {
     yielded: usize,
 }
 
-/// An HTML checker that owns reusable working memory.
+/// An HTML checker with a configuration and reusable working memory.
 ///
-/// Behaves exactly like [`crate::Weblint`] — same configuration surface,
-/// byte-identical diagnostics — but `check_string` takes `&mut self` so the
-/// engine's scratch buffers can be recycled between documents.
+/// Building a session assembles the HTML version tables once; checks then
+/// borrow them and recycle the engine's scratch buffers, so checking many
+/// documents against one configuration is cheap.
 ///
 /// # Examples
 ///
@@ -72,6 +68,7 @@ struct StreamState {
 /// }
 /// assert_eq!(session.fallback_interns(), 0);
 /// ```
+#[doc(alias = "Weblint")]
 #[derive(Debug, Clone)]
 pub struct LintSession {
     config: LintConfig,
@@ -120,49 +117,31 @@ impl LintSession {
         &self.spec
     }
 
-    /// Check a whole in-memory document under per-call options, reusing
-    /// this session's buffers. Never fails; returns diagnostics in source
-    /// order. Any document still streaming via [`LintSession::feed`] is
-    /// abandoned first.
-    pub fn lint(&mut self, src: &str, request: LintRequest<'_>) -> Vec<Diagnostic> {
-        self.stream = None;
-        let saved = self.config.emit_fixes;
-        if let Some(fixes) = request.emit_fixes {
-            self.config.emit_fixes = fixes;
-        }
-        self.documents += 1;
-        let diags = match request.profile {
-            Some(profile) => {
-                engine::check_profiled(&self.spec, &self.config, src, &mut self.scratch, profile)
-            }
-            None => engine::check_with(&self.spec, &self.config, src, &mut self.scratch),
-        };
-        self.config.emit_fixes = saved;
-        diags
-    }
-
     /// Check a document held in memory, reusing this session's buffers.
-    /// Never fails; returns diagnostics in source order. Equivalent to
-    /// [`LintSession::lint`] with default options.
+    /// Never fails; returns diagnostics in source order. Any document still
+    /// streaming via [`LintSession::feed`] is abandoned first.
     pub fn check_string(&mut self, src: &str) -> Vec<Diagnostic> {
-        self.lint(src, LintRequest::default())
+        self.stream = None;
+        self.documents += 1;
+        engine::check(&self.spec, &self.config, src, &mut self.scratch, None)
     }
 
     /// [`LintSession::check_string`], accumulating per-rule hit and
-    /// wall-time counters into `profile`. This is what `weblint -profile`
-    /// runs.
-    #[deprecated(since = "0.10.0", note = "use `lint` with `LintRequest::profile`")]
+    /// wall-time counters into `profile`. The diagnostics are identical to
+    /// the unprofiled call's. This is what `weblint -profile` runs.
     pub fn check_string_profiled(
         &mut self,
         src: &str,
         profile: &mut weblint_rules::profile::Profile,
     ) -> Vec<Diagnostic> {
-        self.lint(
+        self.stream = None;
+        self.documents += 1;
+        engine::check(
+            &self.spec,
+            &self.config,
             src,
-            LintRequest {
-                profile: Some(profile),
-                ..LintRequest::default()
-            },
+            &mut self.scratch,
+            Some(profile),
         )
     }
 
@@ -308,12 +287,17 @@ impl Default for LintSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linter::Weblint;
     use weblint_html::{Extensions, HtmlVersion};
 
     #[test]
-    fn matches_weblint_across_documents() {
-        let weblint = Weblint::new();
+    fn new_uses_defaults() {
+        let session = LintSession::new();
+        assert_eq!(session.config().version, HtmlVersion::Html40Transitional);
+        assert_eq!(session.config().enabled_count(), 42);
+    }
+
+    #[test]
+    fn reused_session_matches_fresh_sessions() {
         let mut session = LintSession::new();
         let docs = [
             "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><P>hi</BODY></HTML>",
@@ -325,7 +309,7 @@ mod tests {
         for doc in docs {
             assert_eq!(
                 session.check_string(doc),
-                weblint.check_string(doc),
+                LintSession::new().check_string(doc),
                 "{doc:?}"
             );
         }
@@ -357,13 +341,16 @@ mod tests {
     }
 
     #[test]
-    fn config_versions_match_weblint() {
+    fn reconfigured_session_matches_fresh_session() {
+        let doc = "<HTML><BODY><ACRONYM>HTML</ACRONYM></BODY></HTML>";
+        let mut session = LintSession::new();
+        let html40 = session.check_string(doc);
         let mut config = LintConfig::default();
         config.version = HtmlVersion::Html32;
-        let weblint = Weblint::with_config(config.clone());
-        let mut session = LintSession::with_config(config);
-        let doc = "<HTML><BODY><ACRONYM>HTML</ACRONYM></BODY></HTML>";
-        assert_eq!(session.check_string(doc), weblint.check_string(doc));
+        session.set_config(config.clone());
+        let html32 = session.check_string(doc);
+        assert_ne!(html32, html40, "ACRONYM is not HTML 3.2");
+        assert_eq!(html32, LintSession::with_config(config).check_string(doc));
     }
 
     /// feed+finish at a given split must reproduce one-shot output exactly.
@@ -486,41 +473,15 @@ mod tests {
     }
 
     #[test]
-    fn lint_request_profile_matches_deprecated_wrapper() {
+    fn profiled_check_matches_plain_check() {
         let doc = "<H1>My Example</H2>";
         let mut session = LintSession::new();
         let plain = session.check_string(doc);
         let mut profile = weblint_rules::profile::Profile::default();
-        let profiled = session.lint(
-            doc,
-            LintRequest {
-                profile: Some(&mut profile),
-                ..LintRequest::default()
-            },
-        );
+        let profiled = session.check_string_profiled(doc, &mut profile);
         assert_eq!(plain, profiled);
         assert_eq!(profile.documents, 1);
-    }
-
-    #[test]
-    fn lint_request_emit_fixes_overrides_config() {
-        let doc = "<IMG SRC=pic.gif>";
-        let mut config = LintConfig::default();
-        config.fragment = true;
-        let mut session = LintSession::with_config(config);
-        let plain = session.check_string(doc);
-        assert!(plain.iter().all(|d| d.fix.is_none()));
-        let fixed = session.lint(
-            doc,
-            LintRequest {
-                emit_fixes: Some(true),
-                ..LintRequest::default()
-            },
-        );
-        assert!(fixed.iter().any(|d| d.fix.is_some()), "{fixed:?}");
-        // The override is per-call: the next plain check emits none.
-        let again = session.check_string(doc);
-        assert!(again.iter().all(|d| d.fix.is_none()));
+        assert_eq!(session.documents_checked(), 2);
     }
 
     #[test]
@@ -532,6 +493,23 @@ mod tests {
         let mut session = LintSession::new();
         let diags = session.check_file(&path).unwrap();
         assert!(!diags.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn check_file_missing_is_io_error() {
+        let mut session = LintSession::new();
+        assert!(session.check_file("/no/such/file.html").is_err());
+    }
+
+    #[test]
+    fn check_file_tolerates_latin1() {
+        let dir = std::env::temp_dir().join("weblint-session-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("latin1.html");
+        std::fs::write(&path, b"<P>caf\xe9</P>").unwrap();
+        let mut session = LintSession::new();
+        assert!(session.check_file(&path).is_ok());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,12 +1,12 @@
 //! Engine edge cases: the interactions between checks and the §5.1
 //! heuristics on realistic-but-awkward markup.
 
-use weblint_core::{LintConfig, Weblint};
+use weblint_core::{LintConfig, LintSession};
 
-fn fragment() -> Weblint {
+fn fragment() -> LintSession {
     let mut config = LintConfig::default();
     config.fragment = true;
-    Weblint::with_config(config)
+    LintSession::with_config(config)
 }
 
 fn ids(src: &str) -> Vec<&'static str> {
@@ -80,7 +80,7 @@ fn script_containing_almost_closing_tag() {
 
 #[test]
 fn comment_between_head_and_body_is_fine() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let src = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                <HTML><HEAD><TITLE>t</TITLE></HEAD>\n\
                <!-- navigation bar inserted here by the build -->\n\
@@ -90,7 +90,7 @@ fn comment_between_head_and_body_is_fine() {
 
 #[test]
 fn whitespace_between_head_and_body_is_fine() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let src = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                <HTML><HEAD><TITLE>t</TITLE></HEAD>\n\n\n\
                <BODY><P>x</P></BODY></HTML>";
@@ -151,7 +151,7 @@ fn unknown_element_contents_still_checked() {
 fn duplicate_ids_of_messages_per_line_order() {
     // Messages on one line come out in check order, stable.
     let src = "<BODY BGCOLOR=\"zzz\" TEXT=#0f0 ALINK=\"also bad\">x</BODY>";
-    let weblint = fragment();
+    let mut weblint = fragment();
     let diags = weblint.check_string(src);
     let ids: Vec<_> = diags.iter().map(|d| d.id).collect();
     // Lexical pass first (quote on TEXT), then value checks in attribute
@@ -176,7 +176,7 @@ fn body_implies_nothing_without_head() {
 
 #[test]
 fn title_text_through_entities() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let src = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                <HTML><HEAD><TITLE>caf&eacute; &amp; more</TITLE></HEAD>\
                <BODY><P>x</P></BODY></HTML>";
@@ -201,7 +201,7 @@ fn xmp_content_is_not_checked() {
 
 #[test]
 fn markup_between_head_and_body_is_misplaced() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let src = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                <HTML><HEAD><TITLE>t</TITLE></HEAD>\n<HR>\n\
                <BODY><P>x</P></BODY></HTML>";

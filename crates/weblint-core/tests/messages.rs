@@ -5,17 +5,17 @@
 //! are emitted by the site checker, not the engine, and are covered in the
 //! `weblint-site` crate; everything else is exercised here.
 
-use weblint_core::{LintConfig, Weblint};
+use weblint_core::{LintConfig, LintSession};
 
 /// Checker with everything on (so default-off checks are testable), in
 /// fragment mode (so structure noise doesn't pollute single-check tests).
-fn pedantic_fragment() -> Weblint {
+fn pedantic_fragment() -> LintSession {
     let mut config = LintConfig::pedantic();
     config.fragment = true;
-    Weblint::with_config(config)
+    LintSession::with_config(config)
 }
 
-fn ids(weblint: &Weblint, src: &str) -> Vec<&'static str> {
+fn ids(weblint: &mut LintSession, src: &str) -> Vec<&'static str> {
     weblint
         .check_string(src)
         .into_iter()
@@ -26,10 +26,10 @@ fn ids(weblint: &Weblint, src: &str) -> Vec<&'static str> {
 /// Assert `src` triggers `id` and `near_miss` does not, under a pedantic
 /// fragment configuration.
 fn check(id: &str, src: &str, near_miss: &str) {
-    let weblint = pedantic_fragment();
-    let hit = ids(&weblint, src);
+    let mut weblint = pedantic_fragment();
+    let hit = ids(&mut weblint, src);
     assert!(hit.contains(&id), "`{id}` not in {hit:?} for {src:?}");
-    let miss = ids(&weblint, near_miss);
+    let miss = ids(&mut weblint, near_miss);
     assert!(
         !miss.contains(&id),
         "`{id}` wrongly fired in {miss:?} for {near_miss:?}"
@@ -96,12 +96,12 @@ fn doctype_version() {
     // Not a fragment test: DOCTYPE checking needs a whole document.
     let mut config = LintConfig::pedantic();
     config.fragment = false;
-    let weblint = Weblint::with_config(config);
+    let mut weblint = LintSession::with_config(config);
     let wrong = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 3.2 Final//EN\">\n\
                  <HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><P>x</P></BODY></HTML>";
-    assert!(ids(&weblint, wrong).contains(&"doctype-version"));
+    assert!(ids(&mut weblint, wrong).contains(&"doctype-version"));
     let right = wrong.replace("3.2 Final", "4.0 Transitional");
-    assert!(!ids(&weblint, &right).contains(&"doctype-version"));
+    assert!(!ids(&mut weblint, &right).contains(&"doctype-version"));
 }
 
 #[test]
@@ -144,15 +144,15 @@ fn extension_markup() {
 #[test]
 fn head_element() {
     // Also not meaningful in fragment mode.
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let bad = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                <HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\
                <BASE HREF=\"http://x/\"><P>x</P></BODY></HTML>";
-    assert!(ids(&weblint, bad).contains(&"head-element"));
+    assert!(ids(&mut weblint, bad).contains(&"head-element"));
     let good = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                 <HTML><HEAD><BASE HREF=\"http://x/\"><TITLE>t</TITLE></HEAD>\
                 <BODY><P>x</P></BODY></HTML>";
-    assert!(!ids(&weblint, good).contains(&"head-element"));
+    assert!(!ids(&mut weblint, good).contains(&"head-element"));
 }
 
 #[test]
@@ -189,11 +189,11 @@ fn here_anchor() {
 
 #[test]
 fn html_outer() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let bad = "<BODY><P>x</P></BODY>";
-    assert!(ids(&weblint, bad).contains(&"html-outer"));
+    assert!(ids(&mut weblint, bad).contains(&"html-outer"));
     let good = "<HTML><BODY><P>x</P></BODY></HTML>";
-    assert!(!ids(&weblint, good).contains(&"html-outer"));
+    assert!(!ids(&mut weblint, good).contains(&"html-outer"));
 }
 
 #[test]
@@ -233,15 +233,15 @@ fn case_styles() {
     let mut config = LintConfig::default();
     config.fragment = true;
     config.enable("lower-case").unwrap();
-    let weblint = Weblint::with_config(config.clone());
-    assert!(ids(&weblint, "<B>x</B>").contains(&"lower-case"));
-    assert!(!ids(&weblint, "<b>x</b>").contains(&"lower-case"));
+    let mut weblint = LintSession::with_config(config.clone());
+    assert!(ids(&mut weblint, "<B>x</B>").contains(&"lower-case"));
+    assert!(!ids(&mut weblint, "<b>x</b>").contains(&"lower-case"));
 
     config.enable("upper-case").unwrap();
-    let weblint = Weblint::with_config(config);
-    assert!(ids(&weblint, "<b CLASS=\"x\">x</b>").contains(&"upper-case"));
-    assert!(ids(&weblint, "<B class=\"x\">x</B>").contains(&"upper-case")); // attr case too
-    assert!(!ids(&weblint, "<B CLASS=\"x\">x</B>").contains(&"upper-case"));
+    let mut weblint = LintSession::with_config(config);
+    assert!(ids(&mut weblint, "<b CLASS=\"x\">x</b>").contains(&"upper-case"));
+    assert!(ids(&mut weblint, "<B class=\"x\">x</B>").contains(&"upper-case")); // attr case too
+    assert!(!ids(&mut weblint, "<B CLASS=\"x\">x</B>").contains(&"upper-case"));
 }
 
 #[test]
@@ -273,13 +273,13 @@ fn missing_attribute_value() {
 
 #[test]
 fn must_follow_head() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let bad = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                <HTML><HEAD><TITLE>t</TITLE></HEAD>\nstray words\n\
                <BODY><P>x</P></BODY></HTML>";
-    assert!(ids(&weblint, bad).contains(&"must-follow-head"));
+    assert!(ids(&mut weblint, bad).contains(&"must-follow-head"));
     let good = bad.replace("\nstray words\n", "\n");
-    assert!(!ids(&weblint, &good).contains(&"must-follow-head"));
+    assert!(!ids(&mut weblint, &good).contains(&"must-follow-head"));
 }
 
 #[test]
@@ -307,11 +307,11 @@ fn odd_quotes() {
 
 #[test]
 fn once_only() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let bad = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                <HTML><HEAD><TITLE>a</TITLE><TITLE>b</TITLE></HEAD>\
                <BODY><P>x</P></BODY></HTML>";
-    assert!(ids(&weblint, bad).contains(&"once-only"));
+    assert!(ids(&mut weblint, bad).contains(&"once-only"));
 }
 
 #[test]
@@ -330,15 +330,15 @@ fn quote_attribute_value() {
 
 #[test]
 fn require_doctype_and_structure() {
-    let weblint = Weblint::new();
-    let found = ids(&weblint, "<HTML><BODY><P>x</P></BODY></HTML>");
+    let mut weblint = LintSession::new();
+    let found = ids(&mut weblint, "<HTML><BODY><P>x</P></BODY></HTML>");
     assert!(found.contains(&"require-doctype"));
     assert!(found.contains(&"require-head"));
     assert!(found.contains(&"require-title"));
     assert!(found.contains(&"body-no-head"));
     let clean = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
                  <HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><P>x</P></BODY></HTML>";
-    assert_eq!(ids(&weblint, clean), Vec::<&str>::new());
+    assert_eq!(ids(&mut weblint, clean), Vec::<&str>::new());
 }
 
 #[test]
@@ -426,9 +426,9 @@ fn version_markup() {
     let mut config = LintConfig::default();
     config.fragment = true;
     config.version = weblint_core::HtmlVersion::Html32;
-    let weblint = Weblint::with_config(config);
-    assert!(ids(&weblint, "<SPAN>x</SPAN>").contains(&"version-markup"));
-    assert!(!ids(&weblint, "<EM>x</EM>").contains(&"version-markup"));
+    let mut weblint = LintSession::with_config(config);
+    assert!(ids(&mut weblint, "<SPAN>x</SPAN>").contains(&"version-markup"));
+    assert!(!ids(&mut weblint, "<EM>x</EM>").contains(&"version-markup"));
 }
 
 #[test]

@@ -367,7 +367,7 @@ mod tests {
         // The contract the E6 experiment relies on: inject class C into a
         // clean document, and weblint (defaults) reports C's expected id.
         let doc = generate_document(17, 4096);
-        let weblint = weblint_core::Weblint::new();
+        let mut weblint = weblint_core::LintSession::new();
         assert_eq!(weblint.check_string(&doc), vec![], "base doc must be clean");
         let mut rng = StdRng::seed_from_u64(99);
         for class in all_defect_classes() {
@@ -388,7 +388,7 @@ mod tests {
         // Cascade suppression: one injected defect should produce a handful
         // of messages, not a flurry (§5.1).
         let doc = generate_document(21, 4096);
-        let weblint = weblint_core::Weblint::new();
+        let mut weblint = weblint_core::LintSession::new();
         let mut rng = StdRng::seed_from_u64(7);
         for class in all_defect_classes() {
             let mutated = class.inject(&doc, &mut rng);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use weblint_core::{LintConfig, LintSession, Weblint};
+use weblint_core::{Diagnostic, LintConfig, LintSession};
 use weblint_service::LintService;
 use weblint_site::{Fetcher, Status, Url};
 
@@ -41,13 +41,13 @@ impl fmt::Display for GatewayError {
 
 impl std::error::Error for GatewayError {}
 
-/// The gateway: a weblint plus report rendering.
+/// The gateway: a lint configuration plus report rendering.
 ///
 /// Mirrors the paper's `check_string` and `check_url` module methods
 /// (§5.4) at gateway level: both return a complete HTML report page.
 #[derive(Debug, Clone)]
 pub struct Gateway {
-    weblint: Weblint,
+    config: LintConfig,
     options: ReportOptions,
     max_redirects: usize,
 }
@@ -56,7 +56,7 @@ impl Gateway {
     /// A gateway with explicit configuration.
     pub fn new(config: LintConfig, options: ReportOptions) -> Gateway {
         Gateway {
-            weblint: Weblint::with_config(config),
+            config,
             options,
             max_redirects: 5,
         }
@@ -64,7 +64,7 @@ impl Gateway {
 
     /// The paste-in flow: check a snippet and render the report.
     pub fn check_and_render(&self, input_name: &str, src: &str) -> String {
-        let diags = self.weblint.check_string(src);
+        let diags = self.session().check_string(src);
         render_report(input_name, src, &diags, &self.options)
     }
 
@@ -87,29 +87,35 @@ impl Gateway {
     pub fn render_batch(&self, service: &LintService, pages: &[(&str, &str)]) -> Vec<String> {
         let handles: Vec<_> = pages
             .iter()
-            .map(|(_, src)| {
-                service.submit_with(src.to_string(), Some(self.weblint.config().clone()))
-            })
+            .map(|(_, src)| service.submit_with(src.to_string(), Some(self.config.clone())))
             .collect();
+        // Pages the service refused or failed are linted inline, all
+        // through one session.
+        let mut session = self.session();
         handles
             .into_iter()
             .zip(pages)
             .map(|(handle, (name, src))| {
-                let diags = match handle {
-                    Ok(h) => h.wait().unwrap_or_else(|_| self.weblint.check_string(src)),
-                    Err(_) => self.weblint.check_string(src),
-                };
+                let diags = handle
+                    .ok()
+                    .and_then(|h| h.wait().ok())
+                    .unwrap_or_else(|| session.check_string(src));
                 render_report(name, src, &diags, &self.options)
             })
             .collect()
     }
 
-    fn lint_via(&self, service: &LintService, src: &str) -> Vec<weblint_core::Diagnostic> {
+    fn lint_via(&self, service: &LintService, src: &str) -> Vec<Diagnostic> {
         service
-            .submit_with(src.to_string(), Some(self.weblint.config().clone()))
+            .submit_with(src.to_string(), Some(self.config.clone()))
             .ok()
             .and_then(|handle| handle.wait().ok())
-            .unwrap_or_else(|| self.weblint.check_string(src))
+            .unwrap_or_else(|| self.session().check_string(src))
+    }
+
+    /// A fresh lint session under this gateway's configuration.
+    fn session(&self) -> LintSession {
+        LintSession::with_config(self.config.clone())
     }
 
     /// The URL flow: fetch (following redirects), check, render.
@@ -123,7 +129,7 @@ impl Gateway {
         // Lint during the fetch: each hop's bytes feed an incremental
         // session as they arrive, so by the time the final hop completes
         // only the report rendering remains.
-        let mut session = LintSession::with_config(self.weblint.config().clone());
+        let mut session = self.session();
         for _ in 0..=self.max_redirects {
             let mut body = Vec::new();
             let mut diags = Vec::new();
@@ -165,22 +171,14 @@ impl Gateway {
         Ok(self.check_and_render_with(service, &resolved.to_string(), &body))
     }
 
-    /// Render a report page for diagnostics produced elsewhere (e.g. by a
-    /// shared service whose errors the caller wants to surface rather than
-    /// silently re-lint inline). Uses this gateway's report options.
     /// The lint configuration jobs submitted through this gateway carry.
     pub fn lint_config(&self) -> &LintConfig {
-        self.weblint.config()
+        &self.config
     }
 
     /// Render an already-produced diagnostic list as the HTML report
     /// page (for callers that lint through the service themselves).
-    pub fn render(
-        &self,
-        input_name: &str,
-        src: &str,
-        diags: &[weblint_core::Diagnostic],
-    ) -> String {
+    pub fn render(&self, input_name: &str, src: &str, diags: &[Diagnostic]) -> String {
         render_report(input_name, src, diags, &self.options)
     }
 

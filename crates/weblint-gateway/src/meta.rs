@@ -7,7 +7,7 @@
 //! carrying both the strict validator's SGML-voiced findings and weblint's
 //! human-voiced comments, side by side.
 
-use weblint_core::{LintConfig, Summary, Weblint};
+use weblint_core::{LintConfig, LintSession, Summary};
 use weblint_validator::{HtmlChecker, StrictValidator};
 
 use crate::escape::escape_html;
@@ -20,8 +20,7 @@ pub fn render_meta_report(
     config: &LintConfig,
     options: &ReportOptions,
 ) -> String {
-    let weblint = Weblint::with_config(config.clone());
-    let diags = weblint.check_string(src);
+    let diags = LintSession::with_config(config.clone()).check_string(src);
     let strict = StrictValidator::new(config.version, config.extensions);
     let findings = strict.check(src);
 
@@ -118,7 +117,7 @@ mod tests {
             &LintConfig::default(),
             &ReportOptions::default(),
         );
-        assert_eq!(Weblint::new().check_string(&page), vec![]);
+        assert_eq!(LintSession::new().check_string(&page), vec![]);
     }
 
     #[test]

@@ -191,7 +191,7 @@ fn category_label(category: Category) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weblint_core::Weblint;
+    use weblint_core::LintSession;
 
     fn diag(line: u32, id: &'static str, message: &str) -> Diagnostic {
         Diagnostic::new(id, Category::Error, line, 1, message.to_string())
@@ -240,7 +240,7 @@ mod tests {
     fn report_page_is_weblint_clean() {
         // The dogfood test: gateway output passes weblint with defaults.
         let src = "<H1>bad</H2>\n<P ALIGN=wrong>text\n";
-        let weblint = Weblint::new();
+        let mut weblint = LintSession::new();
         let diags = weblint.check_string(src);
         assert!(!diags.is_empty());
         let page = render_report("dogfood", src, &diags, &ReportOptions::default());
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn form_page_is_weblint_clean() {
         let page = render_form("/cgi-bin/weblint");
-        let weblint = Weblint::new();
+        let mut weblint = LintSession::new();
         assert_eq!(weblint.check_string(&page), vec![]);
         assert!(page.contains("TEXTAREA"));
     }
@@ -267,7 +267,7 @@ mod tests {
         assert!(page.contains("evil &lt;script&gt;"));
         assert!(page.contains("&lt;bad&gt;&amp;name.html"));
         // Still weblint-clean despite the hostile inputs.
-        assert_eq!(weblint_core::Weblint::new().check_string(&page), vec![]);
+        assert_eq!(weblint_core::LintSession::new().check_string(&page), vec![]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-use weblint_core::{format_report, OutputFormat, Weblint};
+use weblint_core::{format_report, LintSession, OutputFormat};
 use weblint_httpd::{client, HttpServer, ServerConfig, ServerMode};
 use weblint_service::ServiceConfig;
 
@@ -89,7 +89,7 @@ fn concurrent_clients_get_deterministic_responses_and_share_the_cache() {
     // and match what the engine says inline.
     for (i, responses) in &by_doc {
         let expected = format_report(
-            &Weblint::new().check_string(&doc(*i)),
+            &LintSession::new().check_string(&doc(*i)),
             "doc",
             OutputFormat::Lint,
         );
@@ -141,7 +141,7 @@ fn graceful_shutdown_answers_the_in_flight_request() {
     // reading it, lint it, and write the response before closing.
     let body = doc(1);
     let expected = format_report(
-        &Weblint::new().check_string(&body),
+        &LintSession::new().check_string(&body),
         "doc",
         OutputFormat::Lint,
     );
@@ -413,7 +413,7 @@ fn chunked_lint_dribbled_over_the_wire_matches_the_one_shot_report() {
     let response = client::read_response(&mut reader).unwrap();
     assert_eq!(response.status, 200);
     let expected = format_report(
-        &Weblint::new().check_string(&body),
+        &LintSession::new().check_string(&body),
         "doc",
         OutputFormat::Lint,
     );

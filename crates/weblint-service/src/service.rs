@@ -8,7 +8,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use weblint_core::{Diagnostic, LintConfig, LintSession, Weblint};
+use weblint_core::{Diagnostic, LintConfig, LintSession};
 
 use crate::cache::{config_fingerprint, CacheKey, ResultCache};
 use crate::fnv::fnv1a;
@@ -322,8 +322,7 @@ impl LintService {
                             .as_deref()
                             .cloned()
                             .unwrap_or_else(|| self.shared.base.as_ref().clone());
-                        let checker = Weblint::with_config(config);
-                        let result = lint_with(&checker, &job.source);
+                        let result = lint_with(config, &job.source);
                         if let Ok(diags) = &result {
                             self.shared.counters.count_rule_hits(diags);
                         }
@@ -603,11 +602,13 @@ fn worker_loop(shared: &Shared, index: usize) {
     }
 }
 
-fn lint_with(checker: &Weblint, source: &str) -> JobResult {
+fn lint_with(config: LintConfig, source: &str) -> JobResult {
     // The inline fallback path runs on the *caller's* thread, where an
     // engine panic has no respawning guard — contain it here.
-    catch_unwind(AssertUnwindSafe(|| checker.check_string(source)))
-        .map_err(|_| JobError::WorkerPanicked)
+    catch_unwind(AssertUnwindSafe(|| {
+        LintSession::with_config(config).check_string(source)
+    }))
+    .map_err(|_| JobError::WorkerPanicked)
 }
 
 #[cfg(test)]
@@ -648,8 +649,8 @@ mod tests {
             })
             .collect();
         let sequential: Vec<Vec<Diagnostic>> = {
-            let checker = Weblint::with_config(LintConfig::default());
-            docs.iter().map(|d| checker.check_string(d)).collect()
+            let mut session = LintSession::new();
+            docs.iter().map(|d| session.check_string(d)).collect()
         };
         let batch = service.lint_batch(docs.iter().map(String::as_str));
         let batch: Vec<Vec<Diagnostic>> = batch.into_iter().map(|r| r.unwrap()).collect();

@@ -187,10 +187,10 @@ fn duplicate_flood_under_reject_policy_answers_every_acceptance() {
     // Reject policy, tiny queue, four producers hammering the *same* body:
     // exercises the coalescing fast path, the queue-full fallback that
     // answers attached waiters inline, and the counters' balance.
-    use weblint_core::Weblint;
+    use weblint_core::LintSession;
     for round in 0..20u64 {
         let body = format!("<H1>contended {round}</H2>");
-        let expected = Weblint::new().check_string(&body);
+        let expected = LintSession::new().check_string(&body);
         let svc = Arc::new(LintService::new(ServiceConfig {
             workers: 2,
             queue_capacity: 1,

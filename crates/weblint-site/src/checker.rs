@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use weblint_core::{Category, Diagnostic, LintConfig, Summary, Weblint};
+use weblint_core::{Category, Diagnostic, LintConfig, LintSession, Summary};
 use weblint_service::{JobHandle, LintService};
 
 use crate::links::{anchor_names, extract_links, fragment_of, resolve_local, LinkKind};
@@ -40,16 +40,12 @@ impl SiteReport {
 #[derive(Debug, Clone)]
 pub struct SiteChecker {
     config: LintConfig,
-    weblint: Weblint,
 }
 
 impl SiteChecker {
     /// A site checker with the given per-page configuration.
     pub fn new(config: LintConfig) -> SiteChecker {
-        SiteChecker {
-            weblint: Weblint::with_config(config.clone()),
-            config,
-        }
+        SiteChecker { config }
     }
 
     /// Check every page plus the site-level properties.
@@ -69,17 +65,17 @@ impl SiteChecker {
     /// The per-page configuration after applying in-page pragmas, exactly
     /// as in single-file mode. Falls back to the checker's configuration
     /// when a pragma fails to apply.
-    fn page_config(&self, html: &str) -> Option<LintConfig> {
-        match weblint_config::extract_pragmas(html) {
-            Ok(directives) if !directives.is_empty() => {
-                let mut page_config = self.config.clone();
-                let ok = directives
-                    .iter()
-                    .all(|d| weblint_config::apply_directive(d, &mut page_config).is_ok());
-                ok.then_some(page_config)
+    fn page_config(&self, html: &str) -> LintConfig {
+        if let Ok(directives) = weblint_config::extract_pragmas(html) {
+            let mut page_config = self.config.clone();
+            if directives
+                .iter()
+                .all(|d| weblint_config::apply_directive(d, &mut page_config).is_ok())
+            {
+                return page_config;
             }
-            _ => None,
         }
+        self.config.clone()
     }
 
     fn check_impl(&self, store: &dyn PageStore, service: Option<&LintService>) -> SiteReport {
@@ -93,9 +89,7 @@ impl SiteChecker {
                 continue;
             };
             if let Some(service) = service {
-                let config = self
-                    .page_config(&html)
-                    .unwrap_or_else(|| self.config.clone());
+                let config = self.page_config(&html);
                 handles.push(service.submit_with(html.clone(), Some(config)).ok());
             }
             docs.push((page.clone(), html));
@@ -219,17 +213,18 @@ impl SiteChecker {
         }
 
         // Per-page lint results, in page order: collected from the service
-        // handles when fanned out, computed inline otherwise. The shared
-        // checker serves pragma-free pages so the HTML tables are only
-        // rebuilt when needed.
+        // handles when fanned out, computed inline otherwise. One session
+        // serves every inline page; it only rebuilds the HTML tables when
+        // a pragma changes the version or extensions.
         let mut handles = handles.into_iter();
+        let mut session = LintSession::with_config(self.config.clone());
         for (page, html) in &docs {
             let diags = match handles.next().flatten() {
                 Some(handle) => handle.wait().unwrap_or_default(),
-                None => match self.page_config(html) {
-                    Some(config) => Weblint::with_config(config).check_string(html),
-                    None => self.weblint.check_string(html),
-                },
+                None => {
+                    session.set_config(self.page_config(html));
+                    session.check_string(html)
+                }
             };
             report.pages.push((page.clone(), diags));
         }

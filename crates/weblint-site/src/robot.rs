@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
-use weblint_core::{Diagnostic, LintConfig, LintSession, Weblint};
+use weblint_core::{Diagnostic, LintConfig, LintSession};
 use weblint_service::{JobHandle, LintService};
 
 use crate::checkpoint::{
@@ -42,7 +42,7 @@ pub trait Fetcher {
     /// GET, delivering the body through `sink` as it arrives; returns
     /// status and content type. This is what lets the robot lint a page
     /// *during* its fetch. The default buffers via [`Fetcher::get`] and
-    /// replays the body in [`FETCH_CHUNK`]-byte pieces; a transport with
+    /// replays the body in 4 KiB pieces; a transport with
     /// a real wire overrides it to call `sink` as bytes land.
     fn get_streamed(&self, url: &Url, sink: &mut dyn FnMut(&[u8])) -> (Status, String) {
         let (status, content_type, body) = self.get(url);
@@ -348,16 +348,12 @@ impl RobotReport {
 #[derive(Debug, Clone)]
 pub struct Robot {
     options: RobotOptions,
-    weblint: Weblint,
 }
 
 impl Robot {
     /// A robot with the given options.
     pub fn new(options: RobotOptions) -> Robot {
-        Robot {
-            weblint: Weblint::with_config(options.lint.clone()),
-            options,
-        }
+        Robot { options }
     }
 
     /// Crawl breadth-first from `start`, staying on `start`'s host.
@@ -575,10 +571,13 @@ impl Robot {
                                 state.pending.push((state.report.pages.len(), handle));
                                 Vec::new()
                             }
-                            Err(_) => self.weblint.check_string(&body),
+                            Err(_) => LintSession::with_config(self.options.lint.clone())
+                                .check_string(&body),
                         }
                     }
-                    (None, None) => self.weblint.check_string(&body),
+                    (None, None) => {
+                        unreachable!("without a service, pages are linted during their fetch")
+                    }
                 };
                 let links = extract_links(&body);
                 state.report.pages.push(CrawledPage {
@@ -1292,7 +1291,6 @@ fn run_shard_wave<F: Fetcher + Sync>(
     options: &RobotOptions,
     federation: &BTreeSet<String>,
     stack: &FetchStack<F>,
-    weblint: &Weblint,
     assignment: &WaveAssignment,
 ) -> WaveDelta {
     let mut delta = WaveDelta::default();
@@ -1359,7 +1357,6 @@ fn run_shard_wave<F: Fetcher + Sync>(
                 options,
                 federation,
                 stack,
-                weblint,
                 gets[batch_start + offset],
                 task,
                 &mut delta,
@@ -1383,7 +1380,6 @@ fn settle_sharded_task<F: Fetcher>(
     options: &RobotOptions,
     federation: &BTreeSet<String>,
     stack: &FetchStack<F>,
-    weblint: &Weblint,
     candidate: &Candidate,
     task: FetchTask,
     delta: &mut WaveDelta,
@@ -1417,7 +1413,7 @@ fn settle_sharded_task<F: Fetcher>(
             body,
             diagnostics,
         } => {
-            let diagnostics = diagnostics.unwrap_or_else(|| weblint.check_string(&body));
+            let diagnostics = diagnostics.expect("run_batch lints every page it fetches");
             let links = extract_links(&body);
             delta.pages.push(CrawledPage {
                 url: final_url.clone(),
@@ -1625,12 +1621,10 @@ impl Robot {
                             let handle = scope.spawn(move || {
                                 let stack = make_stack_ref(i);
                                 stack.restore_state(&work_ref[i].stack);
-                                let weblint = Weblint::with_config(options.lint.clone());
                                 let delta = run_shard_wave(
                                     options,
                                     federation_ref,
                                     &stack,
-                                    &weblint,
                                     &assignments_ref[i],
                                 );
                                 let _ = tx.send((i, delta));
@@ -2060,7 +2054,7 @@ mod tests {
         web.add_page("http://h/big.html", body.clone());
         let config = LintConfig::default();
         let streamed = check_url(&WebFetcher::new(&web), "http://h/big.html", &config).unwrap();
-        let one_shot = Weblint::with_config(config).check_string(&body);
+        let one_shot = LintSession::with_config(config).check_string(&body);
         assert_eq!(streamed, one_shot);
         assert!(streamed.iter().any(|d| d.id == "img-alt"));
     }
@@ -2079,7 +2073,7 @@ mod tests {
         let robot = Robot::default();
         let report = robot.crawl(&WebFetcher::new(&web), &start());
         assert_eq!(report.pages.len(), 2);
-        let weblint = Weblint::with_config(RobotOptions::default().lint.clone());
+        let mut weblint = LintSession::with_config(RobotOptions::default().lint.clone());
         for crawled in &report.pages {
             let (_, _, body) = WebFetcher::new(&web).get(&crawled.url);
             assert_eq!(crawled.diagnostics, weblint.check_string(&body));

@@ -1,6 +1,6 @@
 //! The common checker interface used by the comparison experiments.
 
-use weblint_core::{LintConfig, Weblint};
+use weblint_core::{LintConfig, LintSession};
 
 /// One finding from any checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,15 +36,13 @@ pub trait HtmlChecker {
 /// Weblint viewed through the common checker interface.
 #[derive(Debug, Clone)]
 pub struct WeblintChecker {
-    weblint: Weblint,
+    config: LintConfig,
 }
 
 impl WeblintChecker {
     /// Wrap a weblint configuration.
     pub fn new(config: LintConfig) -> WeblintChecker {
-        WeblintChecker {
-            weblint: Weblint::with_config(config),
-        }
+        WeblintChecker { config }
     }
 }
 
@@ -60,7 +58,7 @@ impl HtmlChecker for WeblintChecker {
     }
 
     fn check(&self, src: &str) -> Vec<Finding> {
-        self.weblint
+        LintSession::with_config(self.config.clone())
             .check_string(src)
             .into_iter()
             .map(|d| Finding::new(d.line, d.id, d.message))

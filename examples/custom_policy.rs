@@ -12,7 +12,7 @@
 //! ```
 
 use weblint::config::{apply_config_text, apply_pragmas};
-use weblint::{format_report, LintConfig, OutputFormat, Weblint};
+use weblint::{format_report, LintConfig, LintSession, OutputFormat};
 
 const PAGE: &str = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
 <HTML>\n<HEAD>\n<TITLE>product page</TITLE>\n</HEAD>\n<BODY>\n\
@@ -23,7 +23,7 @@ const PAGE: &str = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//E
 </BODY>\n</HTML>\n";
 
 fn report(label: &str, config: &LintConfig) {
-    let weblint = Weblint::with_config(config.clone());
+    let mut weblint = LintSession::with_config(config.clone());
     let diags = weblint.check_string(PAGE);
     println!("--- {label} ({} messages) ---", diags.len());
     print!(
@@ -58,7 +58,7 @@ fn main() {
     let pragma_page = format!("<!-- weblint: disable here-anchor -->\n{PAGE}");
     let mut page_config = config.clone();
     apply_pragmas(&pragma_page, &mut page_config).expect("pragma parses");
-    let weblint = Weblint::with_config(page_config);
+    let mut weblint = LintSession::with_config(page_config);
     let diags = weblint.check_string(&pragma_page);
     println!("--- with in-page pragma ({} messages) ---", diags.len());
     print!(

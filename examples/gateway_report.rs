@@ -16,7 +16,7 @@
 
 use weblint::gateway::{render_form, Gateway};
 use weblint::site::{SimulatedWeb, WebFetcher};
-use weblint::Weblint;
+use weblint::LintSession;
 
 const PASTED: &str = "<H1>My Example</H2>\n\
 Click <B><A HREF=\"a.html>here</B></A> for details.\n";
@@ -52,7 +52,7 @@ fn main() {
     println!("  url.html    — report for http://www.example.org/draft.html");
 
     // The gateway's own output had better be clean — prove it.
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     for (name, html) in [
         ("form", &form),
         ("pasted", &pasted_report),

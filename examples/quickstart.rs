@@ -9,7 +9,7 @@
 //! The output is the same seven diagnostics the paper shows for
 //! `weblint -s test.html`.
 
-use weblint::{format_report, OutputFormat, Summary, Weblint};
+use weblint::{format_report, LintSession, OutputFormat, Summary};
 
 /// The test.html from §4.2 of the paper, verbatim.
 const TEST_HTML: &str = "<HTML>\n\
@@ -24,11 +24,11 @@ for more details.\n\
 </HTML>\n";
 
 fn main() {
-    // The paper's simplest use (§5.4):
+    // The paper's simplest use (§5.4); its Weblint class is `LintSession`:
     //     use Weblint;
     //     $weblint = Weblint->new();
     //     $weblint->check_file($filename);
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let diags = weblint.check_string(TEST_HTML);
 
     println!("% weblint -s test.html");

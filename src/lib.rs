@@ -7,7 +7,8 @@
 //!
 //! This umbrella crate re-exports the whole workspace:
 //!
-//! * [`core`] — the `Weblint` checker, message catalog, formatters
+//! * [`core`] — the [`LintSession`] checker (the paper's Weblint class),
+//!   message catalog, formatters
 //! * [`tokenizer`] — the error-tolerant ad-hoc HTML tokenizer
 //! * [`html`] — table-driven HTML version modules (3.2, 4.0, extensions)
 //! * [`config`] — `.weblintrc` files, layering, page pragmas
@@ -21,9 +22,9 @@
 //! # Examples
 //!
 //! ```
-//! use weblint::core::Weblint;
+//! use weblint::core::LintSession;
 //!
-//! let weblint = Weblint::new();
+//! let mut weblint = LintSession::new();
 //! let diags = weblint.check_string("<H1>My Example</H2>");
 //! assert!(diags.iter().any(|d| d.id == "heading-mismatch"));
 //! ```
@@ -44,7 +45,6 @@ pub use weblint_validator as validator;
 
 // The most-used types, at the top level.
 pub use weblint_core::{
-    format_report, Category, Diagnostic, LintConfig, LintRequest, LintSession, OutputFormat,
-    Summary, Weblint,
+    format_report, Category, Diagnostic, LintConfig, LintSession, OutputFormat, Summary,
 };
 pub use weblint_service::{LintService, ServiceConfig, ServiceMetrics};

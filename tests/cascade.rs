@@ -11,18 +11,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use weblint::corpus::{all_defect_classes, generate_document, DefectClass};
-use weblint::{LintConfig, Weblint};
+use weblint::{LintConfig, LintSession};
 
-fn weblint(heuristics: bool) -> Weblint {
+fn weblint(heuristics: bool) -> LintSession {
     let mut config = LintConfig::default();
     config.heuristics = heuristics;
-    Weblint::with_config(config)
+    LintSession::with_config(config)
 }
 
 #[test]
 fn single_defect_stays_bounded_with_heuristics() {
     let doc = generate_document(77, 8 * 1024);
-    let on = weblint(true);
+    let mut on = weblint(true);
     let mut rng = StdRng::seed_from_u64(4);
     for class in all_defect_classes() {
         let mutated = class.inject(&doc, &mut rng);
@@ -75,7 +75,7 @@ fn overlap_produces_one_message_not_two() {
 #[test]
 fn unknown_element_close_does_not_double_report() {
     // Unknown elements are pushed so their close tag resolves silently.
-    let w = weblint(true);
+    let mut w = weblint(true);
     let diags = w.check_string("<BLOCKQOUTE>x</BLOCKQOUTE>");
     let unknown: Vec<_> = diags.iter().filter(|d| d.id == "unknown-element").collect();
     assert_eq!(unknown.len(), 1);
@@ -84,7 +84,7 @@ fn unknown_element_close_does_not_double_report() {
 
 #[test]
 fn typo_suggestion_offered() {
-    let w = weblint(true);
+    let mut w = weblint(true);
     let diags = w.check_string("<BLOCKQOUTE>x</BLOCKQOUTE>");
     let msg = &diags
         .iter()
@@ -99,8 +99,8 @@ fn cascade_ratio_measured_across_classes() {
     // The aggregate the bench reports: naive mode must produce strictly
     // more messages than heuristic mode across the defect corpus.
     let doc = generate_document(91, 8 * 1024);
-    let on = weblint(true);
-    let off = weblint(false);
+    let mut on = weblint(true);
+    let mut off = weblint(false);
     let mut rng = StdRng::seed_from_u64(10);
     let mut with_total = 0usize;
     let mut without_total = 0usize;

@@ -11,7 +11,7 @@ use weblint::site::{
     decode_shard, encode_shard, Candidate, CheckpointMeta, FaultSpec, FetchStack, ShardFrontier,
     ShardState, SharedWeb, SimulatedWeb, Url,
 };
-use weblint::Weblint;
+use weblint::LintSession;
 
 fn meta() -> CheckpointMeta {
     CheckpointMeta {
@@ -42,7 +42,7 @@ fn rich_state() -> ShardState {
         .build();
     let url = Url::parse("http://torn/p.html").unwrap();
     let ((_, _, body), _cost) = stack.get_cost(&url);
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let page = weblint::site::CrawledPage {
         url: url.clone(),
         diagnostics: weblint.check_string(&body),

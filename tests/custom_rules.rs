@@ -9,7 +9,7 @@
 use std::path::Path;
 
 use weblint_config::{apply_config_text, apply_pragmas, load_config_file};
-use weblint_core::{format_report, LintConfig, OutputFormat, Weblint};
+use weblint_core::{format_report, LintConfig, LintSession, OutputFormat};
 
 const PACK: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/bootstrap.weblintrc");
 
@@ -29,7 +29,7 @@ fn pack_config() -> LintConfig {
 }
 
 fn ids(config: LintConfig, src: &str) -> Vec<&'static str> {
-    let weblint = Weblint::with_config(config);
+    let mut weblint = LintSession::with_config(config);
     weblint.check_string(src).iter().map(|d| d.id).collect()
 }
 
@@ -53,7 +53,7 @@ fn pack_declares_four_rules_without_warnings() {
 
 #[test]
 fn every_pack_rule_fires_under_its_own_id() {
-    let weblint = Weblint::with_config(pack_config());
+    let mut weblint = LintSession::with_config(pack_config());
     let diags = weblint.check_string(TRIGGER_PAGE);
     for id in [
         "button-class",
@@ -76,7 +76,7 @@ fn every_pack_rule_fires_under_its_own_id() {
 
 #[test]
 fn pack_rules_render_in_every_output_format() {
-    let weblint = Weblint::with_config(pack_config());
+    let mut weblint = LintSession::with_config(pack_config());
     let diags = weblint.check_string(TRIGGER_PAGE);
     // Lint and short formats print the message text; terse and JSON also
     // carry the identifier.
@@ -128,8 +128,8 @@ fn pack_is_invisible_on_pages_it_does_not_match() {
                 <BODY><H1>ok</H1><P>plain text</P></BODY></HTML>\n";
     let mut plain = LintConfig::default();
     plain.fragment = true;
-    let without = Weblint::with_config(plain).check_string(page);
-    let with = Weblint::with_config(pack_config()).check_string(page);
+    let without = LintSession::with_config(plain).check_string(page);
+    let with = LintSession::with_config(pack_config()).check_string(page);
     assert_eq!(without, with, "pack changed output on a non-matching page");
 }
 

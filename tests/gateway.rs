@@ -3,13 +3,13 @@
 use weblint::corpus::{generate_document, DefectClass};
 use weblint::gateway::{render_form, Gateway, GatewayError, ReportOptions};
 use weblint::site::{SimulatedWeb, WebFetcher};
-use weblint::{LintConfig, Weblint};
+use weblint::{LintConfig, LintSession};
 
 #[test]
 fn full_flow_paste_report_is_clean_html() {
     // A dirty page in, a weblint-clean report page out, with every
     // diagnostic embedded.
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let dirty = "<H1>My Example</H2>\nClick <B><A HREF=\"a.html>here</B></A>\n";
     let gateway = Gateway::default();
     let report = gateway.check_and_render("pasted", dirty);

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use rand::SeedableRng;
-use weblint_core::{format_report, LintConfig, OutputFormat, Summary, Weblint};
+use weblint_core::{format_report, Diagnostic, LintConfig, LintSession, OutputFormat, Summary};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -133,14 +133,18 @@ fn exit_code(summary: &Summary) -> i32 {
     i32::from(!summary.is_clean())
 }
 
-fn render_golden() -> String {
+/// Render the golden file from `lint(config index, source)`, called for
+/// every document under every configuration in golden order.
+fn render_golden(
+    corpus: &[(String, String)],
+    configs: &[(&'static str, LintConfig)],
+    mut lint: impl FnMut(usize, &str) -> Vec<Diagnostic>,
+) -> String {
     let mut out = String::new();
     out.push_str("# Golden lint output. Regenerate: WEBLINT_GOLDEN_REGEN=1 cargo test -q --test golden_corpus\n");
-    let configs = configs();
-    for (doc_name, source) in corpus() {
-        for (config_name, config) in &configs {
-            let weblint = Weblint::with_config(config.clone());
-            let diags = weblint.check_string(&source);
+    for (doc_name, source) in corpus {
+        for (c, (config_name, _)) in configs.iter().enumerate() {
+            let diags = lint(c, source);
             let summary = Summary::of(&diags);
             writeln!(
                 out,
@@ -151,22 +155,20 @@ fn render_golden() -> String {
                 summary.styles
             )
             .unwrap();
-            out.push_str(&format_report(&diags, &doc_name, OutputFormat::Terse));
+            out.push_str(&format_report(&diags, doc_name, OutputFormat::Terse));
         }
     }
     out
 }
 
-#[test]
-fn corpus_output_is_byte_identical_to_golden() {
-    let actual = render_golden();
-    if std::env::var_os("WEBLINT_GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — run with WEBLINT_GOLDEN_REGEN=1 to create it");
+/// The checked-in golden file.
+fn expected_golden() -> String {
+    std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden file missing — run with WEBLINT_GOLDEN_REGEN=1 to create it")
+}
+
+/// Fail at the first line where `actual` leaves the golden bytes.
+fn assert_golden(expected: &str, actual: &str) {
     if expected != actual {
         // Pinpoint the first divergence; a full diff of the whole corpus
         // would drown the signal.
@@ -180,4 +182,45 @@ fn corpus_output_is_byte_identical_to_golden() {
         );
         panic!("golden mismatch not localized to a line");
     }
+}
+
+#[test]
+fn corpus_output_is_byte_identical_to_golden() {
+    // The one-shot oracle: a fresh session per document and configuration.
+    let configs = configs();
+    let actual = render_golden(&corpus(), &configs, |c, source| {
+        LintSession::with_config(configs[c].1.clone()).check_string(source)
+    });
+    if std::env::var_os("WEBLINT_GOLDEN_REGEN").is_some() {
+        std::fs::create_dir_all(Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
+        std::fs::write(GOLDEN_PATH, &actual).unwrap();
+        return;
+    }
+    assert_golden(&expected_golden(), &actual);
+}
+
+#[test]
+fn one_reused_session_renders_the_golden_corpus() {
+    // One session lints the whole corpus, configuration-major with one
+    // `set_config` per configuration, so its scratch buffers carry over
+    // from every document and every configuration before. The golden
+    // bytes must not notice.
+    let corpus = corpus();
+    let configs = configs();
+    let mut session = LintSession::new();
+    let mut per_config: Vec<_> = configs
+        .iter()
+        .map(|(_, config)| {
+            session.set_config(config.clone());
+            let diags: Vec<Vec<Diagnostic>> = corpus
+                .iter()
+                .map(|(_, source)| session.check_string(source))
+                .collect();
+            diags.into_iter()
+        })
+        .collect();
+    let actual = render_golden(&corpus, &configs, |c, _| {
+        per_config[c].next().expect("one result per document")
+    });
+    assert_golden(&expected_golden(), &actual);
 }

@@ -6,14 +6,14 @@
 //! is flagged.
 
 use weblint::html::{Extensions, HtmlVersion};
-use weblint::{Category, LintConfig, Weblint};
+use weblint::{Category, LintConfig, LintSession};
 
 fn check(version: HtmlVersion, extensions: Extensions, body: &str) -> Vec<&'static str> {
     let mut config = LintConfig::default();
     config.version = version;
     config.extensions = extensions;
     config.fragment = true;
-    Weblint::with_config(config)
+    LintSession::with_config(config)
         .check_string(body)
         .into_iter()
         .map(|d| d.id)
@@ -161,7 +161,7 @@ fn version_messages_are_warnings_not_errors() {
     let mut config = LintConfig::default();
     config.version = HtmlVersion::Html32;
     config.fragment = true;
-    let w = Weblint::with_config(config);
+    let mut w = LintSession::with_config(config);
     let diags = w.check_string("<P><SPAN>x</SPAN></P>");
     assert!(diags.iter().all(|d| d.category == Category::Warning));
 }

@@ -7,7 +7,7 @@
 //! the paper's own typo, which prints the TEXT value as `#00ffoo` although
 //! the input says `#00ff00`).
 
-use weblint_core::{format_report, OutputFormat, Weblint};
+use weblint_core::{format_report, LintSession, OutputFormat};
 
 /// The literal test.html from §4.2.
 const TEST_HTML: &str = "<HTML>\n\
@@ -23,7 +23,7 @@ for more details.\n\
 
 #[test]
 fn paper_output_reproduced_exactly() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let diags = weblint.check_string(TEST_HTML);
     let report = format_report(&diags, "test.html", OutputFormat::Short);
     let expected = "\
@@ -40,7 +40,7 @@ line 7: </B> on line 7 seems to overlap <A>, opened on line 7
 
 #[test]
 fn paper_example_message_ids() {
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let ids: Vec<_> = weblint
         .check_string(TEST_HTML)
         .into_iter()
@@ -63,7 +63,7 @@ fn paper_example_message_ids() {
 #[test]
 fn paper_example_lint_style_format() {
     // §4.2: the default output style is "test.html(1): blah blah blah".
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let diags = weblint.check_string(TEST_HTML);
     let report = format_report(&diags, "test.html", OutputFormat::Lint);
     assert!(report.starts_with("test.html(1): first element was not DOCTYPE specification\n"));
@@ -83,7 +83,7 @@ Click <B><A HREF=\"a.html\">example</A></B>\n\
 for more details.\n\
 </BODY>\n\
 </HTML>\n";
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     assert_eq!(weblint.check_string(fixed), vec![]);
 }
 
@@ -91,7 +91,7 @@ for more details.\n\
 fn no_cascade_from_the_overlap() {
     // The </A> after </B> must resolve against the secondary stack and
     // produce no unexpected-close; likewise </HEAD> must not report itself.
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let diags = weblint.check_string(TEST_HTML);
     assert!(diags.iter().all(|d| d.id != "unexpected-close"));
     // Exactly one message per underlying mistake: 7 total.

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use weblint::corpus::{all_defect_classes, generate_document};
 use weblint::gateway::escape_html;
 use weblint::tokenizer::{tokenize, TokenKind, Tokenizer};
-use weblint::{LintConfig, Weblint};
+use weblint::{LintConfig, LintSession};
 
 /// A generator biased toward markup-relevant characters so random inputs
 /// actually exercise the tag machinery, not just text handling.
@@ -67,7 +67,7 @@ proptest! {
 
     #[test]
     fn engine_never_panics_and_is_deterministic(src in htmlish()) {
-        let weblint = Weblint::new();
+        let mut weblint = LintSession::new();
         let a = weblint.check_string(&src);
         let b = weblint.check_string(&src);
         prop_assert_eq!(a, b);
@@ -76,7 +76,7 @@ proptest! {
     #[test]
     fn diagnostics_point_into_the_document(src in htmlish()) {
         let line_count = src.lines().count().max(1) as u32;
-        let weblint = Weblint::new();
+        let mut weblint = LintSession::new();
         for d in weblint.check_string(&src) {
             prop_assert!(d.line >= 1);
             prop_assert!(d.line <= line_count + 1, "line {} of {}", d.line, line_count);
@@ -85,7 +85,7 @@ proptest! {
 
     #[test]
     fn every_diagnostic_id_is_in_the_catalog(src in htmlish()) {
-        let weblint = Weblint::new();
+        let mut weblint = LintSession::new();
         for d in weblint.check_string(&src) {
             prop_assert!(
                 weblint::core::check_def(d.id).is_some(),
@@ -100,14 +100,14 @@ proptest! {
         config.set_category_enabled(weblint::Category::Error, false);
         config.set_category_enabled(weblint::Category::Warning, false);
         config.set_category_enabled(weblint::Category::Style, false);
-        let weblint = Weblint::with_config(config);
+        let mut weblint = LintSession::with_config(config);
         prop_assert_eq!(weblint.check_string(&src), vec![]);
     }
 
     #[test]
     fn generated_documents_are_clean(seed in 0u64..500) {
         let doc = generate_document(seed, 2048);
-        let weblint = Weblint::new();
+        let mut weblint = LintSession::new();
         prop_assert_eq!(weblint.check_string(&doc), vec![]);
     }
 
@@ -118,7 +118,7 @@ proptest! {
         let doc = generate_document(seed, 2048);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xDEAD);
         let mutated = class.inject(&doc, &mut rng);
-        let weblint = Weblint::new();
+        let mut weblint = LintSession::new();
         let diags = weblint.check_string(&mutated);
         prop_assert!(
             diags.iter().any(|d| d.id == class.expected_message()),
@@ -164,7 +164,7 @@ proptest! {
         use weblint::service::{ServiceConfig, SubmitPolicy};
         use weblint::LintService;
 
-        let expected = Weblint::new().check_string(&src);
+        let expected = LintSession::new().check_string(&src);
         let service = LintService::new(ServiceConfig {
             workers: 2,
             queue_capacity: 16,

@@ -6,7 +6,7 @@
 //! rule that claims a mechanical fix must demonstrate one on a snippet,
 //! and no rule that disclaims one may ever attach a fix.
 
-use weblint_core::{applies, intern_id, LintConfig, Rule, Weblint, CATALOG, REGISTRY};
+use weblint_core::{applies, intern_id, LintConfig, LintSession, Rule, CATALOG, REGISTRY};
 
 #[test]
 fn catalog_is_the_registry() {
@@ -143,7 +143,7 @@ fn every_fixable_rule_demonstrates_a_fix() {
     assert_eq!(claimed, demonstrated);
 
     for (id, config, snippet) in demos {
-        let diags = Weblint::with_config(config).check_string(snippet);
+        let diags = LintSession::with_config(config).check_string(snippet);
         assert!(
             diags.iter().any(|d| d.id == id && d.fix.is_some()),
             "{id} attached no fix on {snippet:?}: {diags:?}"
@@ -164,7 +164,7 @@ fn no_unfixable_rule_ever_attaches_a_fix() {
         sources.push(weblint_corpus::generate_document(seed, 4096));
     }
     for (fragment, label) in [(true, "fragment"), (false, "document")] {
-        let weblint = Weblint::with_config(fixing(fragment));
+        let mut weblint = LintSession::with_config(fixing(fragment));
         for src in &sources {
             for d in weblint.check_string(src) {
                 if d.fix.is_some() {

@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use weblint::Weblint;
+use weblint::LintSession;
 
 fn samples_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/samples")
@@ -46,7 +46,7 @@ fn every_sample_matches_its_expectation() {
         let mut config = weblint::LintConfig::default();
         weblint::config::apply_pragmas(&src, &mut config)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let weblint = Weblint::with_config(config);
+        let mut weblint = LintSession::with_config(config);
         let actual: Vec<String> = weblint
             .check_string(&src)
             .into_iter()

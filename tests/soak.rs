@@ -12,12 +12,12 @@ use weblint::corpus::{all_defect_classes, generate_document, generate_site, Site
 use weblint::gateway::Gateway;
 use weblint::site::{MemStore, Robot, RobotOptions, SimulatedWeb, SiteChecker, Url, WebFetcher};
 use weblint::validator::{HtmlChecker, RegexChecker, StrictValidator};
-use weblint::{LintConfig, Weblint};
+use weblint::{LintConfig, LintSession};
 
 #[test]
 fn engine_soak_over_many_documents() {
-    let weblint = Weblint::new();
-    let pedantic = Weblint::with_config(LintConfig::pedantic());
+    let mut weblint = LintSession::new();
+    let mut pedantic = LintSession::with_config(LintConfig::pedantic());
     let strict = StrictValidator::default();
     let regex = RegexChecker::new();
     let classes = all_defect_classes();
@@ -120,7 +120,7 @@ fn site_soak() {
 #[test]
 fn gateway_soak_output_always_clean() {
     let gateway = Gateway::default();
-    let weblint = Weblint::new();
+    let mut weblint = LintSession::new();
     let classes = all_defect_classes();
     for seed in 0..30u64 {
         let clean = generate_document(60_000 + seed, 1500);

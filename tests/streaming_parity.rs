@@ -23,7 +23,7 @@
 use std::path::Path;
 
 use rand::{Rng, SeedableRng};
-use weblint_core::{Diagnostic, LintSession, Weblint};
+use weblint_core::{Diagnostic, LintSession};
 
 /// Width of the sliding split window, in bytes. Documents at or below
 /// this size are split at every single offset instead.
@@ -168,7 +168,7 @@ fn corpus() -> Vec<(String, String)> {
 #[test]
 fn every_corpus_document_is_split_stable() {
     for (name, source) in corpus() {
-        let one_shot = Weblint::new().check_string(&source);
+        let one_shot = LintSession::new().check_string(&source);
         sliding_window_splits(&name, &source, &one_shot);
         random_splits(&name, &source, &one_shot, 0xE20_0001);
     }
@@ -198,7 +198,7 @@ fn big_html_windows_are_split_stable() {
         }
         let window = &big[s..e];
         let name = format!("big.html[{s}..{e}]");
-        let one_shot = Weblint::new().check_string(window);
+        let one_shot = LintSession::new().check_string(window);
         sliding_window_splits(&name, window, &one_shot);
         random_splits(&name, window, &one_shot, 0xE20_0002 ^ s as u64);
     }
@@ -212,7 +212,7 @@ fn multibyte_utf8_survives_splits_inside_characters() {
     let source = "<HTML><HEAD><TITLE>缓存与流</TITLE></HEAD><BODY>\
                   <H1>héllo — wörld 🌍</H2><P>日本語のテキスト &AMP; more</P>\
                   </BODY></HTML>";
-    let one_shot = Weblint::new().check_string(source);
+    let one_shot = LintSession::new().check_string(source);
     assert!(
         !one_shot.is_empty(),
         "fixture must produce findings for the comparison to bite"
@@ -228,7 +228,7 @@ fn rendered_reports_match_byte_for_byte() {
     use weblint_core::{format_report, OutputFormat};
     let source = dirty_document(77, 8 << 10, 8);
     let bytes = source.as_bytes();
-    let one_shot = Weblint::new().check_string(&source);
+    let one_shot = LintSession::new().check_string(&source);
     let mid = bytes.len() / 2;
     let got = streamed(&[&bytes[..mid], &bytes[mid..]]);
     for format in [OutputFormat::Lint, OutputFormat::Terse, OutputFormat::Short] {
