@@ -132,6 +132,16 @@ rc=0; "$poacher" $crawl -checkpoint-dir "$ckroot/kill" -checkpoint-every 8 \
     -resume > "$ckroot/killed.out" || rc=$?
 test "$rc" -eq 1
 cmp "$ckroot/killed.out" "$ckroot/golden.out"
+
+# One crawler, any width: without faults the report is a property of the
+# site, so the defaults (-shards 1 -jobs 1) and -shards 4 -jobs 4 must
+# print the same bytes (exit 1: the planted defects and dead links).
+rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 > "$ckroot/narrow.out" || rc=$?
+test "$rc" -eq 1
+rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 -shards 4 -jobs 4 \
+    > "$ckroot/wide.out" || rc=$?
+test "$rc" -eq 1
+cmp "$ckroot/narrow.out" "$ckroot/wide.out"
 rm -rf "$ckroot"
 
 # Shard-scaling perf smoke (E18): the bench's shape pass crawls the

@@ -20,7 +20,8 @@ use std::time::{Duration, Instant};
 use weblint_bench::experiment_header;
 use weblint_core::LintConfig;
 use weblint_site::{
-    FaultSpec, FetchStack, Fetcher, Robot, RobotOptions, SharedWeb, SimulatedWeb, Status, Url,
+    FaultSpec, FetchStack, Fetcher, Robot, RobotOptions, ShardedOptions, SharedWeb, SimulatedWeb,
+    Status, Url,
 };
 
 const PAGES: usize = 32;
@@ -91,12 +92,17 @@ fn robot(jobs: usize) -> Robot {
 }
 
 /// One crawl under the given discipline; returns pages and hedge counts.
-fn crawl(web: &SharedWeb, rate: u8, jobs: usize, adaptive: bool) -> (usize, u64, u64) {
-    let stack = stack(web, rate, adaptive);
-    let report = robot(jobs).crawl_stack(&stack, &Url::parse("http://chaos/index.html").unwrap());
-    let pacing = stack.telemetry().pacing.unwrap_or_default();
+fn crawl_once(web: &SharedWeb, rate: u8, jobs: usize, adaptive: bool) -> (usize, u64, u64) {
+    let run = robot(jobs)
+        .crawl_sharded(
+            &[Url::parse("http://chaos/index.html").unwrap()],
+            |_| stack(web, rate, adaptive),
+            &ShardedOptions::default(),
+        )
+        .expect("an in-memory crawl cannot fail");
+    let pacing = run.telemetry[0].1.pacing.clone().unwrap_or_default();
     (
-        report.pages.len(),
+        run.report.pages.len(),
         pacing.hedges_fired_total(),
         pacing.decreases_total(),
     )
@@ -118,7 +124,7 @@ fn bench_adaptive(c: &mut Criterion) {
             ("adaptive", JOBS, true),
         ] {
             let start = Instant::now();
-            let (pages, hedges, decreases) = crawl(&web, rate, jobs, adaptive);
+            let (pages, hedges, decreases) = crawl_once(&web, rate, jobs, adaptive);
             let elapsed = start.elapsed();
             if adaptive {
                 cells.push(format!(
@@ -142,7 +148,7 @@ fn bench_adaptive(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(label, rate),
                 &(jobs, adaptive),
-                |b, &(jobs, adaptive)| b.iter(|| crawl(&web, rate, jobs, adaptive)),
+                |b, &(jobs, adaptive)| b.iter(|| crawl_once(&web, rate, jobs, adaptive)),
             );
         }
         group.finish();

@@ -1,19 +1,19 @@
 //! E13: crawling through injected faults — what does resilience cost?
 //!
 //! The chaos decorator injects a seeded fault schedule under the
-//! retrying, breaker-guarded fetcher, and the crawl lints through the
-//! worker pool. Two questions: (1) how much crawl throughput does a
+//! retrying, breaker-guarded fetcher, and the crawl lints each page on
+//! its fetch worker. Two questions: (1) how much crawl throughput does a
 //! realistic fault rate cost once retries and backoff bookkeeping are in
-//! the path; (2) does that cost stay flat as lint workers scale, i.e. is
-//! resilience a transport-side tax rather than a scheduler bottleneck.
+//! the path; (2) does that cost stay flat as workers (`RobotOptions::jobs`,
+//! pages fetched and linted at once) scale, i.e. is resilience a
+//! transport-side tax rather than a scheduler bottleneck.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Instant;
 use weblint_bench::experiment_header;
 use weblint_core::LintConfig;
-use weblint_service::{LintService, ServiceConfig};
 use weblint_site::{
-    FaultSpec, FaultyWeb, ResilientFetcher, Robot, RobotOptions, SharedWeb, SimulatedWeb, Url,
+    FaultSpec, FetchStack, Robot, RobotOptions, ShardedOptions, SharedWeb, SimulatedWeb, Url,
 };
 
 const PAGES: usize = 64;
@@ -48,31 +48,30 @@ fn chaos_site() -> SharedWeb {
 
 /// One chaotic crawl; fresh fault state per run so the schedule is
 /// identical every time (it depends only on seed, url, and attempt).
-fn crawl(web: &SharedWeb, rate: u8, workers: usize) -> (usize, u64, u64) {
-    let fetcher = ResilientFetcher::with_defaults(
-        FaultyWeb::new(web.clone(), FaultSpec::all(rate), SEED),
-        SEED,
-    );
+fn crawl_once(web: &SharedWeb, rate: u8, workers: usize) -> (usize, u64, u64) {
     let robot = Robot::new(
         RobotOptions::builder()
             .max_pages(PAGES + 1)
+            .jobs(workers)
             .check_external(false)
             .lint(LintConfig::default())
             .build(),
     );
-    let service = LintService::new(ServiceConfig {
-        workers,
-        cache_capacity: 0,
-        ..ServiceConfig::default()
-    });
-    let report = robot.crawl_with(
-        &fetcher,
-        &Url::parse("http://chaos/index.html").unwrap(),
-        &service,
-    );
-    let stats = fetcher.stats();
+    let run = robot
+        .crawl_sharded(
+            &[Url::parse("http://chaos/index.html").unwrap()],
+            |_| {
+                FetchStack::new(web.clone())
+                    .faults(FaultSpec::all(rate), SEED)
+                    .resilience_defaults()
+                    .build()
+            },
+            &ShardedOptions::default(),
+        )
+        .expect("an in-memory crawl cannot fail");
+    let stats = run.telemetry[0].1.resilience.clone().unwrap_or_default();
     (
-        report.pages.len(),
+        run.report.pages.len(),
         stats.retries_total(),
         stats.failures_total(),
     )
@@ -81,7 +80,7 @@ fn crawl(web: &SharedWeb, rate: u8, workers: usize) -> (usize, u64, u64) {
 fn bench_resilience(c: &mut Criterion) {
     experiment_header(
         "E13",
-        "chaotic crawl: fault rate 0/5/20% across 1/4/8 lint workers",
+        "chaotic crawl: fault rate 0/5/20% across 1/4/8 fetch-and-lint jobs",
     );
     let web = chaos_site();
 
@@ -91,7 +90,7 @@ fn bench_resilience(c: &mut Criterion) {
         let mut cells = Vec::new();
         for &workers in WORKER_COUNTS {
             let start = Instant::now();
-            let (pages, retries, failures) = crawl(&web, rate, workers);
+            let (pages, retries, failures) = crawl_once(&web, rate, workers);
             let elapsed = start.elapsed();
             cells.push(format!("{workers}w {elapsed:>7.1?} ({pages}p)"));
             if workers == WORKER_COUNTS[0] {
@@ -109,7 +108,7 @@ fn bench_resilience(c: &mut Criterion) {
         group.throughput(Throughput::Elements(PAGES as u64 + 1));
         for &workers in WORKER_COUNTS {
             group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-                b.iter(|| crawl(&web, rate, w))
+                b.iter(|| crawl_once(&web, rate, w))
             });
         }
         group.finish();

@@ -58,7 +58,7 @@ fn federation() -> MegaSite {
 
 /// One sharded crawl at the given width; returns (pages, dead links,
 /// waves).
-fn crawl(site: &MegaSite, shards: usize) -> (usize, usize, usize) {
+fn crawl_once(site: &MegaSite, shards: usize) -> (usize, usize, usize) {
     let robot = Robot::new(
         RobotOptions::builder()
             .max_pages(HOSTS * PAGES_PER_HOST + 8)
@@ -106,7 +106,7 @@ fn bench_shards(c: &mut Criterion) {
     let mut baseline: Option<(usize, usize)> = None;
     for &shards in SHARD_COUNTS {
         let start = Instant::now();
-        let (pages, dead, waves) = crawl(&site, shards);
+        let (pages, dead, waves) = crawl_once(&site, shards);
         let elapsed = start.elapsed();
         println!("  {shards} shard(s): {elapsed:>7.1?} ({pages}p, {dead} dead, {waves} wave(s))");
         match baseline {
@@ -128,7 +128,7 @@ fn bench_shards(c: &mut Criterion) {
     group.throughput(Throughput::Elements(site.total_pages() as u64));
     for &shards in SHARD_COUNTS {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
-            b.iter(|| crawl(&site, shards))
+            b.iter(|| crawl_once(&site, shards))
         });
     }
     group.finish();

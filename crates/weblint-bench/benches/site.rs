@@ -9,7 +9,10 @@ use std::hint::black_box;
 use weblint_bench::experiment_header;
 use weblint_core::LintConfig;
 use weblint_corpus::{generate_site, SiteOptions, SiteSpec};
-use weblint_site::{MemStore, Robot, RobotOptions, SimulatedWeb, SiteChecker, Url, WebFetcher};
+use weblint_site::{
+    FetchStack, MemStore, Robot, RobotOptions, RobotReport, ShardedOptions, SharedWeb,
+    SimulatedWeb, SiteChecker, Url,
+};
 
 const SIZES: &[usize] = &[10, 100, 500];
 
@@ -37,7 +40,7 @@ fn store_for(spec: &SiteSpec) -> MemStore {
     store
 }
 
-fn web_for(spec: &SiteSpec) -> SimulatedWeb {
+fn web_for(spec: &SiteSpec) -> SharedWeb {
     let mut web = SimulatedWeb::new();
     web.mount_pages(
         "site",
@@ -51,7 +54,19 @@ fn web_for(spec: &SiteSpec) -> SimulatedWeb {
             weblint_site::Resource::asset("image/gif"),
         );
     }
-    web
+    SharedWeb::new(web)
+}
+
+/// One plain crawl: a single shard over a bare fetch stack.
+fn crawl_site(robot: &Robot, web: &SharedWeb, start: &Url) -> RobotReport {
+    robot
+        .crawl_sharded(
+            std::slice::from_ref(start),
+            |_| FetchStack::new(web.clone()).build(),
+            &ShardedOptions::default(),
+        )
+        .expect("an in-memory crawl cannot fail")
+        .report
 }
 
 fn bench_site(c: &mut Criterion) {
@@ -85,22 +100,19 @@ fn bench_site(c: &mut Criterion) {
         let web = web_for(&spec);
         let robot = Robot::new(RobotOptions::default());
         let start = Url::parse("http://site/index.html").expect("valid");
-        let crawl = robot.crawl(&WebFetcher::new(&web), &start);
+        let report = crawl_site(&robot, &web, &start);
         let stats = web.stats();
         println!(
             "  robot {pages} pages: crawled {}, {} dead links, {} GETs, {} HEADs, \
              {:.1} ms simulated wire",
-            crawl.pages.len(),
-            crawl.dead_links.len(),
+            report.pages.len(),
+            report.dead_links.len(),
             stats.gets,
             stats.heads,
             stats.simulated_us as f64 / 1000.0
         );
         group.bench_with_input(BenchmarkId::new("robot", pages), &web, |b, web| {
-            b.iter(|| {
-                let fetcher = WebFetcher::new(web);
-                black_box(robot.crawl(&fetcher, &start))
-            })
+            b.iter(|| black_box(crawl_site(&robot, web, &start)))
         });
     }
     group.finish();

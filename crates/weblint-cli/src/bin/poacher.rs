@@ -6,11 +6,15 @@
 //! (§4.5). This poacher crawls a local directory tree served through the
 //! store fetcher, starting at its `index.html` — or, with `-mega`, a
 //! generated federation of hosts for the sharded-crawl experiments.
+//! Either way the crawl is one `Robot::crawl_sharded` call and one report
+//! printer; `-shards` and `-jobs` change how fast it runs, not what it
+//! prints.
 //!
 //! ```text
 //! usage: poacher [options] DIRECTORY
 //!   -s            short per-page messages
 //!   -max N        stop after N pages (default 1000)
+//!   -jobs N       pages fetched and linted at once per shard
 //!   -quiet        dead links and summary only, no per-page lint
 //!   -help
 //! ```
@@ -22,7 +26,6 @@ use std::sync::Arc;
 
 use weblint_core::{format_report, LintConfig, OutputFormat};
 use weblint_corpus::{MegaSite, MegaSiteOptions};
-use weblint_service::{LintService, ServiceConfig};
 use weblint_site::{
     CheckpointConfig, CrawledPage, DirStore, FaultSpec, FetchStack, Fetcher, FnFetcher, Robot,
     RobotOptions, ShardedOptions, ShardedOutcome, StoreFetcher, Url,
@@ -37,10 +40,11 @@ site's navigational shape.
 
 options:
   -s            short per-page messages (line N: ...)
-  -max N        stop after N pages (default 1000)
-  -jobs N       lint crawled pages on N worker threads
-  -fetchers N   keep up to N fetches in flight (default 1; the adaptive
-                per-host limit clamps each batch further)
+  -max N        stop after N pages (default 1000); links on the pages
+                crawled are still validated
+  -jobs N       fetch and lint up to N pages at once per shard (1..=64,
+                default 1; the adaptive per-host limit clamps each batch
+                further)
   -adaptive     pace the crawl: AIMD per-host in-flight limits plus
                 budget-capped hedged fetches
   -shards N     partition the crawl across N robot shards by host hash;
@@ -55,7 +59,7 @@ options:
                 soon as the file F exists
   -fix          repair every crawled page in place (originals kept as
                 FILE.orig); messages and the exit status reflect what is
-                left over after fixing
+                left over after fixing (not with -mega)
   -quiet        only dead links and the summary
   -stats        print a per-rule hit table and the fetch stack's
                 telemetry (faults, resilience, pacing) after the summary
@@ -65,7 +69,10 @@ options:
                 optionally confined to one host with @HOST; unknown
                 kinds are ignored with a warning
   -fault-seed N seed for fault injection and retry jitter (default 0)
-  -help         this message";
+  -help         this message
+
+exit status: 0 clean (or paused by -stop-file), 1 messages or dead
+links, 2 usage or I/O trouble";
 
 #[derive(Debug)]
 struct Options {
@@ -73,7 +80,6 @@ struct Options {
     format: OutputFormat,
     max_pages: usize,
     jobs: usize,
-    fetchers: usize,
     adaptive: bool,
     fix: bool,
     quiet: bool,
@@ -88,18 +94,6 @@ struct Options {
     checkpoint_every: usize,
     resume: bool,
     stop_file: Option<String>,
-}
-
-impl Options {
-    /// Any of the crash-safe-crawl flags selects the sharded wave
-    /// scheduler instead of the classic single-frontier crawl.
-    fn sharded(&self) -> bool {
-        self.shards.is_some()
-            || self.mega.is_some()
-            || self.checkpoint_dir.is_some()
-            || self.resume
-            || self.stop_file.is_some()
-    }
 }
 
 fn parse_mega(v: &str) -> Result<(usize, usize), String> {
@@ -124,8 +118,7 @@ fn parse(argv: &[String]) -> Result<Options, String> {
         dir: None,
         format: OutputFormat::Lint,
         max_pages: 1_000,
-        jobs: 0,
-        fetchers: 1,
+        jobs: 1,
         adaptive: false,
         fix: false,
         quiet: false,
@@ -154,16 +147,8 @@ fn parse(argv: &[String]) -> Result<Options, String> {
                 options.jobs = v
                     .parse()
                     .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("-jobs needs a positive number, got `{v}'"))?;
-            }
-            "-fetchers" => {
-                let v = it.next().ok_or("-fetchers needs a number")?;
-                options.fetchers = v
-                    .parse()
-                    .ok()
                     .filter(|&n| (1..=64).contains(&n))
-                    .ok_or_else(|| format!("-fetchers needs a number in 1..=64, got `{v}'"))?;
+                    .ok_or_else(|| format!("-jobs needs a number in 1..=64, got `{v}'"))?;
             }
             "-adaptive" => options.adaptive = true,
             "-shards" => {
@@ -228,8 +213,8 @@ fn parse(argv: &[String]) -> Result<Options, String> {
     if options.mega.is_some() && options.dir.is_some() {
         return Err("give DIRECTORY or -mega, not both".to_string());
     }
-    if options.fix && options.sharded() {
-        return Err("-fix is not supported with the sharded crawl".to_string());
+    if options.fix && options.mega.is_some() {
+        return Err("-fix needs a DIRECTORY; -mega has no files to repair".to_string());
     }
     Ok(options)
 }
@@ -257,24 +242,31 @@ fn print_rule_stats(pages: &[CrawledPage]) {
     }
 }
 
-/// The crash-safe crawl: sharded wave scheduler, optional checkpoints,
-/// graceful stop. Everything on stdout is the report; notices (resume,
-/// shard deaths, pause) go to stderr so a resumed crawl's stdout is
-/// byte-identical to an uninterrupted run's.
-fn run_sharded<F, M>(options: &Options, starts: &[Url], make_stack: M) -> ExitCode
+/// Crawl `starts` and print the report: `-shards` shard threads,
+/// optional checkpoints, graceful stop, and `-fix` over a DIRECTORY's
+/// files.
+/// Everything on stdout is the report; notices (resume, shard deaths,
+/// pause) go to stderr so a resumed crawl's stdout is byte-identical to
+/// an uninterrupted run's.
+fn run_crawl<F, M>(options: &Options, starts: &[Url], make_stack: M) -> ExitCode
 where
     F: Fetcher + Sync,
     M: Fn(usize) -> FetchStack<F> + Sync,
 {
     let robot = Robot::new(
         RobotOptions::builder()
-            .max_pages(options.max_pages.max(1))
-            .jobs(options.fetchers)
+            .max_pages(options.max_pages)
+            .jobs(options.jobs)
             .check_external(false)
             .lint(LintConfig::default())
             .build(),
     );
-    let stop = Arc::new(AtomicBool::new(false));
+    // A stop file that already exists pauses before the first wave.
+    let stop_now = options
+        .stop_file
+        .as_ref()
+        .is_some_and(|path| Path::new(path).exists());
+    let stop = Arc::new(AtomicBool::new(stop_now));
     if let Some(path) = options.stop_file.clone() {
         let flag = Arc::clone(&stop);
         std::thread::spawn(move || loop {
@@ -316,152 +308,6 @@ where
 
     let report = &outcome.report;
     let mut messages = 0usize;
-    for page in &report.pages {
-        messages += page.diagnostics.len();
-        if !options.quiet && !page.diagnostics.is_empty() {
-            print!(
-                "{}",
-                format_report(&page.diagnostics, &page.url.to_string(), options.format)
-            );
-        }
-    }
-    for dead in &report.dead_links {
-        println!(
-            "dead link on {}: \"{}\" ({})",
-            dead.page, dead.href, dead.reason
-        );
-    }
-    println!(
-        "poacher: {} page(s) crawled, {} message(s), {} dead link(s), max depth {}",
-        report.pages.len(),
-        messages,
-        report.dead_links.len(),
-        report.max_depth()
-    );
-    if report.truncated {
-        println!("poacher: crawl truncated at {} pages", options.max_pages);
-    }
-    if options.stats {
-        print_rule_stats(&report.pages);
-    }
-    if options.stats || options.faults.is_some() {
-        for (i, telemetry) in &outcome.telemetry {
-            if !telemetry.is_empty() {
-                println!("shard {i} telemetry:");
-                println!("{telemetry}");
-            }
-        }
-    }
-    match outcome.outcome {
-        ShardedOutcome::Complete => {
-            if messages > 0 || !report.dead_links.is_empty() {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        // Graceful stop (budget or stop file): the checkpoint holds the
-        // rest of the crawl; this run did its job.
-        ShardedOutcome::Paused | ShardedOutcome::Killed => {
-            eprintln!("poacher: crawl stopped; resume with -resume");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse(&argv) {
-        Ok(o) => o,
-        Err(message) => {
-            if message.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("poacher: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    for warning in &options.fault_warnings {
-        eprintln!("poacher: {warning}");
-    }
-
-    if options.sharded() {
-        if let Some((hosts, pages)) = options.mega {
-            let site = MegaSite::new(
-                options.fault_seed,
-                &MegaSiteOptions {
-                    hosts,
-                    pages_per_host: pages,
-                    ..MegaSiteOptions::default()
-                },
-            );
-            let starts: Vec<Url> = site
-                .start_urls()
-                .iter()
-                .map(|u| Url::parse(u).expect("generated start URL"))
-                .collect();
-            let make_stack = |shard: usize| {
-                let fetcher = FnFetcher::new(|url: &Url| site.resolve(&url.host, &url.path));
-                build_stack(&options, fetcher, shard)
-            };
-            return run_sharded(&options, &starts, make_stack);
-        }
-        let Some(dir) = options.dir.clone() else {
-            eprintln!("poacher: no directory given (try -help)");
-            return ExitCode::from(2);
-        };
-        let store = match DirStore::open(&dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("poacher: {dir}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let starts = vec![StoreFetcher::new(&store, "local").start_url()];
-        let make_stack =
-            |shard: usize| build_stack(&options, StoreFetcher::new(&store, "local"), shard);
-        return run_sharded(&options, &starts, make_stack);
-    }
-
-    let Some(dir) = options.dir.clone() else {
-        eprintln!("poacher: no directory given (try -help)");
-        return ExitCode::from(2);
-    };
-    let store = match DirStore::open(&dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("poacher: {dir}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let fetcher = StoreFetcher::new(&store, "local");
-    let start = fetcher.start_url();
-    let robot = Robot::new(
-        RobotOptions::builder()
-            .max_pages(options.max_pages.max(1))
-            .jobs(options.fetchers)
-            .check_external(false)
-            .lint(LintConfig::default())
-            .build(),
-    );
-    let service = (options.jobs > 1).then(|| {
-        LintService::new(ServiceConfig {
-            workers: options.jobs,
-            lint: LintConfig::default(),
-            ..ServiceConfig::default()
-        })
-    });
-    // Every crawl goes through one composed fetch stack: fault injection
-    // and the retrying, breaker-guarded fetcher under -faults, the
-    // adaptive pacer under -adaptive, a bare tower otherwise.
-    let stack = build_stack(&options, fetcher, 0);
-    let report = match &service {
-        Some(service) => robot.crawl_stack_with(&stack, &start, service),
-        None => robot.crawl_stack(&stack, &start),
-    };
-
-    let mut messages = 0usize;
     let mut fixes_applied = 0usize;
     let mut io_trouble = false;
     let mut fixer = options.fix.then(weblint_fix::Fixer::new);
@@ -469,9 +315,9 @@ fn main() -> ExitCode {
         // `-fix`: the crawled URL path is the file's path under the root
         // (that is how StoreFetcher serves it), so repair it in place and
         // let the *residue* drive the report and the exit status.
-        let diagnostics = match fixer.as_mut() {
-            Some(fixer) => {
-                let path = std::path::Path::new(&dir).join(page.url.path.trim_start_matches('/'));
+        let diagnostics = match (fixer.as_mut(), &options.dir) {
+            (Some(fixer), Some(dir)) => {
+                let path = Path::new(dir).join(page.url.path.trim_start_matches('/'));
                 match fix_file(fixer, &path) {
                     Ok((applied, remaining)) => {
                         fixes_applied += applied;
@@ -484,7 +330,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            None => page.diagnostics.clone(),
+            _ => page.diagnostics.clone(),
         };
         messages += diagnostics.len();
         if !options.quiet && !diagnostics.is_empty() {
@@ -519,13 +365,25 @@ fn main() -> ExitCode {
     if options.stats {
         print_rule_stats(&report.pages);
     }
-    // One shared render path with the httpd /metrics endpoint: the
-    // stack's unified telemetry snapshot.
-    let telemetry = stack.telemetry();
-    if (options.stats || options.faults.is_some()) && !telemetry.is_empty() {
-        println!("{telemetry}");
+    if options.stats || options.faults.is_some() {
+        for (i, telemetry) in &outcome.telemetry {
+            if !telemetry.is_empty() {
+                println!("shard {i} telemetry:");
+                println!("{telemetry}");
+            }
+        }
     }
-    if io_trouble {
+    if outcome.outcome != ShardedOutcome::Complete && options.checkpoint_dir.is_some() {
+        eprintln!("poacher: crawl stopped; resume with -resume");
+    }
+    // A budget cut is a finished (truncated) crawl; only the stop file
+    // pauses one.
+    let paused = outcome.outcome == ShardedOutcome::Killed
+        || (outcome.outcome == ShardedOutcome::Paused && stop.load(Ordering::SeqCst));
+    if paused {
+        // The checkpoint holds the rest of the crawl; this run did its job.
+        ExitCode::SUCCESS
+    } else if io_trouble {
         ExitCode::from(2)
     } else if messages > 0 || !report.dead_links.is_empty() {
         ExitCode::from(1)
@@ -534,9 +392,62 @@ fn main() -> ExitCode {
     }
 }
 
-/// Compose the fetch stack for one shard (shard 0 for the classic
-/// crawl): faults + resilience under `-faults`, pacing under
-/// `-adaptive`, a bare tower otherwise.
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let options = match parse(&argv) {
+        Ok(o) => o,
+        Err(message) => {
+            if message.is_empty() {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            eprintln!("poacher: {message}");
+            return ExitCode::from(2);
+        }
+    };
+    for warning in &options.fault_warnings {
+        eprintln!("poacher: {warning}");
+    }
+
+    if let Some((hosts, pages)) = options.mega {
+        let site = MegaSite::new(
+            options.fault_seed,
+            &MegaSiteOptions {
+                hosts,
+                pages_per_host: pages,
+                ..MegaSiteOptions::default()
+            },
+        );
+        let starts: Vec<Url> = site
+            .start_urls()
+            .iter()
+            .map(|u| Url::parse(u).expect("generated start URL"))
+            .collect();
+        let make_stack = |shard: usize| {
+            let fetcher = FnFetcher::new(|url: &Url| site.resolve(&url.host, &url.path));
+            build_stack(&options, fetcher, shard)
+        };
+        return run_crawl(&options, &starts, make_stack);
+    }
+    let Some(dir) = options.dir.clone() else {
+        eprintln!("poacher: no directory given (try -help)");
+        return ExitCode::from(2);
+    };
+    let store = match DirStore::open(&dir) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("poacher: {dir}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let starts = vec![StoreFetcher::new(&store, "local").start_url()];
+    let make_stack =
+        |shard: usize| build_stack(&options, StoreFetcher::new(&store, "local"), shard);
+    run_crawl(&options, &starts, make_stack)
+}
+
+/// Compose the fetch stack for one shard: faults + resilience under
+/// `-faults`, pacing under `-adaptive`, a bare tower otherwise.
 fn build_stack<F: Fetcher>(options: &Options, fetcher: F, shard: usize) -> FetchStack<F> {
     let seed = shard_seed(options.fault_seed, shard);
     let mut builder = FetchStack::new(fetcher);
@@ -578,33 +489,33 @@ mod tests {
     #[test]
     fn jobs_must_be_a_positive_number() {
         assert_eq!(parse(&args(&["-jobs", "4", "site"])).unwrap().jobs, 4);
-        for bad in [&["-jobs", "0"][..], &["-jobs", "four"], &["-jobs"]] {
+        assert_eq!(parse(&args(&["-jobs", "64", "site"])).unwrap().jobs, 64);
+        for bad in [
+            &["-jobs", "0"][..],
+            &["-jobs", "65"],
+            &["-jobs", "four"],
+            &["-jobs"],
+        ] {
             let err = parse(&args(bad)).unwrap_err();
             assert!(err.contains("-jobs"), "{err}");
         }
         // No -jobs at all means the sequential crawl.
-        assert_eq!(parse(&args(&["site"])).unwrap().jobs, 0);
+        assert_eq!(parse(&args(&["site"])).unwrap().jobs, 1);
     }
 
     #[test]
-    fn fetchers_and_adaptive_parse() {
-        let options = parse(&args(&["-fetchers", "8", "-adaptive", "-stats", "site"])).unwrap();
-        assert_eq!(options.fetchers, 8);
+    fn jobs_and_adaptive_parse() {
+        let options = parse(&args(&["-jobs", "8", "-adaptive", "-stats", "site"])).unwrap();
+        assert_eq!(options.jobs, 8);
         assert!(options.adaptive);
         assert!(options.stats);
-        // Defaults: one fetch in flight, no pacing, no stats dump.
+        // Defaults: one page in flight, no pacing, no stats dump.
         let plain = parse(&args(&["site"])).unwrap();
-        assert_eq!(plain.fetchers, 1);
+        assert_eq!(plain.jobs, 1);
         assert!(!plain.adaptive && !plain.stats);
-        for bad in [
-            &["-fetchers", "0"][..],
-            &["-fetchers", "65"],
-            &["-fetchers", "many"],
-            &["-fetchers"],
-        ] {
-            let err = parse(&args(bad)).unwrap_err();
-            assert!(err.contains("-fetchers"), "{err}");
-        }
+        // The old width flag is gone: -jobs is the one width.
+        let err = parse(&args(&["-fetchers", "8", "site"])).unwrap_err();
+        assert!(err.contains("-fetchers"), "{err}");
     }
 
     #[test]
@@ -685,8 +596,6 @@ mod tests {
         assert_eq!(options.checkpoint_every, 8);
         assert_eq!(options.stop_file.as_deref(), Some("/tmp/stop"));
         assert_eq!(options.mega, Some((4, 50)));
-        assert!(options.sharded());
-        assert!(!parse(&args(&["site"])).unwrap().sharded());
         for bad in [
             &["-shards", "0"][..],
             &["-shards", "65"],
@@ -694,17 +603,19 @@ mod tests {
             &["-mega", "0x5"],
             &["-mega", "4x0"],
             &["-checkpoint-every", "0"],
-            &["-resume"],                      // needs -checkpoint-dir
-            &["-mega", "2x2", "site"],         // both inputs
-            &["-fix", "-shards", "2", "site"], // fix is classic-only
+            &["-resume"],              // needs -checkpoint-dir
+            &["-mega", "2x2", "site"], // both inputs
+            &["-fix", "-mega", "2x2"], // no files to repair
         ] {
             assert!(parse(&args(bad)).is_err(), "{bad:?}");
         }
-        // -resume with a dir parses; a bare -shards run does too.
+        // -resume with a dir parses, and -fix rides along any DIRECTORY
+        // crawl, sharded or not.
         assert!(
             parse(&args(&["-resume", "-checkpoint-dir", "d", "site"]))
                 .unwrap()
                 .resume
         );
+        assert!(parse(&args(&["-fix", "-shards", "2", "site"])).unwrap().fix);
     }
 }

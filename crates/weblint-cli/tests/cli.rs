@@ -172,18 +172,25 @@ fn env_config_is_respected() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
+/// A fresh site directory under the temp dir, one file per `(path, body)`.
+fn site_dir(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (path, body) in files {
+        let file = dir.join(path);
+        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+        std::fs::write(file, body).unwrap();
+    }
+    dir
+}
+
+const PAGE_HEAD: &str = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
+                         <HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>";
+
 #[test]
 fn poacher_crawls_and_reports() {
-    let dir = std::env::temp_dir().join("poacher-proc-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("index.html"),
-        "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0 Transitional//EN\">\n\
-         <HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\
-         <P><A HREF=\"gone.html\">x</A></P></BODY></HTML>\n",
-    )
-    .unwrap();
+    let index = format!("{PAGE_HEAD}<P><A HREF=\"gone.html\">x</A></P></BODY></HTML>\n");
+    let dir = site_dir("poacher-proc-test", &[("index.html", &index)]);
     let out = poacher(&["-s", dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).unwrap();
@@ -196,20 +203,20 @@ fn poacher_crawls_and_reports() {
 fn poacher_fix_converges_site_to_exit_0() {
     // The batch contract: a crawl where every page lints clean after -fix
     // exits 0, even though the pre-fix pages were full of messages.
-    let dir = std::env::temp_dir().join("poacher-fix-proc-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("index.html"),
-        "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\
-         <P><A HREF=\"a.html\">next</A></P><H1>Hi</H2></BODY></HTML>\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("a.html"),
-        "<HTML><HEAD><TITLE>a</TITLE></HEAD><BODY><P>IMG=<IMG SRC=\"index.html\"></P></BODY></HTML>\n",
-    )
-    .unwrap();
+    let dir = site_dir(
+        "poacher-fix-proc-test",
+        &[
+            (
+                "index.html",
+                "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\
+                 <P><A HREF=\"a.html\">next</A></P><H1>Hi</H2></BODY></HTML>\n",
+            ),
+            (
+                "a.html",
+                "<HTML><HEAD><TITLE>a</TITLE></HEAD><BODY><P>IMG=<IMG SRC=\"index.html\"></P></BODY></HTML>\n",
+            ),
+        ],
+    );
     // Without -fix the site has messages → exit 1.
     let out = poacher(&["-s", dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
@@ -246,4 +253,99 @@ fn poacher_usage() {
         .contains("usage: poacher"));
     let out = poacher(&[]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn poacher_budget_cut_reports_truncation_and_exits_1() {
+    // index links a and b; a links c and the missing gone.html.
+    let index = format!(
+        "{PAGE_HEAD}<P><A HREF=\"a.html\">a</A> <A HREF=\"b.html\">b</A></P></BODY></HTML>\n"
+    );
+    let a = format!(
+        "{PAGE_HEAD}<P><A HREF=\"c.html\">c</A> <A HREF=\"gone.html\">x</A></P></BODY></HTML>\n"
+    );
+    let leaf = format!("{PAGE_HEAD}<P>leaf</P></BODY></HTML>\n");
+    let dir = site_dir(
+        "poacher-cut",
+        &[
+            ("index.html", &index),
+            ("a.html", &a),
+            ("b.html", &leaf),
+            ("c.html", &leaf),
+        ],
+    );
+    let root = dir.to_str().unwrap();
+    let plain = poacher(&["-s", "-max", "2", root]);
+    let sharded = poacher(&["-s", "-max", "2", "-shards", "1", root]);
+    for out in [&plain, &sharded] {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stdout}\n{stderr}");
+        assert!(
+            stdout.contains("dead link on http://local/a.html: \"gone.html\""),
+            "{stdout}"
+        );
+        assert!(stdout.contains("crawl truncated at 2 pages"), "{stdout}");
+        assert!(!stderr.contains("resume"), "no checkpoint dir: {stderr}");
+    }
+    assert_eq!(plain.stdout, sharded.stdout);
+
+    // A stop-file pause exits 0; the resume hint needs a checkpoint dir.
+    let stop = dir.join("stop");
+    std::fs::write(&stop, "").unwrap();
+    let paused = poacher(&["-stop-file", stop.to_str().unwrap(), root]);
+    assert_eq!(paused.status.code(), Some(0), "{paused:?}");
+    assert!(!String::from_utf8_lossy(&paused.stderr).contains("resume"));
+    let ckpt = dir.join("ckpt");
+    let paused = poacher(&[
+        "-stop-file",
+        stop.to_str().unwrap(),
+        "-checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        root,
+    ]);
+    assert_eq!(paused.status.code(), Some(0), "{paused:?}");
+    assert!(String::from_utf8_lossy(&paused.stderr).contains("resume with -resume"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn poacher_report_is_invariant_across_jobs_and_shards() {
+    let index = format!(
+        "{PAGE_HEAD}<P><A HREF=\"a.html\">a</A> <A HREF=\"sub/b.html\">b</A> \
+         <A HREF=\"gone.html\">x</A> \
+         <IMG SRC=\"pic.gif\" ALT=\"p\" WIDTH=\"1\" HEIGHT=\"1\"></P></BODY></HTML>\n"
+    );
+    let a = format!("{PAGE_HEAD}<H1>oops</H2><P><A HREF=\"sub/b.html\">b</A></P></BODY></HTML>\n");
+    let b = format!("{PAGE_HEAD}<P><A HREF=\"../a.html\">back</A></P></BODY></HTML>\n");
+    let dir = site_dir(
+        "poacher-invariant",
+        &[
+            ("index.html", &index),
+            ("a.html", &a),
+            ("sub/b.html", &b),
+            ("pic.gif", "GIF89a"),
+        ],
+    );
+    let root = dir.to_str().unwrap();
+    let baseline = poacher(&["-s", root]);
+    let stdout = String::from_utf8_lossy(&baseline.stdout);
+    assert_eq!(baseline.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("3 page(s) crawled, 1 message(s), 1 dead link(s)"),
+        "{stdout}"
+    );
+    for flags in [
+        &["-s", "-jobs", "4"][..],
+        &["-s", "-shards", "3", "-jobs", "2"],
+    ] {
+        let out = poacher(&[flags, &[root]].concat());
+        assert_eq!(out.status.code(), baseline.status.code(), "{flags:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            stdout,
+            "{flags:?} changed the report"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

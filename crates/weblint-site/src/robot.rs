@@ -7,21 +7,42 @@
 //! code. Smarter robots will handle redirects" (§4.5, §3.5). This robot
 //! does both: it follows redirects (bounded), GETs and lints same-site HTML
 //! pages breadth-first, and HEAD-validates everything else.
+//!
+//! [`Robot::crawl_sharded`] is the one crawl. A plain crawl is one shard
+//! over a default [`FetchStack`]:
+//!
+//! ```
+//! use weblint_site::{FetchStack, Robot, ShardedOptions, SharedWeb, SimulatedWeb, Url};
+//!
+//! let mut web = SimulatedWeb::new();
+//! web.add_page("http://h/index.html", "<P><A HREF=\"gone.html\">x</A></P>");
+//! let web = SharedWeb::new(web);
+//! let start = Url::parse("http://h/index.html").unwrap();
+//! let run = Robot::default()
+//!     .crawl_sharded(&[start], |_| FetchStack::new(web.clone()).build(), &ShardedOptions::default())
+//!     .unwrap();
+//! assert_eq!(run.report.pages.len(), 1);
+//! assert_eq!(run.report.dead_links[0].href, "gone.html");
+//! ```
+//!
+//! More shards, a wider [`RobotOptions::jobs`], checkpoints, and fault or
+//! pacing layers in the stack change how the crawl runs, not what a
+//! fault-free crawl reports.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
 use weblint_core::{Diagnostic, LintConfig, LintSession};
-use weblint_service::{JobHandle, LintService};
 
 use crate::checkpoint::{
     self, load_checkpoint, save_checkpoint, CheckpointError, CheckpointMeta, ShardState,
 };
 use crate::fault::{transient, HopRecord, VIRTUAL_RTT_US};
 use crate::frontier::{shard_of, Candidate, ShardFrontier};
-use crate::links::{extract_links, Link, LinkKind};
+use crate::links::{extract_links, LinkKind};
 use crate::pacing::{HedgeToken, Observation};
 use crate::stack::{FetchStack, StackState, StackTelemetry};
 use crate::url::Url;
@@ -29,7 +50,7 @@ use crate::web::{SimulatedWeb, Status};
 
 /// Bytes per transport delivery when a buffered body is replayed as a
 /// stream — the packet size the default [`Fetcher::get_streamed`]
-/// simulates, and the feed granularity for linting on a fetch worker.
+/// simulates.
 const FETCH_CHUNK: usize = 4096;
 
 /// Transport abstraction so the robot can crawl the simulated web today
@@ -185,18 +206,18 @@ where
 /// kept for compatibility.
 #[derive(Debug, Clone)]
 pub struct RobotOptions {
-    /// Stop after this many pages have been fetched and linted.
+    /// Stop after this many pages have been fetched and linted; the
+    /// links on those pages are still validated.
     pub max_pages: usize,
     /// Give up on a redirect chain after this many hops.
     pub max_redirects: usize,
     /// Bound on click depth: links found on pages at this depth are
     /// still validated, but not crawled. `None` crawls without bound.
     pub max_depth: Option<usize>,
-    /// Fetches [`Robot::crawl_stack`] may keep in flight at once (the
-    /// adaptive per-host limit clamps each batch further). `1` crawls
-    /// sequentially; `crawl`/`crawl_with` are always sequential.
+    /// Pages each shard fetches and lints at once (the adaptive per-host
+    /// limit clamps each batch further). `1` crawls sequentially.
     pub jobs: usize,
-    /// HEAD-validate links that leave the start host.
+    /// HEAD-validate links that leave the start URLs' hosts.
     pub check_external: bool,
     /// Lint configuration applied to each fetched page.
     pub lint: LintConfig,
@@ -252,8 +273,7 @@ impl RobotOptionsBuilder {
         self
     }
 
-    /// Parallel fetch slots for [`Robot::crawl_stack`]; clamped to
-    /// 1..=64.
+    /// Pages fetched and linted at once per shard; clamped to 1..=64.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.options.jobs = jobs.clamp(1, 64);
         self
@@ -350,376 +370,20 @@ pub struct Robot {
     options: RobotOptions,
 }
 
-impl Robot {
-    /// A robot with the given options.
-    pub fn new(options: RobotOptions) -> Robot {
-        Robot { options }
-    }
-
-    /// Crawl breadth-first from `start`, staying on `start`'s host.
-    pub fn crawl(&self, fetcher: &dyn Fetcher, start: &Url) -> RobotReport {
-        self.crawl_impl(fetcher, start, None)
-    }
-
-    /// [`Robot::crawl`], with page linting handed to a [`LintService`] so
-    /// the crawl (fetching, link extraction, HEAD validation) overlaps
-    /// with linting. The report is identical to the sequential one: pages
-    /// stay in crawl order and each page's diagnostics are collected from
-    /// its service handle at the end.
-    pub fn crawl_with(
-        &self,
-        fetcher: &dyn Fetcher,
-        start: &Url,
-        service: &LintService,
-    ) -> RobotReport {
-        self.crawl_impl(fetcher, start, Some(service))
-    }
-
-    /// [`Robot::crawl`] over a composed [`FetchStack`], with the
-    /// adaptive scheduler engaged: each round issues a *batch* of
-    /// frontier URLs — at most `min(jobs, per-host AIMD limit)` — to
-    /// parallel fetch workers, then settles the results in issue order,
-    /// so the report (and every stats table) is byte-identical run to
-    /// run for a fixed stack seed. With `jobs = 1` the batches degrade
-    /// to the exact sequential crawl.
-    pub fn crawl_stack<F: Fetcher + Sync>(
-        &self,
-        stack: &FetchStack<F>,
-        start: &Url,
-    ) -> RobotReport {
-        self.crawl_stack_impl(stack, start, None)
-    }
-
-    /// [`Robot::crawl_stack`] with page linting handed to a
-    /// [`LintService`], overlapping fetching with linting.
-    pub fn crawl_stack_with<F: Fetcher + Sync>(
-        &self,
-        stack: &FetchStack<F>,
-        start: &Url,
-        service: &LintService,
-    ) -> RobotReport {
-        self.crawl_stack_impl(stack, start, Some(service))
-    }
-
-    /// The sequential frontier: batch size 1, no pacing — byte-identical
-    /// to the historical fetch-then-lint loop.
-    fn crawl_impl(
-        &self,
-        fetcher: &dyn Fetcher,
-        start: &Url,
-        service: Option<&LintService>,
-    ) -> RobotReport {
-        let mut state = CrawlState::begin(start);
-        // Without a service, pages lint as their bytes arrive off the
-        // transport (one session, reused page to page); with one, whole
-        // bodies still go to the worker pool.
-        let mut session = service
-            .is_none()
-            .then(|| LintSession::with_config(self.options.lint.clone()));
-        while let Some((url, depth)) = state.queue.pop_front() {
-            if state.report.pages.len() >= self.options.max_pages {
-                state.report.truncated = true;
-                break;
-            }
-            let (outcome, redirects) = match session.as_mut() {
-                Some(session) => {
-                    follow_redirects_streaming(self.options.max_redirects, &url, fetcher, session)
-                }
-                None => follow_redirects(self.options.max_redirects, &url, |u| fetcher.get(u)),
-            };
-            self.apply_outcome(
-                &FetcherProbe(fetcher),
-                start,
-                &url,
-                depth,
-                outcome,
-                redirects,
-                service,
-                &mut state,
-            );
-        }
-        state.finish()
-    }
-
-    /// The adaptive frontier scheduler. Determinism contract: every
-    /// order-sensitive decision happens on this thread — hedge tokens
-    /// are authorized at issue time against a snapshot of the breaker
-    /// and budget, workers only read frozen state and run retry loops
-    /// whose fault schedule depends solely on `(seed, url, attempt)`,
-    /// and all breaker transitions plus AIMD feedback are settled here
-    /// in issue order after the batch joins.
-    fn crawl_stack_impl<F: Fetcher + Sync>(
-        &self,
-        stack: &FetchStack<F>,
-        start: &Url,
-        service: Option<&LintService>,
-    ) -> RobotReport {
-        let mut state = CrawlState::begin(start);
-        let host = start.host.clone();
-        loop {
-            if state.queue.is_empty() {
-                break;
-            }
-            if state.report.pages.len() >= self.options.max_pages {
-                state.report.truncated = true;
-                break;
-            }
-            // The batch never exceeds the page budget, so a fully
-            // successful batch cannot overshoot `max_pages`.
-            let remaining = self.options.max_pages - state.report.pages.len();
-            let width = self
-                .options
-                .jobs
-                .min(stack.pacer().limit(&host))
-                .min(remaining)
-                .min(state.queue.len())
-                .max(1);
-            let mut batch: Vec<FetchTask> = Vec::with_capacity(width);
-            for _ in 0..width {
-                let (url, depth) = state.queue.pop_front().expect("width <= queue.len()");
-                let token = stack
-                    .pacer()
-                    .authorize(&url.host, stack.breaker_state(&url.host));
-                batch.push(FetchTask::new(url, depth, token));
-            }
-            // Without a service, fetch workers lint their page before
-            // the batch joins; the service path keeps pool submission.
-            let lint = service.is_none().then_some(&self.options.lint);
-            run_batch(self.options.max_redirects, stack, lint, &mut batch);
-            for task in batch {
-                self.settle_task(stack, start, task, service, &mut state);
-            }
-        }
-        state.finish()
-    }
-
-    /// Settle one fetched task in issue order: resilience bookkeeping,
-    /// pacer feedback, then the same report/lint/link processing the
-    /// sequential crawl does.
-    fn settle_task<F: Fetcher>(
-        &self,
-        stack: &FetchStack<F>,
-        start: &Url,
-        task: FetchTask,
-        service: Option<&LintService>,
-        state: &mut CrawlState,
-    ) {
-        for (hop_host, record) in &task.hops {
-            stack.settle_hop(hop_host, record);
-        }
-        let host = task.url.host.as_str();
-        stack
-            .pacer()
-            .settle_hedge(host, task.token, task.hedge_fired, task.hedge_won);
-        stack.pacer().observe(
-            host,
-            Observation {
-                clean: !task.bad,
-                bad: task.bad,
-                latency_us: task.cost_us,
-            },
-        );
-        let (outcome, redirects) = task.outcome.expect("batch ran every task");
-        self.apply_outcome(
-            &StackProbe(stack),
-            start,
-            &task.url,
-            task.depth,
-            outcome,
-            redirects,
-            service,
-            state,
-        );
-    }
-
-    /// Fold one fetch outcome into the report: redirects, dead links,
-    /// and — for a page — lint submission plus link validation.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_outcome(
-        &self,
-        probe: &dyn HeadProbe,
-        start: &Url,
-        origin: &Url,
-        depth: usize,
-        outcome: FetchOutcome,
-        redirects: usize,
-        service: Option<&LintService>,
-        state: &mut CrawlState,
-    ) {
-        state.report.redirects_followed += redirects;
-        match outcome {
-            FetchOutcome::Skip => {}
-            FetchOutcome::Dead { href, reason } => state.report.dead_links.push(DeadLink {
-                page: origin.clone(),
-                href,
-                reason,
-            }),
-            FetchOutcome::Page {
-                url: final_url,
-                body,
-                diagnostics,
-            } => {
-                let diagnostics = match (diagnostics, service) {
-                    // Already linted while the body streamed in.
-                    (Some(diags), _) => diags,
-                    // With a service attached, hand the body to a worker
-                    // and keep crawling; the diagnostics slot is filled
-                    // in afterwards.
-                    (None, Some(service)) => {
-                        match service.submit_with(body.clone(), Some(self.options.lint.clone())) {
-                            Ok(handle) => {
-                                state.pending.push((state.report.pages.len(), handle));
-                                Vec::new()
-                            }
-                            Err(_) => LintSession::with_config(self.options.lint.clone())
-                                .check_string(&body),
-                        }
-                    }
-                    (None, None) => {
-                        unreachable!("without a service, pages are linted during their fetch")
-                    }
-                };
-                let links = extract_links(&body);
-                state.report.pages.push(CrawledPage {
-                    url: final_url.clone(),
-                    diagnostics,
-                    link_count: links.len(),
-                    depth,
-                });
-                self.validate_links(probe, start, &final_url, links, depth, state);
-            }
-        }
-    }
-
-    /// HEAD-validate a page's links, enqueueing crawlable same-site
-    /// targets (depth permitting) and reporting the dead.
-    fn validate_links(
-        &self,
-        probe: &dyn HeadProbe,
-        start: &Url,
-        final_url: &Url,
-        links: Vec<Link>,
-        depth: usize,
-        state: &mut CrawlState,
-    ) {
-        let within_depth = self.options.max_depth.is_none_or(|limit| depth < limit);
-        for link in links {
-            match link.kind {
-                LinkKind::Fragment | LinkKind::Mailto => continue,
-                LinkKind::Local | LinkKind::External => {}
-            }
-            let target = final_url.join(&link.href);
-            if target.same_site(start) {
-                if state.enqueued.insert(target.to_string()) {
-                    // Cheap HEAD before committing to a GET: dead links
-                    // are reported here, non-HTML is HEAD-only.
-                    match probe.probe(&target) {
-                        (Status::Ok, ct) if ct.starts_with("text/html") => {
-                            if within_depth {
-                                state.queue.push_back((target, depth + 1));
-                            }
-                        }
-                        (Status::Ok, _) => {}
-                        (Status::Redirect(_), _) => {
-                            if within_depth {
-                                state.queue.push_back((target, depth + 1));
-                            }
-                        }
-                        (Status::NotFound, _) => state.report.dead_links.push(DeadLink {
-                            page: final_url.clone(),
-                            href: link.href.clone(),
-                            reason: "404 Not Found".to_string(),
-                        }),
-                        (Status::ServerError, _) => state.report.dead_links.push(DeadLink {
-                            page: final_url.clone(),
-                            href: link.href.clone(),
-                            reason: "server error".to_string(),
-                        }),
-                        (Status::TimedOut, _) => state.report.dead_links.push(DeadLink {
-                            page: final_url.clone(),
-                            href: link.href.clone(),
-                            reason: "timed out".to_string(),
-                        }),
-                        (Status::Reset, _) => state.report.dead_links.push(DeadLink {
-                            page: final_url.clone(),
-                            href: link.href.clone(),
-                            reason: "connection reset".to_string(),
-                        }),
-                    }
-                }
-            } else if self.options.check_external && state.head_checked.insert(target.to_string()) {
-                match probe.probe(&target) {
-                    (Status::NotFound, _) => state.report.dead_links.push(DeadLink {
-                        page: final_url.clone(),
-                        href: link.href.clone(),
-                        reason: "404 Not Found (external)".to_string(),
-                    }),
-                    (Status::ServerError, _) => state.report.dead_links.push(DeadLink {
-                        page: final_url.clone(),
-                        href: link.href.clone(),
-                        reason: "server error (external)".to_string(),
-                    }),
-                    (Status::TimedOut, _) => state.report.dead_links.push(DeadLink {
-                        page: final_url.clone(),
-                        href: link.href.clone(),
-                        reason: "timed out (external)".to_string(),
-                    }),
-                    (Status::Reset, _) => state.report.dead_links.push(DeadLink {
-                        page: final_url.clone(),
-                        href: link.href.clone(),
-                        reason: "connection reset (external)".to_string(),
-                    }),
-                    _ => {}
-                }
-            }
-        }
+impl Default for Robot {
+    fn default() -> Robot {
+        Robot::new(RobotOptions::default())
     }
 }
 
-/// Mutable crawl bookkeeping shared by the sequential and adaptive
-/// frontiers.
-struct CrawlState {
-    report: RobotReport,
-    pending: Vec<(usize, JobHandle)>,
-    queue: VecDeque<(Url, usize)>,
-    enqueued: HashSet<String>,
-    head_checked: HashSet<String>,
-}
-
-impl CrawlState {
-    fn begin(start: &Url) -> CrawlState {
-        let mut state = CrawlState {
-            report: RobotReport::default(),
-            pending: Vec::new(),
-            queue: VecDeque::new(),
-            enqueued: HashSet::new(),
-            head_checked: HashSet::new(),
-        };
-        state.queue.push_back((start.clone(), 0));
-        state.enqueued.insert(start.to_string());
-        state
-    }
-
-    fn finish(mut self) -> RobotReport {
-        for (index, handle) in self.pending {
-            self.report.pages[index].diagnostics = handle.wait().unwrap_or_default();
-        }
-        self.report
-    }
-}
-
-/// What following one queued URL produced, before any report
-/// bookkeeping — so fetch workers can compute it off-thread and the
-/// scheduler can apply it in issue order.
+/// What following one frontier URL produced, computed on a fetch worker
+/// and folded into the report by the shard in issue order.
 enum FetchOutcome {
-    /// An HTML page at its post-redirect URL. `diagnostics` is filled
-    /// when the fetch path already linted the body as it arrived (the
-    /// streaming crawl and the fetch workers); `None` leaves linting to
-    /// the settle side (service submission, or the fallback one-shot).
+    /// An HTML page at its post-redirect URL, linted on the worker.
     Page {
         url: Url,
         body: String,
-        diagnostics: Option<Vec<Diagnostic>>,
+        diagnostics: Vec<Diagnostic>,
     },
     /// The chain ended somewhere dead; `href` is the final URL tried.
     Dead { href: String, reason: String },
@@ -728,191 +392,121 @@ enum FetchOutcome {
 }
 
 /// GET `url` following redirects up to the hop limit, classifying the
-/// result. Returns the outcome plus the redirect hops taken.
+/// result and linting the page it lands on. Returns the outcome plus the
+/// redirect hops taken.
 fn follow_redirects(
-    max_redirects: usize,
+    options: &RobotOptions,
     url: &Url,
     mut get: impl FnMut(&Url) -> (Status, String, String),
 ) -> (FetchOutcome, usize) {
     let mut redirects = 0usize;
     let mut current = url.clone();
-    for _ in 0..=max_redirects {
+    for _ in 0..=options.max_redirects {
         match get(&current) {
             (Status::Ok, ct, body) if ct.starts_with("text/html") => {
-                return (
-                    FetchOutcome::Page {
-                        url: current,
-                        body,
-                        diagnostics: None,
-                    },
-                    redirects,
-                );
+                // Contain an engine panic: a shard that panicked would be
+                // respawned into the same page, and the same panic, forever.
+                let lint = || LintSession::with_config(options.lint.clone()).check_string(&body);
+                let diagnostics = catch_unwind(AssertUnwindSafe(lint)).unwrap_or_default();
+                let page = FetchOutcome::Page {
+                    url: current,
+                    body,
+                    diagnostics,
+                };
+                return (page, redirects);
             }
             (Status::Ok, _, _) => return (FetchOutcome::Skip, redirects),
             (Status::Redirect(location), _, _) => {
                 redirects += 1;
                 current = current.join(&location);
             }
-            (Status::NotFound, _, _) => {
-                return (
-                    FetchOutcome::Dead {
-                        href: current.to_string(),
-                        reason: "404 Not Found".to_string(),
-                    },
-                    redirects,
-                )
-            }
-            (Status::ServerError, _, _) => {
-                return (
-                    FetchOutcome::Dead {
-                        href: current.to_string(),
-                        reason: "server error".to_string(),
-                    },
-                    redirects,
-                )
-            }
-            (Status::TimedOut, _, _) => {
-                return (
-                    FetchOutcome::Dead {
-                        href: current.to_string(),
-                        reason: "timed out".to_string(),
-                    },
-                    redirects,
-                )
-            }
-            (Status::Reset, _, _) => {
-                return (
-                    FetchOutcome::Dead {
-                        href: current.to_string(),
-                        reason: "connection reset".to_string(),
-                    },
-                    redirects,
-                )
+            (status, _, _) => {
+                let dead = FetchOutcome::Dead {
+                    href: current.to_string(),
+                    reason: dead_reason(&status, false).expect("a failed status"),
+                };
+                return (dead, redirects);
             }
         }
     }
-    (
-        FetchOutcome::Dead {
-            href: current.to_string(),
-            reason: "too many redirects".to_string(),
-        },
-        redirects,
-    )
+    let dead = FetchOutcome::Dead {
+        href: current.to_string(),
+        reason: "too many redirects".to_string(),
+    };
+    (dead, redirects)
 }
 
-/// [`follow_redirects`], but each hop's body streams through `session`
-/// as the transport delivers it, so the final page's lint finishes with
-/// its fetch. A hop that turns out to be a redirect or a non-HTML answer
-/// discards its partial stream.
-fn follow_redirects_streaming(
-    max_redirects: usize,
-    url: &Url,
-    fetcher: &dyn Fetcher,
-    session: &mut LintSession,
-) -> (FetchOutcome, usize) {
-    let mut hop_diags: Vec<Diagnostic> = Vec::new();
-    let (mut outcome, redirects) = follow_redirects(max_redirects, url, |current| {
-        session.abort();
-        hop_diags.clear();
-        let mut body = Vec::new();
-        let (status, content_type) = fetcher.get_streamed(current, &mut |chunk| {
-            hop_diags.extend(session.feed(chunk));
-            body.extend_from_slice(chunk);
-        });
-        (
-            status,
-            content_type,
-            String::from_utf8_lossy(&body).into_owned(),
-        )
-    });
-    match &mut outcome {
-        FetchOutcome::Page { diagnostics, .. } => {
-            hop_diags.extend(session.finish());
-            *diagnostics = Some(std::mem::take(&mut hop_diags));
-        }
-        _ => session.abort(),
-    }
-    (outcome, redirects)
-}
-
-/// One frontier URL issued to a fetch worker, with everything the
-/// scheduler needs to settle it afterwards.
-struct FetchTask {
-    url: Url,
-    depth: usize,
+/// One GET as a fetch worker ran it, with everything the shard needs
+/// to settle it in issue order.
+struct Fetched {
     token: HedgeToken,
-    outcome: Option<(FetchOutcome, usize)>,
+    outcome: FetchOutcome,
+    redirects: usize,
     /// Per-hop resilience records, settled in issue order.
     hops: Vec<(String, HopRecord)>,
     /// Total virtual latency across hops (including a fired hedge).
     cost_us: u64,
-    /// The task burned retries, was shed, or ended transiently failed.
+    /// The fetch burned retries, was shed, or ended transiently failed.
     bad: bool,
     hedge_fired: bool,
     hedge_won: bool,
 }
 
-impl FetchTask {
-    fn new(url: Url, depth: usize, token: HedgeToken) -> FetchTask {
-        FetchTask {
-            url,
-            depth,
-            token,
-            outcome: None,
-            hops: Vec::new(),
-            cost_us: 0,
-            bad: false,
-            hedge_fired: false,
-            hedge_won: false,
-        }
-    }
-}
-
-/// Run a batch of fetch tasks — inline when it is one task, otherwise
-/// one scoped worker thread per task (the batch width is already capped
-/// by `jobs` and the per-host limit).
+/// Fetch a batch of candidates, each with its hedge token — inline when
+/// it is one, otherwise one scoped worker thread each (the batch width is
+/// already capped by `jobs` and the per-host limit). Results come back in
+/// batch order.
 fn run_batch<F: Fetcher + Sync>(
-    max_redirects: usize,
+    options: &RobotOptions,
     stack: &FetchStack<F>,
-    lint: Option<&LintConfig>,
-    batch: &mut [FetchTask],
-) {
-    if let [task] = batch {
-        run_task(max_redirects, stack, lint, task);
-        return;
+    batch: &[(&Candidate, HedgeToken)],
+) -> Vec<Fetched> {
+    if let [(candidate, token)] = batch {
+        return vec![run_task(options, stack, &candidate.url, *token)];
     }
     std::thread::scope(|scope| {
-        for task in batch.iter_mut() {
-            scope.spawn(move || run_task(max_redirects, stack, lint, task));
-        }
-    });
+        let workers: Vec<_> = batch
+            .iter()
+            .map(|(candidate, token)| {
+                scope.spawn(move || run_task(options, stack, &candidate.url, *token))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            })
+            .collect()
+    })
 }
 
-/// Execute one fetch task on a worker: follow redirects through the
-/// stack, recording per-hop resilience outcomes for deferred settling,
-/// and fire the hedge if the token allows and the primary attempt came
-/// back transiently failed *and* slow.
+/// Fetch one URL on a worker: follow redirects through the stack,
+/// recording per-hop resilience outcomes for deferred settling, fire the
+/// hedge if the token allows and the primary attempt came back
+/// transiently failed *and* slow, and lint the page it lands on — so the
+/// settle loop just copies the result into the report.
 fn run_task<F: Fetcher>(
-    max_redirects: usize,
+    options: &RobotOptions,
     stack: &FetchStack<F>,
-    lint: Option<&LintConfig>,
-    task: &mut FetchTask,
-) {
-    let token = task.token;
+    url: &Url,
+    token: HedgeToken,
+) -> Fetched {
     let mut hops: Vec<(String, HopRecord)> = Vec::new();
     let mut cost_us = 0u64;
     let mut bad = false;
     let mut fired = false;
     let mut won = false;
-    let (outcome, redirects) = follow_redirects(max_redirects, &task.url, |current| {
+    let (outcome, redirects) = follow_redirects(options, url, |current| {
         if !stack.frozen_allows(&current.host) {
             hops.push((current.host.clone(), HopRecord::Shed));
             bad = true;
             return (Status::ServerError, String::new(), String::new());
         }
-        let (result, cost) = stack.attempt_get(current);
+        let (mut result, cost) = stack.attempt_get(current);
         cost_us += cost.virtual_us();
-        let failed = transient(&result.0);
+        let mut failed = transient(&result.0);
         if failed || cost.retries > 0 {
             bad = true;
         }
@@ -925,88 +519,39 @@ fn run_task<F: Fetcher>(
             let hedge = stack.raw_get(current);
             if !transient(&hedge.0) {
                 won = true;
-                hops.push((
-                    current.host.clone(),
-                    HopRecord::Done {
-                        failed: false,
-                        retries: cost.retries,
-                    },
-                ));
-                return hedge;
+                (result, failed) = (hedge, false);
             }
         }
-        hops.push((
-            current.host.clone(),
-            HopRecord::Done {
-                failed,
-                retries: cost.retries,
-            },
-        ));
+        let retries = cost.retries;
+        hops.push((current.host.clone(), HopRecord::Done { failed, retries }));
         result
     });
-    let mut outcome = outcome;
-    if let (
-        Some(config),
-        FetchOutcome::Page {
-            body, diagnostics, ..
+    Fetched {
+        token,
+        outcome,
+        redirects,
+        hops,
+        cost_us,
+        bad,
+        hedge_fired: fired,
+        hedge_won: won,
+    }
+}
+
+/// HEAD `url` through the stack's guarded drive and feed the answer to
+/// the pacer as one observation.
+fn probe<F: Fetcher>(stack: &FetchStack<F>, url: &Url) -> (Status, String) {
+    let (result, cost) = stack.head_cost(url);
+    let bad = cost.shed || cost.retries > 0 || transient(&result.0);
+    stack.pacer().observe(
+        &url.host,
+        Observation {
+            clean: !bad,
+            bad,
+            latency_us: cost.virtual_us(),
         },
-    ) = (lint, &mut outcome)
-    {
-        // Lint on the fetch worker, overlapping the rest of the batch:
-        // the settle loop then just copies the result into the report.
-        let mut session = LintSession::with_config(config.clone());
-        let mut diags: Vec<Diagnostic> = Vec::new();
-        for chunk in body.as_bytes().chunks(FETCH_CHUNK) {
-            diags.extend(session.feed(chunk));
-        }
-        diags.extend(session.finish());
-        *diagnostics = Some(diags);
-    }
-    task.outcome = Some((outcome, redirects));
-    task.hops = hops;
-    task.cost_us = cost_us;
-    task.bad = bad;
-    task.hedge_fired = fired;
-    task.hedge_won = won;
-}
-
-/// HEAD transport used during link validation: the bare fetcher for the
-/// sequential crawl, or the stack — guarded drive plus a pacing
-/// observation — for the adaptive one.
-trait HeadProbe {
-    fn probe(&self, url: &Url) -> (Status, String);
-}
-
-struct FetcherProbe<'a>(&'a dyn Fetcher);
-
-impl HeadProbe for FetcherProbe<'_> {
-    fn probe(&self, url: &Url) -> (Status, String) {
-        self.0.head(url)
-    }
-}
-
-struct StackProbe<'a, F: Fetcher>(&'a FetchStack<F>);
-
-impl<F: Fetcher> HeadProbe for StackProbe<'_, F> {
-    fn probe(&self, url: &Url) -> (Status, String) {
-        let (result, cost) = self.0.head_cost(url);
-        let bad = cost.shed || cost.retries > 0 || transient(&result.0);
-        self.0.pacer().observe(
-            &url.host,
-            Observation {
-                clean: !bad,
-                bad,
-                latency_us: cost.virtual_us(),
-            },
-        );
-        result
-    }
-}
-
-impl Default for Robot {
-    fn default() -> Robot {
-        Robot::new(RobotOptions::default())
-    }
+    );
+    result
 }
 
 /// Why a URL could not be checked.
@@ -1226,6 +771,9 @@ struct WaveAssignment {
     candidates: Vec<Candidate>,
     /// Link-validation probes (HEAD only), sorted by `(depth, url)`.
     probes: Vec<Candidate>,
+    /// Budget cut: HEAD-validate `candidates` but fetch none of them.
+    /// They stay pending in the frontier unless they are dead.
+    cut: bool,
     /// Chaos: panic midway through this wave.
     inject_panic: bool,
 }
@@ -1248,6 +796,9 @@ struct WaveDelta {
     /// Links to HEAD-validate but never crawl: external targets and
     /// same-site links past the depth bound.
     probe_requests: Vec<Candidate>,
+    /// Candidates found dead. Only a budget cut leaves them pending, and
+    /// the coordinator drops them from the frontier.
+    dead_pending: Vec<String>,
     redirects: u64,
     stack: StackState,
 }
@@ -1283,8 +834,8 @@ fn dead_reason(status: &Status, external: bool) -> Option<String> {
 }
 
 /// Run one shard's wave on its own thread: HEAD-validate probes,
-/// classify candidates, then GET + lint pages in bounded batches with
-/// the same issue-order settling discipline as [`Robot::crawl_stack`].
+/// classify candidates, then GET + lint pages in bounded batches, settled
+/// in issue order.
 /// Everything order-sensitive happens in `(depth, url)` order, so the
 /// delta is a pure function of (assignment, restored stack state).
 fn run_shard_wave<F: Fetcher + Sync>(
@@ -1294,9 +845,8 @@ fn run_shard_wave<F: Fetcher + Sync>(
     assignment: &WaveAssignment,
 ) -> WaveDelta {
     let mut delta = WaveDelta::default();
-    let probe = StackProbe(stack);
     for request in &assignment.probes {
-        let (status, _) = probe.probe(&request.url);
+        let (status, _) = probe(stack, &request.url);
         let external = !federation.contains(&request.url.host);
         if let Some(reason) = dead_reason(&status, external) {
             let (page, href) = attribution(request);
@@ -1307,7 +857,7 @@ fn run_shard_wave<F: Fetcher + Sync>(
     // phase, assets are done, the dead are reported.
     let mut gets: Vec<&Candidate> = Vec::new();
     for candidate in &assignment.candidates {
-        match probe.probe(&candidate.url) {
+        match probe(stack, &candidate.url) {
             (Status::Ok, ct) if ct.starts_with("text/html") => gets.push(candidate),
             (Status::Ok, _) => {}
             (Status::Redirect(_), _) => gets.push(candidate),
@@ -1315,9 +865,13 @@ fn run_shard_wave<F: Fetcher + Sync>(
                 if let Some(reason) = dead_reason(&status, false) {
                     let (page, href) = attribution(candidate);
                     delta.dead_links.push(DeadLink { page, href, reason });
+                    delta.dead_pending.push(candidate.url.to_string());
                 }
             }
         }
+    }
+    if assignment.cut {
+        gets.clear();
     }
     if assignment.inject_panic && gets.is_empty() {
         panic!("injected shard death");
@@ -1328,39 +882,24 @@ fn run_shard_wave<F: Fetcher + Sync>(
     let mut index = 0usize;
     let mut first_batch = true;
     while index < gets.len() {
-        let batch_start = index;
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut batch: Vec<FetchTask> = Vec::new();
+        let mut batch: Vec<(&Candidate, HedgeToken)> = Vec::new();
         while index < gets.len() && batch.len() < options.jobs {
-            let host = gets[index].url.host.as_str();
+            let candidate = gets[index];
+            let host = candidate.url.host.as_str();
             let limit = stack.pacer().limit(host).max(1);
             let seen = counts.get(host).copied().unwrap_or(0);
             if !batch.is_empty() && seen >= limit {
                 break;
             }
             *counts.entry(host).or_insert(0) += 1;
-            let url = gets[index].url.clone();
-            let token = stack
-                .pacer()
-                .authorize(&url.host, stack.breaker_state(&url.host));
-            batch.push(FetchTask::new(url, gets[index].depth, token));
+            let token = stack.pacer().authorize(host, stack.breaker_state(host));
+            batch.push((candidate, token));
             index += 1;
         }
-        run_batch(
-            options.max_redirects,
-            stack,
-            Some(&options.lint),
-            &mut batch,
-        );
-        for (offset, task) in batch.into_iter().enumerate() {
-            settle_sharded_task(
-                options,
-                federation,
-                stack,
-                gets[batch_start + offset],
-                task,
-                &mut delta,
-            );
+        let fetched = run_batch(options, stack, &batch);
+        for ((candidate, _), fetched) in batch.into_iter().zip(fetched) {
+            settle_sharded_task(options, federation, stack, candidate, fetched, &mut delta);
         }
         if assignment.inject_panic && first_batch {
             // Mid-wave: some of this wave's work is settled, the rest is
@@ -1375,36 +914,35 @@ fn run_shard_wave<F: Fetcher + Sync>(
 }
 
 /// Settle one sharded GET in issue order: resilience + pacer feedback,
-/// then lint, then route the page's links.
+/// then record the page and route its links.
 fn settle_sharded_task<F: Fetcher>(
     options: &RobotOptions,
     federation: &BTreeSet<String>,
     stack: &FetchStack<F>,
     candidate: &Candidate,
-    task: FetchTask,
+    fetched: Fetched,
     delta: &mut WaveDelta,
 ) {
-    for (hop_host, record) in &task.hops {
+    for (hop_host, record) in &fetched.hops {
         stack.settle_hop(hop_host, record);
     }
-    let host = task.url.host.as_str();
+    let host = candidate.url.host.as_str();
     stack
         .pacer()
-        .settle_hedge(host, task.token, task.hedge_fired, task.hedge_won);
+        .settle_hedge(host, fetched.token, fetched.hedge_fired, fetched.hedge_won);
     stack.pacer().observe(
         host,
         Observation {
-            clean: !task.bad,
-            bad: task.bad,
-            latency_us: task.cost_us,
+            clean: !fetched.bad,
+            bad: fetched.bad,
+            latency_us: fetched.cost_us,
         },
     );
-    let (outcome, redirects) = task.outcome.expect("batch ran every task");
-    delta.redirects += redirects as u64;
-    match outcome {
+    delta.redirects += fetched.redirects as u64;
+    match fetched.outcome {
         FetchOutcome::Skip => {}
         FetchOutcome::Dead { href, reason } => delta.dead_links.push(DeadLink {
-            page: task.url.clone(),
+            page: candidate.url.clone(),
             href,
             reason,
         }),
@@ -1413,7 +951,6 @@ fn settle_sharded_task<F: Fetcher>(
             body,
             diagnostics,
         } => {
-            let diagnostics = diagnostics.expect("run_batch lints every page it fetches");
             let links = extract_links(&body);
             delta.pages.push(CrawledPage {
                 url: final_url.clone(),
@@ -1452,6 +989,11 @@ fn settle_sharded_task<F: Fetcher>(
 }
 
 impl Robot {
+    /// A robot with the given options.
+    pub fn new(options: RobotOptions) -> Robot {
+        Robot { options }
+    }
+
     /// Crawl `starts` partitioned across `opts.shards` shard threads,
     /// each owning the hosts that hash to it ([`shard_of`]) and running
     /// its own [`FetchStack`] built by `make_stack(shard)`.
@@ -1560,11 +1102,16 @@ impl Robot {
                 break;
             }
             let remaining = self.options.max_pages.saturating_sub(pages_total);
-            if remaining == 0 && pending_probes == 0 {
-                truncated = true;
+            // Budget cut: no fetch is left, but the links crawled pages
+            // found still get their HEAD check in one last wave.
+            let cut = remaining == 0 && pending_pages > 0;
+            if cut && truncated {
+                // Resumed from the checkpoint this cut wrote: its pending
+                // links were validated before it was saved.
                 outcome = ShardedOutcome::Paused;
                 break;
             }
+            truncated = cut;
 
             // Global budget cut: the first `remaining` pending
             // candidates in (depth, url) order run this wave; the rest
@@ -1583,7 +1130,19 @@ impl Robot {
             }
             let mut assignments: Vec<WaveAssignment> = Vec::with_capacity(shards);
             for (i, w) in work.iter_mut().enumerate() {
-                let candidates = w.frontier.extract(&assigned[i]);
+                let candidates = if cut {
+                    // Seeds no crawled page linked to are not checked.
+                    let mut found: Vec<Candidate> = w
+                        .frontier
+                        .pending_candidates()
+                        .into_iter()
+                        .filter(|c| !c.via.is_empty())
+                        .collect();
+                    found.sort_by_key(|c| (c.depth, c.url.to_string()));
+                    found
+                } else {
+                    w.frontier.extract(&assigned[i])
+                };
                 let probe_urls: Vec<String> = w
                     .probes
                     .pending_candidates()
@@ -1594,6 +1153,7 @@ impl Robot {
                 assignments.push(WaveAssignment {
                     candidates,
                     probes,
+                    cut,
                     inject_panic: chaos_panic == Some((i, wave)),
                 });
             }
@@ -1663,6 +1223,7 @@ impl Robot {
                 w.dead_links.extend(delta.dead_links);
                 w.redirects += delta.redirects;
                 w.stack = delta.stack;
+                w.frontier.extract(&delta.dead_pending);
                 discovered_all.extend(delta.discovered);
                 probes_all.extend(delta.probe_requests);
             }
@@ -1683,6 +1244,10 @@ impl Robot {
                 work[owner].probes.admit(candidate);
             }
             wave += 1;
+            if cut {
+                outcome = ShardedOutcome::Paused;
+                break;
+            }
 
             if let Some(cfg) = &opts.checkpoint {
                 let pages_now: usize = work.iter().map(|w| w.pages.len()).sum();
@@ -1793,6 +1358,7 @@ impl Robot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::web::SharedWeb;
 
     fn page(body: &str) -> String {
         format!(
@@ -1803,6 +1369,18 @@ mod tests {
 
     fn start() -> Url {
         Url::parse("http://site/index.html").unwrap()
+    }
+
+    /// A plain crawl from [`start`]: one shard over a bare stack.
+    fn crawl_site(robot: &Robot, web: &SharedWeb) -> RobotReport {
+        robot
+            .crawl_sharded(
+                &[start()],
+                |_| FetchStack::new(web.clone()).build(),
+                &ShardedOptions::default(),
+            )
+            .expect("an in-memory crawl cannot fail")
+            .report
     }
 
     #[test]
@@ -1817,7 +1395,7 @@ mod tests {
             "http://site/d/b.html",
             page("<P><A HREF=\"../a.html\">back</A></P>"),
         );
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         assert_eq!(report.pages.len(), 3);
         assert!(report.dead_links.is_empty());
         assert!(!report.truncated);
@@ -1830,7 +1408,7 @@ mod tests {
             "http://site/index.html",
             page("<P><A HREF=\"gone.html\">x</A></P>"),
         );
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         assert_eq!(report.dead_links.len(), 1);
         assert_eq!(report.dead_links[0].href, "gone.html");
         assert!(report.dead_links[0].reason.contains("404"));
@@ -1845,7 +1423,7 @@ mod tests {
         );
         web.add_redirect("http://site/moved.html", "http://site/new.html");
         web.add_page("http://site/new.html", page("<P>landed</P>"));
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         assert_eq!(report.pages.len(), 2);
         assert_eq!(report.redirects_followed, 1);
         assert!(report.dead_links.is_empty());
@@ -1855,7 +1433,7 @@ mod tests {
     fn redirect_loops_bounded() {
         let mut web = SimulatedWeb::new();
         web.add_redirect("http://site/index.html", "http://site/index.html");
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         assert!(report
             .dead_links
             .iter()
@@ -1873,7 +1451,7 @@ mod tests {
             ),
         );
         web.add_page("http://other/ok.html", page("<P>elsewhere</P>"));
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         // Only the start page is fetched; the external 404 is reported.
         assert_eq!(report.pages.len(), 1);
         assert_eq!(report.dead_links.len(), 1);
@@ -1891,7 +1469,7 @@ mod tests {
             check_external: false,
             ..RobotOptions::default()
         });
-        let report = robot.crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&robot, &SharedWeb::new(web));
         assert!(report.dead_links.is_empty());
     }
 
@@ -1912,7 +1490,7 @@ mod tests {
             max_pages: 3,
             ..RobotOptions::default()
         });
-        let report = robot.crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&robot, &SharedWeb::new(web));
         assert_eq!(report.pages.len(), 3);
         assert!(report.truncated);
     }
@@ -1925,7 +1503,7 @@ mod tests {
             page("<P><A HREF=\"bad.html\">x</A></P>"),
         );
         web.add_page("http://site/bad.html", page("<H1>oops</H2>"));
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         assert_eq!(report.total_diagnostics(), 1);
         let bad = report
             .pages
@@ -1933,28 +1511,6 @@ mod tests {
             .find(|p| p.url.path == "/bad.html")
             .unwrap();
         assert_eq!(bad.diagnostics[0].id, "heading-mismatch");
-    }
-
-    #[test]
-    fn crawl_with_service_matches_sequential() {
-        let mut web = SimulatedWeb::new();
-        web.add_page(
-            "http://site/index.html",
-            page("<P><A HREF=\"a.html\">a</A> <A HREF=\"gone.html\">x</A></P>"),
-        );
-        web.add_page("http://site/a.html", page("<H1>oops</H2>"));
-        let robot = Robot::default();
-        let sequential = robot.crawl(&WebFetcher::new(&web), &start());
-        let service = LintService::with_config(LintConfig::default());
-        let fanned = robot.crawl_with(&WebFetcher::new(&web), &start(), &service);
-        assert_eq!(fanned.pages.len(), sequential.pages.len());
-        for (a, b) in fanned.pages.iter().zip(&sequential.pages) {
-            assert_eq!(a.url, b.url);
-            assert_eq!(a.diagnostics, b.diagnostics);
-            assert_eq!((a.link_count, a.depth), (b.link_count, b.depth));
-        }
-        assert_eq!(fanned.dead_links.len(), sequential.dead_links.len());
-        assert_eq!(service.metrics().jobs_completed, 2);
     }
 
     #[test]
@@ -1970,7 +1526,7 @@ mod tests {
         );
         web.add_page("http://site/b.html", page("<P>leaf</P>"));
         web.add_page("http://site/deep.html", page("<P>deep</P>"));
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         assert_eq!(report.max_depth(), 2);
         assert_eq!(report.depth_histogram(), vec![1, 2, 1]);
         let deep = report
@@ -1984,7 +1540,7 @@ mod tests {
     #[test]
     fn empty_crawl_has_empty_histogram() {
         let web = SimulatedWeb::new();
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&Robot::default(), &SharedWeb::new(web));
         assert!(report.depth_histogram().is_empty());
         assert_eq!(report.max_depth(), 0);
     }
@@ -2003,7 +1559,14 @@ mod tests {
         );
         store.insert("sub/pic.gif", "GIF89a");
         let fetcher = StoreFetcher::new(&store, "local");
-        let report = Robot::default().crawl(&fetcher, &fetcher.start_url());
+        let report = Robot::default()
+            .crawl_sharded(
+                &[fetcher.start_url()],
+                |_| FetchStack::new(StoreFetcher::new(&store, "local")).build(),
+                &ShardedOptions::default(),
+            )
+            .unwrap()
+            .report;
         assert_eq!(report.pages.len(), 2);
         assert!(report.dead_links.is_empty());
         // Content types derived from extension:
@@ -2061,8 +1624,8 @@ mod tests {
 
     #[test]
     fn crawl_lints_during_fetch_and_matches_one_shot() {
-        // The sequential crawl lints pages as their bytes stream in; the
-        // report must match linting each page after the fact.
+        // The crawl lints each page on its fetch worker; the report must
+        // match linting each page after the fact.
         let mut web = SimulatedWeb::new();
         web.add_page(
             "http://site/index.html",
@@ -2070,12 +1633,12 @@ mod tests {
         );
         web.add_redirect("http://site/a.html", "http://site/b.html");
         web.add_page("http://site/b.html", page("<IMG SRC=\"p.gif\">"));
-        let robot = Robot::default();
-        let report = robot.crawl(&WebFetcher::new(&web), &start());
+        let web = SharedWeb::new(web);
+        let report = crawl_site(&Robot::default(), &web);
         assert_eq!(report.pages.len(), 2);
         let mut weblint = LintSession::with_config(RobotOptions::default().lint.clone());
         for crawled in &report.pages {
-            let (_, _, body) = WebFetcher::new(&web).get(&crawled.url);
+            let (_, _, body) = web.get(&crawled.url);
             assert_eq!(crawled.diagnostics, weblint.check_string(&body));
         }
         assert!(report.pages[0]
@@ -2118,69 +1681,13 @@ mod tests {
         );
         web.add_page("http://site/b.html", page("<P>leaf</P>"));
         let robot = Robot::new(RobotOptions::builder().max_depth(1).build());
-        let report = robot.crawl(&WebFetcher::new(&web), &start());
+        let report = crawl_site(&robot, &SharedWeb::new(web));
         // Depth 0 and 1 are crawled; b.html (depth 2) is not — but the
         // dead link on the depth-1 page is still reported.
         assert_eq!(report.pages.len(), 2);
         assert_eq!(report.max_depth(), 1);
         assert_eq!(report.dead_links.len(), 1);
         assert!(!report.truncated);
-    }
-
-    fn shared_site() -> crate::web::SharedWeb {
-        let mut web = SimulatedWeb::new();
-        web.add_page(
-            "http://site/index.html",
-            page(
-                "<P><A HREF=\"a.html\">a</A> <A HREF=\"b.html\">b</A> \
-                 <A HREF=\"gone.html\">x</A></P>",
-            ),
-        );
-        web.add_page(
-            "http://site/a.html",
-            page("<H1>oops</H2><P><A HREF=\"c.html\">c</A></P>"),
-        );
-        web.add_page("http://site/b.html", page("<P>leaf</P>"));
-        web.add_page("http://site/c.html", page("<P>deep</P>"));
-        crate::web::SharedWeb::new(web)
-    }
-
-    #[test]
-    fn crawl_stack_matches_sequential_crawl() {
-        let robot = Robot::new(RobotOptions::builder().jobs(4).build());
-        let sequential = {
-            let web = shared_site();
-            robot.crawl(&web, &start())
-        };
-        let stack = FetchStack::new(shared_site()).adaptive_defaults().build();
-        let adaptive = robot.crawl_stack(&stack, &start());
-        assert_eq!(adaptive.pages.len(), sequential.pages.len());
-        for (a, b) in adaptive.pages.iter().zip(&sequential.pages) {
-            assert_eq!(a.url, b.url, "page order must match BFS");
-            assert_eq!(a.diagnostics, b.diagnostics);
-            assert_eq!((a.link_count, a.depth), (b.link_count, b.depth));
-        }
-        assert_eq!(adaptive.dead_links.len(), sequential.dead_links.len());
-        assert_eq!(adaptive.redirects_followed, sequential.redirects_followed);
-        // The pacer saw the crawl: every GET was authorized and observed.
-        let pacing = stack.pacer().stats();
-        let (host, site) = &pacing.hosts[0];
-        assert_eq!(host, "site");
-        assert_eq!(site.authorized, 4, "index + a + b + c");
-        assert_eq!(site.clean + site.bad, 4 + 4, "4 GETs + 4 link HEADs");
-    }
-
-    #[test]
-    fn crawl_stack_with_service_matches_and_truncates() {
-        let robot = Robot::new(RobotOptions::builder().jobs(3).max_pages(2).build());
-        let stack = FetchStack::new(shared_site()).adaptive_defaults().build();
-        let service = LintService::with_config(LintConfig::default());
-        let report = robot.crawl_stack_with(&stack, &start(), &service);
-        assert_eq!(report.pages.len(), 2, "page budget holds under batching");
-        assert!(report.truncated);
-        assert!(report.pages.iter().all(|p| p.url.host == "site"));
-        // The service really linted: a.html's heading mismatch surfaced.
-        assert_eq!(report.total_diagnostics(), 1);
     }
 
     #[test]
@@ -2194,9 +1701,66 @@ mod tests {
             "http://site/logo.gif",
             crate::web::Resource::asset("image/gif"),
         );
-        let report = Robot::default().crawl(&WebFetcher::new(&web), &start());
+        let web = SharedWeb::new(web);
+        let report = crawl_site(&Robot::default(), &web);
         assert_eq!(report.pages.len(), 1);
         assert!(report.dead_links.is_empty());
-        assert_eq!(web.stats().heads, 1);
+        // The seed's own HEAD plus the image's.
+        assert_eq!(web.stats().heads, 2);
+    }
+
+    /// `index` links `a` and `b`; `a` links `c` and the missing `gone`.
+    fn four_page_site() -> SharedWeb {
+        let mut web = SimulatedWeb::new();
+        web.add_page(
+            "http://site/index.html",
+            page("<P><A HREF=\"a.html\">a</A> <A HREF=\"b.html\">b</A></P>"),
+        );
+        web.add_page(
+            "http://site/a.html",
+            page("<P><A HREF=\"c.html\">c</A> <A HREF=\"gone.html\">x</A></P>"),
+        );
+        web.add_page("http://site/b.html", page("<P>leaf</P>"));
+        web.add_page("http://site/c.html", page("<P>deep</P>"));
+        SharedWeb::new(web)
+    }
+
+    #[test]
+    fn truncated_crawl_still_validates_links_on_crawled_pages() {
+        let web = four_page_site();
+        let robot = Robot::new(RobotOptions::builder().max_pages(2).build());
+        let report = crawl_site(&robot, &web);
+        assert!(report.truncated);
+        let crawled: Vec<&str> = report.pages.iter().map(|p| p.url.path.as_str()).collect();
+        assert_eq!(crawled, ["/index.html", "/a.html"]);
+        assert_eq!(report.dead_links.len(), 1, "{:?}", report.dead_links);
+        assert_eq!(report.dead_links[0].page.path, "/a.html");
+        assert_eq!(report.dead_links[0].href, "gone.html");
+
+        // The live links stay pending: a checkpointed cut resumes with a
+        // bigger budget, crawls them, and reports the dead link once.
+        let dir = std::env::temp_dir().join(format!("weblint-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ShardedOptions {
+            checkpoint: Some(CheckpointConfig {
+                dir: dir.clone(),
+                every_pages: 64,
+                config_token: String::new(),
+            }),
+            resume: true,
+            ..ShardedOptions::default()
+        };
+        let make_stack = |_| FetchStack::new(web.clone()).build();
+        let cut = robot.crawl_sharded(&[start()], make_stack, &opts).unwrap();
+        assert_eq!(cut.outcome, ShardedOutcome::Paused);
+        assert_eq!(cut.report.dead_links.len(), 1);
+        let wider = Robot::new(RobotOptions::builder().max_pages(10).build());
+        let resumed = wider.crawl_sharded(&[start()], make_stack, &opts).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(resumed.resumed_from_wave.is_some());
+        assert_eq!(resumed.outcome, ShardedOutcome::Complete);
+        assert!(!resumed.report.truncated);
+        assert_eq!(resumed.report.pages.len(), 4);
+        assert_eq!(resumed.report.dead_links.len(), 1);
     }
 }

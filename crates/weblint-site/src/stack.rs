@@ -18,9 +18,10 @@
 //! assert!(stack.telemetry().to_string().contains("pacing:"));
 //! ```
 //!
-//! Each layer is optional and independently toggled; [`FetchStack`]
-//! itself implements [`Fetcher`], so it drops into `Robot::crawl` or any
-//! other consumer unchanged. [`FetchStack::telemetry`] returns the one
+//! Each layer is optional and independently toggled; a stack with no
+//! layers is the plain transport that [`crate::Robot::crawl_sharded`]
+//! builds per shard, and [`FetchStack`] itself implements [`Fetcher`],
+//! so it drops into any other consumer unchanged. [`FetchStack::telemetry`] returns the one
 //! unified snapshot ([`StackTelemetry`]) whose `Display` is the single
 //! render path shared by poacher `-stats` and the httpd `/metrics`
 //! endpoint — the two can no longer drift.

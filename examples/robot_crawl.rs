@@ -11,7 +11,9 @@
 //! cargo run --example robot_crawl
 //! ```
 
-use weblint::site::{Robot, RobotOptions, SimulatedWeb, Url, WebFetcher};
+use weblint::site::{
+    FetchStack, Robot, RobotOptions, ShardedOptions, SharedWeb, SimulatedWeb, Url,
+};
 
 fn page(title: &str, body: &str) -> String {
     format!(
@@ -54,9 +56,18 @@ fn main() {
         page("partner", "<P>Hello from the partner.</P>"),
     );
 
+    // One shard over a bare fetch stack: the plain sequential crawl.
+    let web = SharedWeb::new(web);
     let robot = Robot::new(RobotOptions::default());
     let start = Url::parse("http://www.example.org/index.html").expect("valid URL");
-    let report = robot.crawl(&WebFetcher::new(&web), &start);
+    let report = robot
+        .crawl_sharded(
+            &[start],
+            |_| FetchStack::new(web.clone()).build(),
+            &ShardedOptions::default(),
+        )
+        .expect("an in-memory crawl cannot fail")
+        .report;
 
     println!("crawled {} page(s):", report.pages.len());
     for crawled in &report.pages {

@@ -51,25 +51,43 @@ fn site() -> SharedWeb {
     SharedWeb::new(web)
 }
 
+/// Crawl [`site`] from its index with `jobs` pages in flight: one shard
+/// over the stack `make_stack` builds.
+fn crawl_site<F: Fetcher + Sync>(
+    jobs: usize,
+    make_stack: impl Fn(usize) -> FetchStack<F> + Sync,
+) -> ShardedReport {
+    let robot = Robot::new(
+        RobotOptions::builder()
+            .max_pages(100)
+            .jobs(jobs)
+            .check_external(false)
+            .build(),
+    );
+    let start = Url::parse("http://chaos/index.html").unwrap();
+    robot
+        .crawl_sharded(&[start], make_stack, &ShardedOptions::default())
+        .unwrap()
+}
+
 /// One chaotic crawl, reduced to a comparable fingerprint: both stats
 /// blocks verbatim (they include retry counts and virtual backoff, so
 /// two equal fingerprints mean the entire retry/backoff/breaker history
 /// matched) plus the crawl's shape.
 fn chaotic_crawl(seed: u64, rate: u8) -> (String, String, usize, usize) {
-    let fetcher =
-        ResilientFetcher::with_defaults(FaultyWeb::new(site(), FaultSpec::all(rate), seed), seed);
-    let robot = Robot::new(
-        RobotOptions::builder()
-            .max_pages(100)
-            .check_external(false)
-            .build(),
-    );
-    let report = robot.crawl(&fetcher, &Url::parse("http://chaos/index.html").unwrap());
+    let web = site();
+    let run = crawl_site(1, |_| {
+        FetchStack::new(web.clone())
+            .faults(FaultSpec::all(rate), seed)
+            .resilience_defaults()
+            .build()
+    });
+    let telemetry = &run.telemetry[0].1;
     (
-        fetcher.inner().stats().to_string(),
-        fetcher.stats().to_string(),
-        report.pages.len(),
-        report.dead_links.len(),
+        telemetry.faults.as_ref().unwrap().to_string(),
+        telemetry.resilience.as_ref().unwrap().to_string(),
+        run.report.pages.len(),
+        run.report.dead_links.len(),
     )
 }
 
@@ -333,29 +351,25 @@ fn hedges_respect_the_breaker_and_the_budget() {
 /// One adaptive chaotic crawl — parallel fetches, AIMD pacing, hedging —
 /// reduced to a fingerprint: the full telemetry plus the crawl's shape.
 fn adaptive_crawl(seed: u64) -> (String, Vec<String>, usize) {
-    let stack = FetchStack::new(site())
-        .faults(FaultSpec::all(20), seed)
-        .resilience_defaults()
-        .adaptive_defaults()
-        .hedging_defaults()
-        .build();
-    let robot = Robot::new(
-        RobotOptions::builder()
-            .max_pages(100)
-            .jobs(4)
-            .check_external(false)
-            .build(),
-    );
-    let report = robot.crawl_stack(&stack, &Url::parse("http://chaos/index.html").unwrap());
-    let shape = report
+    let web = site();
+    let run = crawl_site(4, |_| {
+        FetchStack::new(web.clone())
+            .faults(FaultSpec::all(20), seed)
+            .resilience_defaults()
+            .adaptive_defaults()
+            .hedging_defaults()
+            .build()
+    });
+    let shape = run
+        .report
         .pages
         .iter()
         .map(|p| format!("{} d{} m{}", p.url, p.depth, p.diagnostics.len()))
         .collect();
     (
-        stack.telemetry().to_string(),
+        run.telemetry[0].1.to_string(),
         shape,
-        report.dead_links.len(),
+        run.report.dead_links.len(),
     )
 }
 

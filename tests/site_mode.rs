@@ -2,8 +2,24 @@
 //! generated sites.
 
 use weblint::corpus::{generate_site, SiteOptions};
-use weblint::site::{MemStore, Robot, RobotOptions, SimulatedWeb, SiteChecker, Url, WebFetcher};
+use weblint::site::{
+    FetchStack, MemStore, Robot, RobotOptions, RobotReport, ShardedOptions, SharedWeb,
+    SimulatedWeb, SiteChecker, Url,
+};
 use weblint::LintConfig;
+
+/// Crawl a simulated site from its index page: one shard, a bare stack.
+fn crawl_site(robot: &Robot, web: SimulatedWeb) -> RobotReport {
+    let web = SharedWeb::new(web);
+    robot
+        .crawl_sharded(
+            &[Url::parse("http://site/index.html").unwrap()],
+            |_| FetchStack::new(web.clone()).build(),
+            &ShardedOptions::default(),
+        )
+        .unwrap()
+        .report
+}
 
 fn options(pages: usize) -> SiteOptions {
     SiteOptions {
@@ -102,8 +118,7 @@ fn robot_reaches_every_non_orphan_page() {
         );
     }
     let robot = Robot::new(RobotOptions::default());
-    let start = Url::parse("http://site/index.html").unwrap();
-    let report = robot.crawl(&WebFetcher::new(&web), &start);
+    let report = crawl_site(&robot, web);
 
     let non_orphans = spec.pages.iter().filter(|p| !p.orphan).count();
     assert_eq!(report.pages.len(), non_orphans);
@@ -138,8 +153,7 @@ fn robot_and_r_mode_agree_on_page_lint() {
             .map(|p| (p.path.as_str(), p.html.as_str())),
     );
     let robot = Robot::new(RobotOptions::builder().check_external(false).build());
-    let start = Url::parse("http://site/index.html").unwrap();
-    let crawl = robot.crawl(&WebFetcher::new(&web), &start);
+    let crawl = crawl_site(&robot, web);
 
     for crawled in &crawl.pages {
         let path = crawled.url.path.trim_start_matches('/');

@@ -10,9 +10,25 @@ use rand::SeedableRng;
 
 use weblint::corpus::{all_defect_classes, generate_document, generate_site, SiteOptions};
 use weblint::gateway::Gateway;
-use weblint::site::{MemStore, Robot, RobotOptions, SimulatedWeb, SiteChecker, Url, WebFetcher};
+use weblint::site::{
+    FetchStack, MemStore, Robot, RobotOptions, RobotReport, ShardedOptions, SharedWeb,
+    SimulatedWeb, SiteChecker, Url,
+};
 use weblint::validator::{HtmlChecker, RegexChecker, StrictValidator};
 use weblint::{LintConfig, LintSession};
+
+/// Crawl a simulated site from its index page: one shard, a bare stack.
+fn crawl_site(robot: &Robot, web: SimulatedWeb) -> RobotReport {
+    let web = SharedWeb::new(web);
+    robot
+        .crawl_sharded(
+            &[Url::parse("http://site/index.html").unwrap()],
+            |_| FetchStack::new(web.clone()).build(),
+            &ShardedOptions::default(),
+        )
+        .unwrap()
+        .report
+}
 
 #[test]
 fn engine_soak_over_many_documents() {
@@ -105,10 +121,7 @@ fn site_soak() {
             );
         }
         let robot = Robot::new(RobotOptions::default());
-        let crawl = robot.crawl(
-            &WebFetcher::new(&web),
-            &Url::parse("http://site/index.html").unwrap(),
-        );
+        let crawl = crawl_site(&robot, web);
         assert_eq!(
             crawl.pages.len(),
             spec.pages.iter().filter(|p| !p.orphan).count(),
