@@ -149,24 +149,18 @@ rm -rf "$ckroot"
 # identical at every width; criterion --test mode skips measurement.
 timeout 180 cargo bench -p weblint-bench --bench shards -- --test
 
-# C10k serving gates (E19). Mode parity first: both serving modes must
-# answer a 19-request corpus byte-identically with counters in
-# lockstep, then survive a 1000-connection two-round keep-alive soak
-# (the threaded fallback included, at a width its design still
-# carries). Under a hard cap so a deadlocked readiness loop fails CI
-# instead of hanging it.
+# C10k serving gates (E19). The wire transcript first: a 19-request
+# corpus must answer byte-for-byte as tests/golden/http_responses.txt
+# records, counter deltas and masked /metrics included, then the loop
+# must survive a 1000-connection two-round keep-alive soak. Under a
+# hard cap so a deadlocked readiness loop fails CI instead of hanging
+# it.
 timeout 120 cargo test -q --release --test event_loop
 
-# E19 bench smoke: burst throughput event-loop vs threaded at
-# 64/256/1024 connections (the loop is gated at >= 0.85x threaded at
-# every width) plus the idle phase — 10k parked keep-alive connections
+# E19 bench smoke: the idle phase — 10k parked keep-alive connections
 # on one loop thread with flat RSS and zero thread growth, asserted
 # from /proc/<pid>/status of the weblint-serve subprocess.
 timeout 300 cargo bench -p weblint-bench --bench c10k -- --test
-
-# The serve smoke must pass in the threaded fallback too.
-timeout 60 cargo run --release -p weblint-cli --bin weblint-serve -- \
-    -smoke -jobs 2 -threaded
 
 # Streaming session gates (E20). The chunk-boundary equivalence suite
 # proves diagnostics are byte-identical no matter where feed boundaries

@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use weblint_gateway::Gateway;
-use weblint_httpd::{client, HttpServer, ServerConfig, ServerMode};
+use weblint_httpd::{client, HttpServer, ServerConfig};
 use weblint_service::ServiceConfig;
 use weblint_site::{FaultSpec, SharedWeb, SimulatedWeb};
 
@@ -39,14 +39,9 @@ options:
   -jobs N       lint worker threads (default: one per CPU, capped at 8)
   -max-body N   largest accepted POST body in bytes (default 1048576)
   -max-findings N   stop a streamed lint after N findings; the truncated
-                response carries an X-Weblint-Truncated header (event
-                loop only; default 0 = report everything)
+                response carries an X-Weblint-Truncated header
+                (default 0 = report everything)
   -keep-alive on|off   persistent connections (default on)
-  -event-loop   serve every connection from one readiness loop (the
-                default; scales to tens of thousands of idle keep-alive
-                connections without a thread per connection); POST /lint
-                bodies are linted incrementally as their bytes arrive
-  -threaded     serve each connection on its own OS thread instead
   -idle-timeout SECS   drop idle or stalled connections after this many
                 seconds (default 5)
   -max-requests N   close a keep-alive connection after serving this
@@ -67,7 +62,6 @@ struct Options {
     max_body: usize,
     max_findings: usize,
     keep_alive: bool,
-    mode: ServerMode,
     idle_timeout: Option<Duration>,
     max_requests: Option<usize>,
     faults: Option<FaultSpec>,
@@ -87,7 +81,6 @@ fn parse(argv: &[String]) -> Result<Options, String> {
         max_body: 1 << 20,
         max_findings: 0,
         keep_alive: true,
-        mode: ServerMode::EventLoop,
         idle_timeout: None,
         max_requests: None,
         faults: None,
@@ -136,8 +129,6 @@ fn parse(argv: &[String]) -> Result<Options, String> {
                     _ => return Err(format!("-keep-alive needs on or off, got `{v}'")),
                 };
             }
-            "-event-loop" => options.mode = ServerMode::EventLoop,
-            "-threaded" => options.mode = ServerMode::Threaded,
             "-idle-timeout" => {
                 let v = it.next().ok_or("-idle-timeout needs seconds")?;
                 options.idle_timeout = Some(
@@ -215,7 +206,6 @@ fn server_config(options: &Options) -> ServerConfig {
         max_body: options.max_body,
         max_findings: options.max_findings,
         keep_alive: options.keep_alive,
-        mode: options.mode,
         faults: options.faults.clone(),
         fault_seed: options.fault_seed,
         adaptive: options.adaptive,
@@ -267,11 +257,7 @@ fn main() -> ExitCode {
         }
     };
     let addr = server.local_addr();
-    let mode = match options.mode {
-        ServerMode::EventLoop => "event-loop",
-        ServerMode::Threaded => "threaded",
-    };
-    println!("weblint-serve: listening on http://{addr}/ [{mode}] (POST /lint, POST /fix, GET /lint?url=..., /health, /metrics)");
+    println!("weblint-serve: listening on http://{addr}/ (POST /lint, POST /fix, GET /lint?url=..., /health, /metrics)");
     server.start().join();
     ExitCode::SUCCESS
 }
@@ -300,9 +286,8 @@ fn smoke(options: &Options) -> Result<String, String> {
         if health.status != 200 || health.body_text() != "ok\n" {
             return Err(format!("/health answered {}", health.status));
         }
-        // Lint the fixture twice: the repeat must be byte-identical —
-        // whether it streamed through a fresh session on the event loop
-        // or replayed from the threaded path's result cache.
+        // Lint the fixture twice: each streams through a fresh session on
+        // the event loop, and the repeat must be byte-identical.
         let first = ask("POST", "/lint?name=smoke.html", fixture.as_bytes())?;
         if first.status != 200 || !first.body_text().contains("malformed heading") {
             return Err(format!(
@@ -337,8 +322,8 @@ fn smoke(options: &Options) -> Result<String, String> {
             Some(n) if n.parse::<u64>().is_ok_and(|n| n >= 1) => {}
             other => return Err(format!("bad X-Weblint-Fixed-Count: {other:?}")),
         }
-        // Fix jobs always ride the worker pool (in either serving mode),
-        // so repeating the POST /fix exercises the result cache.
+        // Fix jobs ride the worker pool, so repeating the POST /fix
+        // exercises the result cache.
         let refixed = ask("POST", "/fix", fixture.as_bytes())?;
         if refixed.body != fixed.body {
             return Err("repeated POST /fix was not byte-identical".to_string());
@@ -417,21 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_flags_parse() {
-        assert_eq!(parse(&args(&[])).unwrap().mode, ServerMode::EventLoop);
-        assert_eq!(
-            parse(&args(&["-event-loop"])).unwrap().mode,
-            ServerMode::EventLoop
-        );
-        assert_eq!(
-            parse(&args(&["-threaded"])).unwrap().mode,
-            ServerMode::Threaded
-        );
-        // Last flag wins, like every other repeatable option.
-        assert_eq!(
-            parse(&args(&["-threaded", "-event-loop"])).unwrap().mode,
-            ServerMode::EventLoop
-        );
+    fn connection_cap_flags_parse() {
         let options = parse(&args(&["-idle-timeout", "300"])).unwrap();
         assert_eq!(options.idle_timeout, Some(Duration::from_secs(300)));
         assert_eq!(
@@ -497,13 +468,6 @@ mod tests {
     #[test]
     fn smoke_passes_end_to_end() {
         let options = parse(&args(&["-smoke", "-jobs", "2"])).unwrap();
-        let summary = smoke(&options).unwrap();
-        assert!(summary.contains("cache hit"), "{summary}");
-    }
-
-    #[test]
-    fn smoke_passes_threaded() {
-        let options = parse(&args(&["-smoke", "-jobs", "2", "-threaded"])).unwrap();
         let summary = smoke(&options).unwrap();
         assert!(summary.contains("cache hit"), "{summary}");
     }

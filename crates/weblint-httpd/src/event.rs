@@ -1,13 +1,12 @@
 //! The readiness loop: every connection on one thread.
 //!
-//! Thread-per-connection (the [`server`](crate::server) module's
-//! original design, kept as [`ServerMode::Threaded`]) spends a stack per
-//! connection, so 10k mostly-idle keep-alive clients cost gigabytes of
-//! address space and thousands of scheduler entities before the lint
-//! engine does any work. This module serves the same protocol from one
-//! thread: the listener, every connection, and a self-pipe are registered
-//! with a [`Poller`] (`epoll` on Linux, portable `poll` elsewhere), and
-//! each readiness report advances a per-connection state machine
+//! A thread per connection spends a stack per connection, so 10k
+//! mostly-idle keep-alive clients would cost gigabytes of address space
+//! and thousands of scheduler entities before the lint engine did any
+//! work. This module serves every connection from one thread instead:
+//! the listener, every connection, and a self-pipe are registered with a
+//! [`Poller`] (`epoll` on Linux, portable `poll` elsewhere), and each
+//! readiness report advances a per-connection state machine
 //!
 //! ```text
 //! ReadHead ─→ ReadBody ─→ Dispatched ─→ Write ─→ (keep-alive) ─→ ReadHead
@@ -15,26 +14,27 @@
 //!     └── 400/413 ─┴───────────────────────┴─→ Close
 //! ```
 //!
-//! Parsing reuses the exact blocking-parser code path: bytes accumulate
-//! in a per-connection buffer, and [`parse_head`] only runs over that
-//! buffer once [`find_head_end`]/[`head_overflow`] prove it can reach a
-//! verdict — so every malformed request earns byte-for-byte the same 400
-//! the threaded path produces, and every counter in `/metrics` moves at
-//! the same point in the request's life.
+//! Parsing reuses the blocking parser: bytes accumulate in a
+//! per-connection buffer, and [`parse_head`] only runs over that buffer
+//! once [`find_head_end`]/[`head_overflow`] prove it can reach a verdict,
+//! so a partial head is never misread as a truncated request.
 //!
-//! Lint work never runs on the loop thread. A completed parse becomes a
-//! [`Job`] for a small dispatcher pool (the only threads this mode
-//! spends), which calls the ordinary [`handle`] — worker-pool dispatch,
-//! load shedding, and panic isolation included — and posts a
+//! What runs where. A `POST /lint` body rendered as a text format (see
+//! [`stream_plan`]) is linted on the loop thread: each decoded chunk is
+//! fed to a [`LintStream`] as it lands, and the finished stream renders
+//! its response on the loop too, so the body is never buffered. Every
+//! other request — `POST /fix`, the HTML report, `GET /lint?url=…`,
+//! `/metrics` — buffers its body and becomes a [`Job`] for a small
+//! dispatcher pool, which calls the ordinary [`handle`] (worker-pool
+//! dispatch, load shedding, and panic isolation included) and posts a
 //! [`Completion`]. Dispatchers wake the loop through the self-pipe, so
-//! the loop blocks on readiness alone, never on lint latency.
+//! the loop never blocks on pooled lint latency.
 //!
-//! Deadlines replicate [`DeadlineStream`](crate::server)'s phases as
-//! absolute instants: idle keep-alive and body reads get the read
-//! timeout, a started head gets the (much shorter) header budget — the
-//! slowloris defense — and writes get the write timeout. A min-deadline
-//! hint keeps the wait timeout tight without scanning every connection
-//! on every wakeup.
+//! Deadlines are absolute instants per phase: idle keep-alive and body
+//! reads get the read timeout, a started head gets the (much shorter)
+//! header budget — the slowloris defense — and writes get the write
+//! timeout. A min-deadline hint keeps the wait timeout tight without
+//! scanning every connection on every wakeup.
 
 use std::collections::HashMap;
 use std::io::{self, Cursor, Read, Write};
@@ -65,8 +65,8 @@ struct Job {
 }
 
 /// A handled request on its way back to the loop. `response: None` means
-/// the handler panicked; the threaded path would lose its connection
-/// thread to the same panic, so the connection is dropped unanswered.
+/// the handler panicked outside the worker pool's own isolation, so the
+/// connection is dropped unanswered.
 struct Completion {
     fd: RawFd,
     response: Option<Response>,
@@ -177,13 +177,27 @@ impl Conn {
 }
 
 /// Accept backlog to request once the loop owns the listener; bursts of
-/// thousands of connects are this mode's whole point.
+/// thousands of connects are what the loop is for.
 const ACCEPT_BACKLOG: i32 = 4096;
 
+/// Create the loop's poller with the listener and the self-pipe's read
+/// end registered. Called at bind time, so a server that cannot get
+/// readiness notifications refuses to bind rather than serving some
+/// other way.
+pub(crate) fn poller_for(listener: &TcpListener, wake: &WakePipe) -> io::Result<Poller> {
+    let mut poller = Poller::new()?;
+    let listener_fd = listener.as_raw_fd();
+    sys::widen_backlog(listener_fd, ACCEPT_BACKLOG);
+    poller.register(listener_fd, READABLE)?;
+    poller.register(wake.read_fd(), READABLE)?;
+    Ok(poller)
+}
+
 /// Run the event loop until `stop` is set and every connection has
-/// drained. Falls back to the threaded accept loop if no poller can be
-/// created (readiness syscalls unavailable).
+/// drained. `poller` comes from [`poller_for`] on the same listener and
+/// self-pipe.
 pub(crate) fn event_loop(
+    poller: Poller,
     listener: TcpListener,
     app: Arc<App>,
     limits: ConnLimits,
@@ -191,19 +205,7 @@ pub(crate) fn event_loop(
     wake: Arc<WakePipe>,
     dispatchers: usize,
 ) {
-    let mut poller = match Poller::new() {
-        Ok(poller) => poller,
-        Err(_) => return crate::server::accept_loop(listener, app, limits, stop),
-    };
     let listener_fd = listener.as_raw_fd();
-    sys::widen_backlog(listener_fd, ACCEPT_BACKLOG);
-    if poller.register(listener_fd, READABLE).is_err()
-        || poller.register(wake.read_fd(), READABLE).is_err()
-    {
-        poller.deregister(listener_fd);
-        return crate::server::accept_loop(listener, app, limits, stop);
-    }
-
     let (job_tx, job_rx) = channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
     let completions: Arc<Mutex<Vec<Completion>>> = Arc::default();
@@ -287,8 +289,7 @@ struct EventLoop {
     /// count — a connection holds at most one job in flight (it parks in
     /// [`State::Dispatched`] until the completion drains) — so the
     /// unbounded channel cannot outgrow the accepted population. Lint
-    /// overload is shed inside [`handle`] by the service submit policy,
-    /// exactly as on the threaded path.
+    /// overload is shed inside [`handle`] by the service submit policy.
     pending: usize,
     /// Earliest deadline across all connections — may be stale-early
     /// (a connection advanced past it), never stale-late, so waking on it
@@ -329,9 +330,7 @@ impl EventLoop {
     }
 
     /// Stop accepting and close idle connections; in-flight requests
-    /// keep their deadlines and finish (the same grace the threaded path
-    /// gives — its connection threads also only check `stop` between
-    /// requests).
+    /// keep their deadlines, finish, and are answered.
     fn begin_stop(&mut self) {
         self.stopping = true;
         self.poller.deregister(self.listener_fd);
@@ -442,8 +441,7 @@ impl EventLoop {
                     if !*started {
                         if conn.buf.is_empty() {
                             if conn.eof {
-                                // Clean close between requests — exactly
-                                // the threaded path's `Ok([])` arm.
+                                // Clean close between requests.
                                 self.close(fd);
                             }
                             return;
@@ -479,8 +477,8 @@ impl EventLoop {
                             if *remaining == 0 {
                                 BodyVerdict::Complete
                             } else if conn.eof {
-                                // The threaded path's read_body maps this
-                                // UnexpectedEof to the same 400.
+                                // The peer closed before the body was
+                                // complete.
                                 BodyVerdict::Refuse(
                                     Response::text(
                                         400,
@@ -610,7 +608,7 @@ impl EventLoop {
                         }
                     }
                     // Response fully flushed: only now do the wire
-                    // counters move, exactly like the threaded path.
+                    // counters move.
                     HttpCounters::add(&self.app.counters.bytes_out, conn.out.len() as u64);
                     HttpCounters::bump(&self.app.counters.requests);
                     if !keep {
@@ -699,9 +697,8 @@ impl EventLoop {
     }
 
     /// Serialize a response and start (or finish) writing it. The keep
-    /// decision happens here, after the response exists — the same order
-    /// as the threaded path, so the request cap and shutdown flip the
-    /// `Connection:` header identically.
+    /// decision happens here, after the response exists, so the request
+    /// cap and shutdown flip the response's `Connection:` header.
     fn respond(&mut self, fd: RawFd, response: Response, head_only: bool, keep: bool) {
         let stop = self.stop.load(Ordering::Acquire);
         let max_requests = self.limits.max_requests;
@@ -747,9 +744,9 @@ impl EventLoop {
         }
     }
 
-    /// Close every connection whose deadline has passed, counting it the
-    /// way the threaded path counts the matching phase timeout. Only runs
-    /// a full scan when the min-deadline hint has actually expired.
+    /// Close every connection whose deadline has passed, counting it as
+    /// the matching phase's timeout. Only runs a full scan when the
+    /// min-deadline hint has actually expired.
     fn sweep_deadlines(&mut self) {
         let Some(hint) = self.next_deadline else {
             return;
@@ -774,7 +771,7 @@ impl EventLoop {
                             Some(&self.app.counters.header_timeouts)
                         }
                         // A write timeout closes silently, like a write
-                        // error on the threaded path.
+                        // error.
                         State::Write { .. } => None,
                         State::Dispatched => None,
                     };
@@ -839,18 +836,11 @@ impl EventLoop {
 
 #[cfg(test)]
 mod tests {
-    use crate::server::{HttpServer, ServerConfig, ServerMode};
+    use crate::server::{HttpServer, ServerConfig};
     use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
     use std::thread;
     use std::time::Duration;
-
-    fn event_config() -> ServerConfig {
-        ServerConfig {
-            mode: ServerMode::EventLoop,
-            ..ServerConfig::default()
-        }
-    }
 
     /// The fragmented-arrival table: each case writes its chunks with a
     /// pause in between, so every boundary lands in a separate readiness
@@ -912,7 +902,7 @@ mod tests {
                 expect_body: "body shorter than content-length",
             },
         ];
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         for case in &cases {
             let mut stream = TcpStream::connect(handle.addr()).unwrap();
             for chunk in case.chunks {
@@ -939,7 +929,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_are_answered_in_order() {
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         // Three requests in one write; the last one closes.
         let mut wire = Vec::new();
@@ -1006,7 +996,7 @@ mod tests {
             let config = ServerConfig {
                 header_timeout: Duration::from_millis(80),
                 read_timeout: Duration::from_millis(160),
-                ..event_config()
+                ..ServerConfig::default()
             };
             let handle = HttpServer::bind(config).unwrap().start();
             let mut stream = TcpStream::connect(handle.addr()).unwrap();
@@ -1034,43 +1024,56 @@ mod tests {
         }
     }
 
-    /// The parity claim at the socket level: the event loop streams the
-    /// body through a `LintSession` while threaded mode buffers it and
-    /// dispatches to the pool — and a client cannot tell them apart.
+    /// The streaming claim at the socket level: the loop lints the body
+    /// through a `LintSession` as it arrives, and a client cannot tell the
+    /// answer from the buffered in-process `handle()` response to the
+    /// same request, byte for byte on the wire.
     #[test]
-    fn streamed_and_pooled_responses_are_byte_identical() {
+    fn streamed_response_equals_the_buffered_handler_response() {
+        use crate::handler::{handle, App};
+        use crate::http::{parse_request, write_response};
+        use std::sync::Arc;
+        use weblint_service::{LintService, ServiceConfig};
+
         let body = "<HTML><BODY><H1>x</H2><IMG SRC=a.gif>&bogus;</BODY></HTML>";
-        let mut responses = Vec::new();
-        for mode in [ServerMode::EventLoop, ServerMode::Threaded] {
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let handle = HttpServer::bind(config).unwrap().start();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            crate::client::write_request(
-                &mut stream,
-                "POST",
-                "/lint?name=same&format=json",
-                &[],
-                body.as_bytes(),
-            )
-            .unwrap();
-            let response = crate::client::read_response(&mut reader).unwrap();
-            assert_eq!(response.status, 200, "{mode:?}");
-            let (http, _) = handle.shutdown();
-            let streamed = matches!(mode, ServerMode::EventLoop);
-            assert_eq!(http.streamed_lints, u64::from(streamed), "{mode:?}");
-            let content_type = response.header("content-type").map(str::to_string);
-            responses.push((response.body, content_type));
-        }
-        assert_eq!(responses[0], responses[1]);
+        let mut wire = Vec::new();
+        crate::client::write_request(
+            &mut wire,
+            "POST",
+            "/lint?name=same&format=json",
+            &[("Connection", "close")],
+            body.as_bytes(),
+        )
+        .unwrap();
+
+        let server = HttpServer::bind(ServerConfig::default()).unwrap().start();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&wire).unwrap();
+        let mut streamed = Vec::new();
+        stream.read_to_end(&mut streamed).unwrap();
+        let (http, _) = server.shutdown();
+        assert_eq!(http.streamed_lints, 1, "the body streamed on the loop");
+
+        let app = App::new(
+            LintService::new(ServiceConfig::default()),
+            weblint_gateway::Gateway::default(),
+            weblint_site::SharedWeb::default(),
+            Arc::new(crate::metrics::HttpCounters::default()),
+        );
+        let (request, _) = parse_request(&mut wire.as_slice(), 1 << 20).unwrap();
+        let response = handle(&app, &request);
+        assert_eq!(response.status, 200);
+        let mut buffered = Vec::new();
+        write_response(&mut buffered, &response, false, false).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&streamed),
+            String::from_utf8_lossy(&buffered)
+        );
     }
 
     #[test]
     fn streamed_non_utf8_body_is_refused_mid_flight() {
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         crate::client::write_request(
@@ -1089,7 +1092,7 @@ mod tests {
 
     #[test]
     fn loop_metrics_move() {
-        let handle = HttpServer::bind(event_config()).unwrap().start();
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         crate::client::write_request(&mut stream, "GET", "/health", &[], b"").unwrap();

@@ -71,7 +71,7 @@ impl App {
     /// a full (or shut) queue sheds the request with a 503 + `Retry-After`
     /// instead of silently linting inline — under overload the server's
     /// job is to stay honest about capacity, not to absorb unbounded work
-    /// on connection threads — and a panicked job surfaces as a 500.
+    /// on dispatcher threads — and a panicked job surfaces as a 500.
     fn lint(
         &self,
         src: &str,
@@ -96,9 +96,9 @@ impl App {
     }
 }
 
-/// The 503 every overloaded path answers with — the service pool's full
-/// queue and the event loop's full dispatch queue shed identically, so
-/// clients and `/metrics` cannot tell which tier refused.
+/// The 503 an overloaded server answers with. Only the service pool's
+/// queue sheds: the loop's dispatch channel is unbounded (a connection
+/// holds at most one job in it), and streamed lints never queue.
 pub(crate) fn shed_response() -> Response {
     let mut response = Response::text(503, "lint queue is full; retry in a moment\n");
     response

@@ -285,7 +285,7 @@ pub fn read_body(reader: &mut impl BufRead, content_length: usize) -> Result<Vec
 }
 
 /// Decode a `Transfer-Encoding: chunked` body (the blocking counterpart
-/// of [`ChunkDecoder`], for the threaded path and [`parse_request`]).
+/// of [`ChunkDecoder`], for [`parse_request`]).
 /// `max_body` bounds the *decoded* length. Returns the body and the raw
 /// wire bytes consumed, framing included.
 pub fn read_chunked_body(

@@ -20,16 +20,17 @@
 //!
 //! No TLS, no external dependencies: `TcpListener`, a hand-declared
 //! readiness shim, and the existing service crate. Bodies arrive either
-//! `Content-Length`-framed or `Transfer-Encoding: chunked`. Two serving
-//! modes share every byte of protocol behavior
-//! ([`ServerMode`]): the default event loop multiplexes all connections
-//! onto one thread (10k idle keep-alive connections cost a buffer each,
-//! not a stack each), while the threaded fallback spends a thread per
-//! connection. In event mode, `POST /lint` bodies are fed straight into
-//! an incremental [`weblint_core::LintSession`] as their bytes land —
+//! `Content-Length`-framed or `Transfer-Encoding: chunked`. One readiness
+//! loop multiplexes every connection onto one thread (10k idle
+//! keep-alive connections cost a buffer each, not a stack each), and
+//! [`HttpServer::bind`] refuses rather than serve any other way when the
+//! loop's poller or self-pipe cannot be created. `POST /lint` bodies
+//! rendered as text are fed straight into an incremental
+//! [`weblint_core::LintSession`] on the loop thread as their bytes land —
 //! per-connection memory stays O(tokenizer state), not O(body), and a
-//! `max_findings` budget can cut the read short. Shutdown is graceful in
-//! both modes — accepting stops, every in-flight request completes and
+//! `max_findings` budget can cut the read short; every other request
+//! runs on a small dispatcher pool in front of the worker pool. Shutdown
+//! is graceful — accepting stops, every in-flight request completes and
 //! is answered, all threads are joined.
 //!
 //! # Examples

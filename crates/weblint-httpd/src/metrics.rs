@@ -67,8 +67,7 @@ pub struct HttpMetrics {
     /// Connections currently open (accepted minus closed) — a gauge,
     /// not a counter.
     pub open_connections: u64,
-    /// Times the readiness loop's `epoll_wait`/`poll` returned. Zero in
-    /// threaded mode, where there is no loop to wake.
+    /// Times the readiness loop's `epoll_wait`/`poll` returned.
     pub epoll_wakeups: u64,
     /// Requests served on a connection beyond its first — how much work
     /// keep-alive actually carried.

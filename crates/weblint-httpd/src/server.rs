@@ -1,43 +1,35 @@
-//! The TCP front end: accept loop, connection lifecycle, graceful
-//! shutdown.
+//! The TCP front end: configuration, bind, graceful shutdown.
 //!
-//! Two interchangeable serving modes share this module's configuration
-//! and counters. [`ServerMode::EventLoop`] (the default) runs every
-//! connection on one readiness-driven thread — see [`crate::event`].
-//! [`ServerMode::Threaded`] is the original design: one OS thread per
-//! live connection, a polling accept loop, and a stop flag checked
-//! between requests. In both modes, in-flight requests always finish
-//! and get their response before the connection closes.
+//! [`HttpServer::bind`] claims the listening socket together with
+//! everything the readiness loop needs — the [`Poller`] and the
+//! self-pipe [`WakePipe`] — so a server either serves on the loop (see
+//! [`crate::event`]) or refuses at bind time. In-flight requests always
+//! finish and get their response before the connection closes.
 
-use std::io::{self, BufRead, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use weblint_gateway::Gateway;
 use weblint_service::{LintService, ServiceConfig, ServiceMetrics};
 use weblint_site::{FaultSpec, SharedWeb};
 
-use crate::handler::{handle, App};
-use crate::http::{
-    parse_head, read_body, read_chunked_body, write_response, BodyFraming, ParseError, Response,
-};
+use crate::handler::App;
 use crate::metrics::{HttpCounters, HttpMetrics};
+use crate::sys::{Poller, WakePipe};
 
-/// How connections are multiplexed onto threads.
+/// How connections are multiplexed onto threads. There is one way: a
+/// readiness loop drives every connection as a nonblocking state
+/// machine, with pooled lint work on a small dispatcher pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerMode {
-    /// One readiness loop drives every connection as a nonblocking state
-    /// machine; lint work runs on a small dispatcher pool. Scales to
-    /// tens of thousands of idle keep-alive connections with flat
-    /// memory.
+    /// The readiness loop; scales to tens of thousands of idle
+    /// keep-alive connections with flat memory.
     #[default]
     EventLoop,
-    /// One OS thread (and stack) per live connection. Simpler to reason
-    /// about under a debugger; kept as the fallback path.
-    Threaded,
 }
 
 /// Server tuning knobs.
@@ -45,22 +37,23 @@ pub enum ServerMode {
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port.
     pub addr: String,
-    /// Connection multiplexing strategy; see [`ServerMode`].
+    /// Always [`ServerMode::EventLoop`]; no server code reads it. Kept
+    /// only so the `wlbench` serve workload, which asserts on it, still
+    /// builds.
     pub mode: ServerMode,
     /// Dispatcher threads the event loop hands parsed requests to
     /// (`0` = auto: lint workers + 2, so the pool can keep every worker
     /// fed and still answer `/health` while all workers are busy).
-    /// Ignored in threaded mode.
     pub dispatchers: usize,
     /// Lint pool configuration.
     pub service: ServiceConfig,
     /// Largest accepted request body, in bytes; larger POSTs get a 413.
     pub max_body: usize,
-    /// On the event loop's streaming lint path, stop linting a `POST
-    /// /lint` body once this many diagnostics have been collected: the
-    /// session is abandoned, remaining body bytes are consumed for
-    /// framing only, and the truncated report is flagged with an
-    /// `X-Weblint-Truncated` header. `0` means no limit.
+    /// On the streaming lint path, stop linting a `POST /lint` body once
+    /// this many diagnostics have been collected: the session is
+    /// abandoned, remaining body bytes are consumed for framing only,
+    /// and the truncated report is flagged with an `X-Weblint-Truncated`
+    /// header. `0` means no limit.
     pub max_findings: usize,
     /// Whether to honour persistent connections at all.
     pub keep_alive: bool,
@@ -108,9 +101,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// The per-connection subset of [`ServerConfig`], shared with the event
-/// loop.
-#[derive(Debug, Clone)]
+/// The per-connection subset of [`ServerConfig`].
+#[derive(Debug)]
 pub(crate) struct ConnLimits {
     pub(crate) max_body: usize,
     pub(crate) max_findings: usize,
@@ -128,8 +120,9 @@ pub struct HttpServer {
     addr: SocketAddr,
     app: Arc<App>,
     limits: ConnLimits,
-    mode: ServerMode,
     dispatchers: usize,
+    poller: Poller,
+    waker: Arc<WakePipe>,
 }
 
 impl HttpServer {
@@ -139,16 +132,21 @@ impl HttpServer {
     }
 
     /// Bind with an explicit gateway and simulated web (the `url=` flow
-    /// resolves against `web`).
+    /// resolves against `web`). Fails if the address cannot be bound or
+    /// the readiness loop's poller or self-pipe cannot be set up.
     pub fn bind_with(
         config: ServerConfig,
         gateway: Gateway,
         web: SharedWeb,
     ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        // Nonblocking accept lets the loop poll the stop flag.
+        // The loop accepts only on readiness and must never block in it.
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        // The self-pipe lets shutdown (and completed lint jobs) interrupt
+        // the loop's wait.
+        let waker = Arc::new(WakePipe::new()?);
+        let poller = crate::event::poller_for(&listener, &waker)?;
         let service = LintService::new(config.service.clone());
         let counters = Arc::new(HttpCounters::default());
         let app = Arc::new(match config.faults.clone() {
@@ -181,8 +179,9 @@ impl HttpServer {
                 read_timeout: config.read_timeout,
                 write_timeout: config.write_timeout,
             },
-            mode: config.mode,
             dispatchers,
+            poller,
+            waker,
         })
     }
 
@@ -191,45 +190,33 @@ impl HttpServer {
         self.addr
     }
 
-    /// Start accepting connections on a background thread.
+    /// Start the readiness loop on a background thread.
     pub fn start(self) -> ServerHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        // The event loop needs a self-pipe so shutdown (and completed
-        // lint jobs) can interrupt its wait; if one cannot be created,
-        // the threaded path still serves correctly.
-        let waker = match self.mode {
-            ServerMode::EventLoop => crate::sys::WakePipe::new().ok().map(Arc::new),
-            ServerMode::Threaded => None,
-        };
         let thread = {
             let app = Arc::clone(&self.app);
             let stop = Arc::clone(&stop);
-            let dispatchers = self.dispatchers;
-            match waker.as_ref().map(Arc::clone) {
-                Some(wake) => thread::Builder::new()
-                    .name("httpd-loop".to_string())
-                    .spawn(move || {
-                        crate::event::event_loop(
-                            self.listener,
-                            app,
-                            self.limits,
-                            stop,
-                            wake,
-                            dispatchers,
-                        );
-                    })
-                    .expect("spawn event-loop thread"),
-                None => thread::Builder::new()
-                    .name("httpd-accept".to_string())
-                    .spawn(move || accept_loop(self.listener, app, self.limits, stop))
-                    .expect("spawn accept thread"),
-            }
+            let wake = Arc::clone(&self.waker);
+            thread::Builder::new()
+                .name("httpd-loop".to_string())
+                .spawn(move || {
+                    crate::event::event_loop(
+                        self.poller,
+                        self.listener,
+                        app,
+                        self.limits,
+                        stop,
+                        wake,
+                        self.dispatchers,
+                    );
+                })
+                .expect("spawn event-loop thread")
         };
         ServerHandle {
             addr: self.addr,
             app: self.app,
             stop,
-            waker,
+            waker: self.waker,
             thread: Some(thread),
         }
     }
@@ -240,7 +227,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     app: Arc<App>,
     stop: Arc<AtomicBool>,
-    waker: Option<Arc<crate::sys::WakePipe>>,
+    waker: Arc<WakePipe>,
     thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -280,9 +267,7 @@ impl ServerHandle {
         self.stop.store(true, Ordering::Release);
         // An idle event loop blocks in its wait; the self-pipe gets it to
         // notice the flag now rather than at its next deadline.
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -295,336 +280,81 @@ impl Drop for ServerHandle {
     }
 }
 
-pub(crate) fn accept_loop(
-    listener: TcpListener,
-    app: Arc<App>,
-    limits: ConnLimits,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                HttpCounters::bump(&app.counters.connections);
-                let app = Arc::clone(&app);
-                let stop = Arc::clone(&stop);
-                let limits = limits.clone();
-                let conn = thread::Builder::new()
-                    .name("httpd-conn".to_string())
-                    .spawn(move || serve_connection(&app, &limits, stream, &stop))
-                    .expect("spawn connection thread");
-                conns.push(conn);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Finished threads need no join; drop the handles.
-                conns.retain(|conn| !conn.is_finished());
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    // Drain: every live connection finishes its current request.
-    for conn in conns {
-        let _ = conn.join();
-    }
-}
-
-/// How often an idle connection wakes to poll the stop flag.
-const IDLE_POLL: Duration = Duration::from_millis(50);
-
-/// The read half of a connection, with an optional absolute deadline.
-///
-/// A plain socket read timeout restarts on every byte, so a client
-/// trickling one header byte per interval never trips it. With a
-/// deadline armed, each read narrows the socket timeout to the time
-/// *remaining*, bounding a whole parse phase no matter how the bytes
-/// dribble in. With no deadline armed, reads pass straight through and
-/// whatever timeout the connection loop set on the shared socket
-/// applies (the idle keep-alive poll relies on this).
-struct DeadlineStream {
-    stream: TcpStream,
-    deadline: Option<Instant>,
-}
-
-impl DeadlineStream {
-    fn arm(&mut self, phase_budget: Duration) {
-        self.deadline = Some(Instant::now() + phase_budget);
-    }
-
-    fn disarm(&mut self) {
-        self.deadline = None;
-    }
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "phase deadline elapsed",
-                ));
-            }
-            // A zero timeout means "blocking" to the OS; keep a floor.
-            self.stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-        }
-        self.stream.read(buf)
-    }
-}
-
-/// Bumps `connections_closed` when dropped, so the `open_connections`
-/// gauge survives every exit path a connection thread can take.
-struct ClosedGuard<'a>(&'a HttpCounters);
-
-impl Drop for ClosedGuard<'_> {
-    fn drop(&mut self) {
-        HttpCounters::bump(&self.0.connections_closed);
-    }
-}
-
-fn serve_connection(app: &App, limits: &ConnLimits, stream: TcpStream, stop: &AtomicBool) {
-    let _closed = ClosedGuard(&app.counters);
-    // Accepted sockets can inherit the listener's nonblocking flag on
-    // some platforms; insist on blocking reads with timeouts.
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(limits.read_timeout)).is_err()
-        || stream
-            .set_write_timeout(Some(limits.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(DeadlineStream {
-        stream: read_half,
-        deadline: None,
-    });
-    let mut writer = stream;
-    let mut served = 0usize;
-    loop {
-        // Between requests the connection is idle, not in-flight: wait for
-        // the first byte in short slices so shutdown need not sit out the
-        // whole read timeout, and so an idle connection notices stop at
-        // all. `writer` shares the fd, so the timeout applies to reads.
-        let _ = writer.set_read_timeout(Some(IDLE_POLL.min(limits.read_timeout)));
-        let idle_since = Instant::now();
-        loop {
-            match reader.fill_buf() {
-                // Clean EOF: the client closed between requests.
-                Ok([]) => return,
-                Ok(_) => break,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if idle_since.elapsed() >= limits.read_timeout {
-                        HttpCounters::bump(&app.counters.timeouts);
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        // A request has begun. The head must arrive whole within the
-        // header budget; only then does the body get the (longer) read
-        // timeout.
-        reader.get_mut().arm(limits.header_timeout);
-        let head = match parse_head(&mut reader, limits.max_body) {
-            Ok(head) => Ok(head),
-            Err(ParseError::TimedOut) => {
-                // A dribbling request head earns no response at all.
-                HttpCounters::bump(&app.counters.header_timeouts);
-                return;
-            }
-            Err(other) => Err(other),
-        };
-        let parsed = head.and_then(|(mut req, framing, head_bytes)| {
-            reader.get_mut().arm(limits.read_timeout);
-            let body_bytes = match framing {
-                BodyFraming::Length(content_length) => {
-                    req.body = read_body(&mut reader, content_length)?;
-                    content_length as u64
-                }
-                BodyFraming::Chunked => {
-                    let (body, wire) = read_chunked_body(&mut reader, limits.max_body)?;
-                    req.body = body;
-                    wire
-                }
-            };
-            Ok((req, head_bytes + body_bytes))
-        });
-        reader.get_mut().disarm();
-        let (response, head_only, mut keep) = match parsed {
-            Ok((req, bytes_in)) => {
-                HttpCounters::add(&app.counters.bytes_in, bytes_in);
-                let keep = limits.keep_alive && !req.wants_close();
-                (handle(app, &req), req.method == "HEAD", keep)
-            }
-            // The client closed an idle connection — nothing to answer.
-            Err(ParseError::Eof) => return,
-            Err(ParseError::TimedOut) => {
-                HttpCounters::bump(&app.counters.timeouts);
-                return;
-            }
-            Err(ParseError::Io(_)) => return,
-            Err(ParseError::BodyTooLarge { declared, limit }) => {
-                HttpCounters::bump(&app.counters.body_rejections);
-                // The body was never read, so the connection cannot be
-                // reused for a next request.
-                let body =
-                    format!("document of {declared} byte(s) exceeds the {limit} byte limit\n");
-                (Response::text(413, body), false, false)
-            }
-            Err(ParseError::BadRequest(reason)) => {
-                HttpCounters::bump(&app.counters.parse_errors);
-                // A malformed request (bad framing included) can leave
-                // the stream position ambiguous; never reuse it.
-                (
-                    Response::text(400, format!("bad request: {reason}\n")),
-                    false,
-                    false,
-                )
-            }
-        };
-        served += 1;
-        if served > 1 {
-            HttpCounters::bump(&app.counters.keepalive_reuse);
-        }
-        if served >= limits.max_requests || stop.load(Ordering::Acquire) {
-            keep = false;
-        }
-        match write_response(&mut writer, &response, keep, head_only) {
-            Ok(bytes_out) => {
-                HttpCounters::add(&app.counters.bytes_out, bytes_out);
-                HttpCounters::bump(&app.counters.requests);
-            }
-            Err(_) => return,
-        }
-        if !keep {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-
-    /// Every lifecycle test runs in both modes: the event loop is the
-    /// default, and the threaded path must keep behaving identically.
-    const BOTH_MODES: [ServerMode; 2] = [ServerMode::EventLoop, ServerMode::Threaded];
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
 
     #[test]
     fn serves_health_over_tcp_and_shuts_down() {
-        for mode in BOTH_MODES {
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let handle = HttpServer::bind(config).unwrap().start();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            stream
-                .write_all(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            assert!(
-                response.starts_with("HTTP/1.1 200 OK\r\n"),
-                "{mode:?}: {response}"
-            );
-            assert!(response.ends_with("\r\n\r\nok\n"), "{mode:?}: {response}");
-            let (http, _service) = handle.shutdown();
-            assert_eq!(http.connections_accepted, 1, "{mode:?}");
-            assert_eq!(http.requests_served, 1, "{mode:?}");
-            assert_eq!(http.open_connections, 0, "{mode:?}");
-            assert!(http.bytes_out > 0, "{mode:?}");
-        }
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .write_all(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        assert!(response.ends_with("\r\n\r\nok\n"), "{response}");
+        let (http, _service) = handle.shutdown();
+        assert_eq!(http.connections_accepted, 1);
+        assert_eq!(http.requests_served, 1);
+        assert_eq!(http.open_connections, 0);
+        assert!(http.bytes_out > 0);
     }
 
     #[test]
     fn keep_alive_serves_multiple_requests_up_to_cap() {
-        for mode in BOTH_MODES {
-            let config = ServerConfig {
-                mode,
-                max_requests_per_connection: 3,
-                ..ServerConfig::default()
-            };
-            let handle = HttpServer::bind(config).unwrap().start();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            for i in 0..3 {
-                crate::client::write_request(&mut stream, "GET", "/health", &[], b"").unwrap();
-                let response = crate::client::read_response(&mut reader).unwrap();
-                assert_eq!(response.status, 200);
-                let expected = if i < 2 { "keep-alive" } else { "close" };
-                assert_eq!(
-                    response.header("connection"),
-                    Some(expected),
-                    "{mode:?} request {i}"
-                );
-                assert_eq!(response.body_text(), "ok\n");
-            }
-            // The cap closed the connection after the third response.
-            assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0);
-            let (http, _) = handle.shutdown();
-            assert_eq!(http.connections_accepted, 1, "{mode:?}");
-            assert_eq!(http.requests_served, 3, "{mode:?}");
-            assert_eq!(http.keepalive_reuse, 2, "{mode:?}");
+        let config = ServerConfig {
+            max_requests_per_connection: 3,
+            ..ServerConfig::default()
+        };
+        let handle = HttpServer::bind(config).unwrap().start();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for i in 0..3 {
+            crate::client::write_request(&mut stream, "GET", "/health", &[], b"").unwrap();
+            let response = crate::client::read_response(&mut reader).unwrap();
+            assert_eq!(response.status, 200);
+            let expected = if i < 2 { "keep-alive" } else { "close" };
+            assert_eq!(response.header("connection"), Some(expected), "request {i}");
+            assert_eq!(response.body_text(), "ok\n");
         }
+        // The cap closed the connection after the third response.
+        assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0);
+        let (http, _) = handle.shutdown();
+        assert_eq!(http.connections_accepted, 1);
+        assert_eq!(http.requests_served, 3);
+        assert_eq!(http.keepalive_reuse, 2);
     }
 
     #[test]
     fn keep_alive_disabled_closes_after_one_request() {
-        for mode in BOTH_MODES {
-            let config = ServerConfig {
-                mode,
-                keep_alive: false,
-                ..ServerConfig::default()
-            };
-            let handle = HttpServer::bind(config).unwrap().start();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            stream
-                .write_all(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
-                .unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            assert!(
-                response.contains("Connection: close\r\n"),
-                "{mode:?}: {response}"
-            );
-            handle.shutdown();
-        }
+        let config = ServerConfig {
+            keep_alive: false,
+            ..ServerConfig::default()
+        };
+        let handle = HttpServer::bind(config).unwrap().start();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .write_all(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.contains("Connection: close\r\n"), "{response}");
+        handle.shutdown();
     }
 
     #[test]
     fn malformed_request_is_answered_then_closed() {
-        for mode in BOTH_MODES {
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let handle = HttpServer::bind(config).unwrap().start();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            stream.write_all(b"NOT-EVEN-HTTP\r\n\r\n").unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            assert!(
-                response.starts_with("HTTP/1.1 400 "),
-                "{mode:?}: {response}"
-            );
-            let (http, _) = handle.shutdown();
-            assert_eq!(http.parse_errors, 1, "{mode:?}");
-        }
+        let handle = HttpServer::bind(ServerConfig::default()).unwrap().start();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.write_all(b"NOT-EVEN-HTTP\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        let (http, _) = handle.shutdown();
+        assert_eq!(http.parse_errors, 1);
     }
 }

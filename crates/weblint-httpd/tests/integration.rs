@@ -10,7 +10,8 @@ use std::thread;
 use std::time::Duration;
 
 use weblint_core::{format_report, LintSession, OutputFormat};
-use weblint_httpd::{client, HttpServer, ServerConfig, ServerMode};
+use weblint_gateway::Gateway;
+use weblint_httpd::{client, HttpServer, ServerConfig};
 use weblint_service::ServiceConfig;
 
 /// A document whose diagnostics depend on `i` (the blank lines shift the
@@ -22,9 +23,8 @@ fn doc(i: usize) -> String {
     )
 }
 
-fn server(workers: usize, mode: ServerMode) -> weblint_httpd::ServerHandle {
+fn server(workers: usize) -> weblint_httpd::ServerHandle {
     let config = ServerConfig {
-        mode,
         service: ServiceConfig {
             workers,
             ..ServiceConfig::default()
@@ -40,11 +40,11 @@ fn server(workers: usize, mode: ServerMode) -> weblint_httpd::ServerHandle {
 fn concurrent_clients_get_deterministic_responses_and_share_the_cache() {
     const CLIENTS: usize = 12;
     const DOCS: usize = 4;
-    // Threaded mode: lint bodies buffer and dispatch through the worker
-    // pool, so this test keeps exercising duplicate coalescing and the
-    // result cache. (The event loop streams `POST /lint` past the pool;
-    // its determinism is covered separately.)
-    let handle = server(4, ServerMode::Threaded);
+    // The HTML report route buffers its body and dispatches through the
+    // worker pool, so this test exercises duplicate coalescing and the
+    // result cache. (Text-format `POST /lint` streams on the loop, past
+    // the pool; its determinism is covered separately.)
+    let handle = server(4);
     let addr = handle.addr();
 
     // 12 concurrent clients over 4 distinct documents: every document is
@@ -65,7 +65,7 @@ fn concurrent_clients_get_deterministic_responses_and_share_the_cache() {
                     client::write_request(
                         &mut stream,
                         "POST",
-                        "/lint?name=doc",
+                        "/lint?name=doc&format=html",
                         &[],
                         body.as_bytes(),
                     )
@@ -86,13 +86,10 @@ fn concurrent_clients_get_deterministic_responses_and_share_the_cache() {
     }
 
     // Byte-determinism: all 6 responses for one document are identical
-    // and match what the engine says inline.
+    // and match what the gateway renders inline.
+    let gateway = Gateway::default();
     for (i, responses) in &by_doc {
-        let expected = format_report(
-            &LintSession::new().check_string(&doc(*i)),
-            "doc",
-            OutputFormat::Lint,
-        );
+        let expected = gateway.check_and_render("doc", &doc(*i));
         for response in responses {
             assert_eq!(
                 std::str::from_utf8(response).unwrap(),
@@ -133,7 +130,7 @@ fn concurrent_clients_get_deterministic_responses_and_share_the_cache() {
 
 #[test]
 fn graceful_shutdown_answers_the_in_flight_request() {
-    let handle = server(2, ServerMode::EventLoop);
+    let handle = server(2);
     let addr: SocketAddr = handle.addr();
 
     // The client sends the headers and half the body, then stalls — the
@@ -318,8 +315,8 @@ fn unread_response_hits_the_write_timeout() {
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     // An HTML report echoes the whole source, so a many-megabyte document
     // yields a response far larger than the socket buffers can absorb.
-    // The client never reads: the server's blocked write must give up at
-    // the write timeout instead of wedging the connection thread.
+    // The client never reads: the server's stalled write must give up at
+    // the write timeout instead of wedging the connection.
     let body = "<P>padding</P>".repeat(1 << 20);
     client::write_request(
         &mut stream,
@@ -330,8 +327,8 @@ fn unread_response_hits_the_write_timeout() {
     )
     .unwrap();
     thread::sleep(Duration::from_millis(50));
-    // Shutdown joins every connection thread; it only returns because the
-    // write timed out and the thread exited.
+    // Shutdown drains every connection; it only returns because the
+    // write timed out and the connection was closed.
     let (http, _) = handle.shutdown();
     assert_eq!(http.requests_served, 0, "{http:?}");
     assert!(http.bytes_in > 0, "{http:?}");
@@ -339,7 +336,7 @@ fn unread_response_hits_the_write_timeout() {
 
 #[test]
 fn malformed_content_length_mid_keep_alive_closes_the_connection() {
-    let handle = server(1, ServerMode::EventLoop);
+    let handle = server(1);
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
 
@@ -387,7 +384,7 @@ fn malformed_content_length_mid_keep_alive_closes_the_connection() {
 
 #[test]
 fn chunked_lint_dribbled_over_the_wire_matches_the_one_shot_report() {
-    let handle = server(1, ServerMode::EventLoop);
+    let handle = server(1);
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
 
@@ -464,11 +461,10 @@ fn max_findings_cuts_a_streamed_lint_short() {
 #[test]
 fn overload_sheds_with_503_and_retry_after() {
     const CLIENTS: usize = 8;
-    // Threaded mode keeps lint jobs on the worker pool, whose queue is
-    // what sheds. (Event-mode streamed lints never queue: they run
+    // The HTML report route keeps lint jobs on the worker pool, whose
+    // queue is what sheds. (Streamed text lints never queue: they run
     // incrementally on the loop and cannot be refused for load.)
     let config = ServerConfig {
-        mode: ServerMode::Threaded,
         service: ServiceConfig {
             workers: 1,
             queue_capacity: 1,
@@ -493,8 +489,14 @@ fn overload_sheds_with_503_and_retry_after() {
                 let mut stream = TcpStream::connect(addr).expect("connect");
                 let mut reader = BufReader::new(stream.try_clone().expect("clone"));
                 barrier.wait();
-                client::write_request(&mut stream, "POST", "/lint", &[], body.as_bytes())
-                    .expect("send");
+                client::write_request(
+                    &mut stream,
+                    "POST",
+                    "/lint?format=html",
+                    &[],
+                    body.as_bytes(),
+                )
+                .expect("send");
                 let response = client::read_response(&mut reader).expect("response");
                 let retry_after = response.header("retry-after").map(str::to_string);
                 (response.status, retry_after)
@@ -521,7 +523,7 @@ fn overload_sheds_with_503_and_retry_after() {
     // Shedding is load management, not failure: the server still answers.
     let mut stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    client::write_request(&mut stream, "POST", "/lint", &[], b"<H1>x</H2>").unwrap();
+    client::write_request(&mut stream, "POST", "/lint?format=html", &[], b"<H1>x</H2>").unwrap();
     assert_eq!(client::read_response(&mut reader).unwrap().status, 200);
 
     let (http, _) = handle.shutdown();
@@ -531,10 +533,10 @@ fn overload_sheds_with_503_and_retry_after() {
 
 #[test]
 fn panicking_job_returns_500_and_the_pool_recovers() {
-    // Threaded mode routes the poisoned body through a pool worker; the
-    // event loop would lint it inline without consulting the marker.
+    // The HTML report route sends the poisoned body through a pool
+    // worker; a streamed text lint would run it on the loop without
+    // consulting the marker.
     let config = ServerConfig {
-        mode: ServerMode::Threaded,
         service: ServiceConfig {
             workers: 1,
             enable_panic_marker: true,
@@ -547,7 +549,14 @@ fn panicking_job_returns_500_and_the_pool_recovers() {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
 
     let body = format!("<P>x</P>{}", weblint_service::PANIC_MARKER);
-    client::write_request(&mut stream, "POST", "/lint", &[], body.as_bytes()).unwrap();
+    client::write_request(
+        &mut stream,
+        "POST",
+        "/lint?format=html",
+        &[],
+        body.as_bytes(),
+    )
+    .unwrap();
     let crashed = client::read_response(&mut reader).unwrap();
     assert_eq!(crashed.status, 500);
     assert!(
@@ -558,7 +567,7 @@ fn panicking_job_returns_500_and_the_pool_recovers() {
 
     // Same pool, same (sole) worker slot: the respawned worker serves the
     // next request normally, over the same keep-alive connection.
-    client::write_request(&mut stream, "POST", "/lint", &[], b"<H1>x</H2>").unwrap();
+    client::write_request(&mut stream, "POST", "/lint?format=html", &[], b"<H1>x</H2>").unwrap();
     let healthy = client::read_response(&mut reader).unwrap();
     assert_eq!(healthy.status, 200);
     assert!(healthy.body_text().contains("malformed heading"));

@@ -254,7 +254,7 @@ impl fmt::Display for PacingStats {
 ///
 /// All methods are `&self` behind one mutex so the pacer can be shared
 /// by a scheduler thread and stats renderers. Decisions happen at
-/// *authorization* time (single-threaded in the crawl scheduler), so
+/// *authorization* time (on the crawl scheduler's one thread), so
 /// parallel fetch workers cannot race the budget into nondeterminism.
 #[derive(Debug)]
 pub struct Pacer {

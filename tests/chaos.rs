@@ -18,7 +18,7 @@ use std::time::Duration;
 use std::path::PathBuf;
 
 use weblint_gateway::Gateway;
-use weblint_httpd::{client, HttpServer, ServerConfig, ServerMode};
+use weblint_httpd::{client, HttpServer, ServerConfig};
 use weblint_service::{ServiceConfig, PANIC_MARKER};
 use weblint_site::{
     AimdPolicy, BreakerState, CheckpointConfig, CheckpointError, FaultSpec, FaultyWeb, FetchStack,
@@ -173,10 +173,6 @@ fn chaotic_server_run(seed: u64) -> (Vec<u16>, String) {
         },
         faults: Some(FaultSpec::all(20)),
         fault_seed: seed,
-        // Threaded mode: this script asserts worker-pool semantics (the
-        // panic marker must 500 and respawn). In event mode a POST /lint
-        // streams on the loop thread and never reaches the pool.
-        mode: ServerMode::Threaded,
         ..ServerConfig::default()
     };
     let handle = HttpServer::bind_with(config, Gateway::default(), site())
@@ -200,14 +196,16 @@ fn chaotic_server_run(seed: u64) -> (Vec<u16>, String) {
         statuses.push(response.status);
     }
     // Mid-script, a job crashes its worker: the caller gets a 500, and
-    // the very next request is served by the respawned pool.
+    // the very next request is served by the respawned pool. The HTML
+    // report route buffers through the pool; a text-format POST /lint
+    // would stream on the loop thread and never consult the marker.
     let crashed = ask(
         "POST",
-        "/lint",
+        "/lint?format=html",
         format!("<P>x</P>{PANIC_MARKER}").as_bytes(),
     );
     assert_eq!(crashed.status, 500);
-    let healthy = ask("POST", "/lint", b"<H1>x</H2>");
+    let healthy = ask("POST", "/lint?format=html", b"<H1>x</H2>");
     assert_eq!(healthy.status, 200);
     statuses.extend([crashed.status, healthy.status]);
 

@@ -1,20 +1,47 @@
-//! Mode-parity integration tests: the event loop and the threaded
-//! server must be indistinguishable on the wire.
+//! Wire-level integration tests for `weblint-serve`'s readiness loop.
 //!
-//! Every request in the corpus below is sent to two servers — one per
-//! [`ServerMode`] — over a fresh connection, and the complete raw byte
-//! stream each server answers with must be identical, 400s, 413s, and
-//! HTML reports included. `/metrics` is compared line-by-line with the
-//! genuinely run-dependent lines (readiness wakeups, queue/lint timing,
-//! per-worker distribution) masked; every counter the threaded server
-//! has always exported must match to the byte.
+//! Every request in the corpus below is sent over a fresh connection,
+//! and the complete raw byte stream the server answers with — 400s, 413s
+//! and HTML reports included — must match the checked-in transcript
+//! `tests/golden/http_responses.txt`, as must each case's `bytes_in` and
+//! `requests_served` deltas. The transcript ends with the `/metrics`
+//! body after the whole corpus, with the genuinely run-dependent lines
+//! (readiness wakeups, queue/lint timing, per-worker distribution, pool
+//! and cache counters) masked; every other counter must match to the
+//! byte.
+//!
+//! Regenerate after an *intentional* protocol change with:
+//!
+//! ```sh
+//! WEBLINT_GOLDEN_REGEN=1 cargo test -q --test event_loop
+//! ```
 
+use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
-use weblint::httpd::{client, HttpServer, ServerConfig, ServerMode};
+use weblint::httpd::{client, HttpServer, ServerConfig};
 use weblint::service::ServiceConfig;
 use weblint::site::{SharedWeb, SimulatedWeb};
+
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/http_responses.txt"
+);
+
+/// `/metrics` lines left out of the transcript. Readiness wakeups,
+/// timing and the per-worker split depend on scheduling; the pool, job,
+/// cache and request lines split work between the loop thread (streamed
+/// lints) and the worker pool, which the responses above already pin.
+const MASKED_METRICS: [&str; 7] = [
+    "loop:",
+    "time:",
+    "load:  per-worker",
+    "pool:",
+    "jobs:",
+    "cache:",
+    "reqs:",
+];
 
 fn demo_web() -> SharedWeb {
     let mut web = SimulatedWeb::new();
@@ -27,9 +54,8 @@ fn demo_web() -> SharedWeb {
     SharedWeb::new(web)
 }
 
-fn server(mode: ServerMode) -> weblint::httpd::ServerHandle {
+fn server() -> weblint::httpd::ServerHandle {
     let config = ServerConfig {
-        mode,
         service: ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
@@ -61,8 +87,30 @@ fn post(target: &str, extra: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
+/// Render wire bytes as transcript text: backslashes doubled and each CR
+/// spelled `\r`, so the file stays plain LF text and diffs line by line.
+fn escape(bytes: &[u8]) -> String {
+    let text = std::str::from_utf8(bytes).expect("every response is UTF-8");
+    text.replace('\\', "\\\\").replace('\r', "\\r")
+}
+
+/// Fail at the first line where `actual` leaves the golden transcript.
+fn assert_golden(expected: &str, actual: &str) {
+    if expected != actual {
+        for (i, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+            assert_eq!(e, a, "first divergence at golden line {}", i + 1);
+        }
+        assert_eq!(
+            expected.lines().count(),
+            actual.lines().count(),
+            "golden and actual differ in length"
+        );
+        panic!("golden and actual differ in trailing bytes");
+    }
+}
+
 #[test]
-fn responses_are_byte_identical_across_modes() {
+fn responses_match_the_golden_transcript() {
     let fixture = "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>";
     let corpus: Vec<(&str, Vec<u8>)> = vec![
         (
@@ -123,144 +171,104 @@ fn responses_are_byte_identical_across_modes() {
         ),
     ];
 
-    let event = server(ServerMode::EventLoop);
-    let threaded = server(ServerMode::Threaded);
+    let handle = server();
+    let mut transcript = String::from(
+        "# weblint-serve wire transcript, one fresh connection per case.\n\
+         # Regenerate: WEBLINT_GOLDEN_REGEN=1 cargo test -q --test event_loop\n",
+    );
     for (name, raw) in &corpus {
-        let event_before = event.http_metrics();
-        let threaded_before = threaded.http_metrics();
-        let from_event = exchange(event.addr(), raw);
-        let from_threaded = exchange(threaded.addr(), raw);
-        assert!(
-            from_event == from_threaded,
-            "{name}: modes disagree\n-- event-loop --\n{}\n-- threaded --\n{}",
-            String::from_utf8_lossy(&from_event),
-            String::from_utf8_lossy(&from_threaded)
-        );
-        assert!(!from_event.is_empty(), "{name}: no response at all");
-        // The counters must move in lockstep, case by case.
-        let event_after = event.http_metrics();
-        let threaded_after = threaded.http_metrics();
-        assert_eq!(
-            event_after.bytes_in - event_before.bytes_in,
-            threaded_after.bytes_in - threaded_before.bytes_in,
-            "{name}: bytes_in delta"
-        );
-        assert_eq!(
-            event_after.requests_served - event_before.requests_served,
-            threaded_after.requests_served - threaded_before.requests_served,
-            "{name}: requests delta"
-        );
+        let before = handle.http_metrics();
+        let response = exchange(handle.addr(), raw);
+        assert!(!response.is_empty(), "{name}: no response at all");
+        let after = handle.http_metrics();
+        writeln!(
+            transcript,
+            "## {name}: {} byte(s), bytes_in +{}, requests_served +{}",
+            response.len(),
+            after.bytes_in - before.bytes_in,
+            after.requests_served - before.requests_served
+        )
+        .unwrap();
+        transcript.push_str(&escape(&response));
+        transcript.push('\n');
     }
 
-    // After identical histories, the counters themselves must agree:
-    // compare /metrics bodies with only the genuinely run-dependent
-    // lines masked. Every line the threaded server has always printed
-    // must be byte-identical.
-    let masked = |addr| {
-        let raw = exchange(addr, b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let text = String::from_utf8(raw).unwrap();
-        let body = text.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-        body.lines()
-            .filter(|line| {
-                // wakeups only exist in event mode; timing and
-                // per-worker distribution depend on scheduling; lint
-                // bodies stream on the loop thread in event mode, so the
-                // service job/cache counters and the streamed-request
-                // count legitimately diverge (responses above were
-                // asserted byte-identical either way).
-                !line.trim_start().starts_with("loop:")
-                    && !line.trim_start().starts_with("time:")
-                    && !line.trim_start().starts_with("load:  per-worker")
-                    && !line.trim_start().starts_with("pool:")
-                    && !line.trim_start().starts_with("jobs:")
-                    && !line.trim_start().starts_with("cache:")
-                    && !line.trim_start().starts_with("reqs:")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+    // After the whole corpus, the counters themselves are pinned too:
+    // the /metrics body, less the MASKED_METRICS lines.
+    let raw = exchange(
+        handle.addr(),
+        b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    let text = String::from_utf8(raw).unwrap();
+    let body = text.split("\r\n\r\n").nth(1).unwrap_or("");
+    assert!(body.contains("httpd statistics:"), "{body}");
+    transcript.push_str("## metrics (masked)\n");
+    let masked = |line: &str| {
+        let line = line.trim_start();
+        MASKED_METRICS.iter().any(|prefix| line.starts_with(prefix))
     };
-    // bytes_out must agree before /metrics is fetched: the /metrics
-    // bodies themselves legitimately differ in length (the event loop's
-    // wakeup count has more digits than the threaded server's zero).
-    let event_pre = event.http_metrics();
-    let threaded_pre = threaded.http_metrics();
-    assert_eq!(event_pre.bytes_out, threaded_pre.bytes_out);
+    for line in body.lines().filter(|line| !masked(line)) {
+        transcript.push_str(&escape(line.as_bytes()));
+        transcript.push('\n');
+    }
 
-    let event_metrics = masked(event.addr());
-    let threaded_metrics = masked(threaded.addr());
-    assert!(
-        event_metrics == threaded_metrics,
-        "metrics disagree\n-- event-loop --\n{event_metrics}\n-- threaded --\n{threaded_metrics}"
-    );
-    assert!(event_metrics.contains("httpd statistics:"));
+    let (http, _) = handle.shutdown();
+    assert_eq!(http.open_connections, 0);
 
-    let (event_http, _) = event.shutdown();
-    let (threaded_http, _) = threaded.shutdown();
-    assert_eq!(
-        event_http.connections_accepted,
-        threaded_http.connections_accepted
-    );
-    assert_eq!(event_http.requests_served, threaded_http.requests_served);
-    assert_eq!(event_http.parse_errors, threaded_http.parse_errors);
-    assert_eq!(event_http.body_rejections, threaded_http.body_rejections);
-    assert_eq!(event_http.bytes_in, threaded_http.bytes_in);
-    assert_eq!(event_http.keepalive_reuse, threaded_http.keepalive_reuse);
-    assert_eq!(event_http.open_connections, 0);
-    assert_eq!(threaded_http.open_connections, 0);
+    if std::env::var_os("WEBLINT_GOLDEN_REGEN").is_some() {
+        std::fs::write(GOLDEN_PATH, &transcript).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden transcript missing — run with WEBLINT_GOLDEN_REGEN=1 to create it");
+    assert_golden(&expected, &transcript);
 }
 
-/// The keep-alive soak both modes must survive: many concurrent
-/// persistent connections, each serving a request, idling, then serving
-/// another. The event loop holds them all on one thread; the threaded
-/// server spends a thread each — both must answer every request and
-/// drain cleanly. (CI runs this under `timeout`; a deadlocked loop
-/// hangs here first.)
+/// The keep-alive soak: many concurrent persistent connections, each
+/// serving a request, idling, then serving another, all held on the one
+/// loop thread. Every request must be answered and the population must
+/// drain cleanly. (CI runs this under `timeout`; a deadlocked loop hangs
+/// here first.)
 #[test]
-fn keep_alive_soak_in_both_modes() {
-    // 1k in event mode (the C10k bench pushes further); the threaded
-    // server gets the same soak so the fallback stays honest — at a
-    // count its thread-per-connection design can still carry.
-    for (mode, conns) in [(ServerMode::EventLoop, 1000), (ServerMode::Threaded, 1000)] {
-        // A long idle timeout: while one connection is served, the other
-        // 999 sit idle, and on a loaded single-core runner a full round
-        // can outlast the default 5s.
-        let config = ServerConfig {
-            mode,
-            read_timeout: std::time::Duration::from_secs(120),
-            service: ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-            ..ServerConfig::default()
-        };
-        let handle = HttpServer::bind(config).unwrap().start();
-        let addr = handle.addr();
-        let mut sockets = Vec::with_capacity(conns);
-        for i in 0..conns {
-            let stream = TcpStream::connect(addr)
-                .unwrap_or_else(|e| panic!("{mode:?}: connect {i} failed: {e}"));
-            stream.set_nodelay(true).unwrap();
-            sockets.push((stream.try_clone().unwrap(), BufReader::new(stream)));
-        }
-        // Two rounds over every connection, with the whole population
-        // held open in between — the second round is pure keep-alive
-        // reuse.
-        for round in 0..2 {
-            for (i, (stream, reader)) in sockets.iter_mut().enumerate() {
-                client::write_request(stream, "GET", "/health", &[], b"").unwrap();
-                let response = client::read_response(reader)
-                    .unwrap_or_else(|e| panic!("{mode:?}: round {round} conn {i}: {e}"));
-                assert_eq!(response.status, 200, "{mode:?} round {round} conn {i}");
-                assert_eq!(response.header("connection"), Some("keep-alive"));
-            }
-        }
-        let open_at_peak = handle.http_metrics().open_connections;
-        drop(sockets);
-        let (http, _) = handle.shutdown();
-        assert_eq!(http.connections_accepted, conns as u64, "{mode:?}");
-        assert_eq!(http.requests_served, 2 * conns as u64, "{mode:?}");
-        assert_eq!(http.keepalive_reuse, conns as u64, "{mode:?}");
-        assert_eq!(open_at_peak, conns as u64, "{mode:?}");
-        assert_eq!(http.timeouts, 0, "{mode:?}: nothing should have timed out");
+fn keep_alive_soak_over_a_thousand_connections() {
+    // 1k here; the C10k bench pushes further.
+    let conns = 1000;
+    // A long idle timeout: while one connection is served, the other 999
+    // sit idle, and on a loaded single-core runner a full round can
+    // outlast the default 5s.
+    let config = ServerConfig {
+        read_timeout: std::time::Duration::from_secs(120),
+        service: ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let handle = HttpServer::bind(config).unwrap().start();
+    let addr = handle.addr();
+    let mut sockets = Vec::with_capacity(conns);
+    for i in 0..conns {
+        let stream = TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {i} failed: {e}"));
+        stream.set_nodelay(true).unwrap();
+        sockets.push((stream.try_clone().unwrap(), BufReader::new(stream)));
     }
+    // Two rounds over every connection, with the whole population held
+    // open in between — the second round is pure keep-alive reuse.
+    for round in 0..2 {
+        for (i, (stream, reader)) in sockets.iter_mut().enumerate() {
+            client::write_request(stream, "GET", "/health", &[], b"").unwrap();
+            let response = client::read_response(reader)
+                .unwrap_or_else(|e| panic!("round {round} conn {i}: {e}"));
+            assert_eq!(response.status, 200, "round {round} conn {i}");
+            assert_eq!(response.header("connection"), Some("keep-alive"));
+        }
+    }
+    let open_at_peak = handle.http_metrics().open_connections;
+    drop(sockets);
+    let (http, _) = handle.shutdown();
+    assert_eq!(http.connections_accepted, conns as u64);
+    assert_eq!(http.requests_served, 2 * conns as u64);
+    assert_eq!(http.keepalive_reuse, conns as u64);
+    assert_eq!(open_at_peak, conns as u64);
+    assert_eq!(http.timeouts, 0, "nothing should have timed out");
 }
