@@ -136,6 +136,8 @@ cmp "$ckroot/killed.out" "$ckroot/golden.out"
 # One crawler, any width: without faults the report is a property of the
 # site, so the defaults (-shards 1 -jobs 1) and -shards 4 -jobs 4 must
 # print the same bytes (exit 1: the planted defects and dead links).
+# -jobs covers the HEAD link checks as well as the page GETs, so this
+# compares one-at-a-time HEADs with four-wide HEAD batches too.
 rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 > "$ckroot/narrow.out" || rc=$?
 test "$rc" -eq 1
 rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 -shards 4 -jobs 4 \
@@ -185,6 +187,10 @@ timeout 120 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.
 # reported. Again only the exit status is gated.
 timeout 180 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.toml -- \
     --workload crawl --seed 1 --seconds 5 --trace 0
+# The same oracle at a held-out seed, so the batched HEAD link checks are
+# checked on federations the seed-1 run never sees. Exit status only.
+timeout 180 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.toml -- \
+    --workload crawl --seed 11 --seconds 3 --trace 0
 
 # weblint - must lint an unbuffered stdin stream like the file path.
 printf '<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>' \

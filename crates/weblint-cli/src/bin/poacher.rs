@@ -8,13 +8,14 @@
 //! generated federation of hosts for the sharded-crawl experiments.
 //! Either way the crawl is one `Robot::crawl_sharded` call and one report
 //! printer; `-shards` and `-jobs` change how fast it runs, not what it
-//! prints.
+//! prints. `-jobs` is how many requests each shard has in flight at once,
+//! HEAD link checks and page GETs alike.
 //!
 //! ```text
 //! usage: poacher [options] DIRECTORY
 //!   -s            short per-page messages
 //!   -max N        stop after N pages (default 1000)
-//!   -jobs N       pages fetched and linted at once per shard
+//!   -jobs N       requests in flight per shard: HEAD link checks and page GETs
 //!   -quiet        dead links and summary only, no per-page lint
 //!   -help
 //! ```
@@ -42,9 +43,9 @@ options:
   -s            short per-page messages (line N: ...)
   -max N        stop after N pages (default 1000); links on the pages
                 crawled are still validated
-  -jobs N       fetch and lint up to N pages at once per shard (1..=64,
-                default 1; the adaptive per-host limit clamps each batch
-                further)
+  -jobs N       keep up to N requests in flight per shard, HEAD link
+                checks and page GETs alike (1..=64, default 1; the
+                adaptive per-host limit clamps each batch further)
   -adaptive     pace the crawl: AIMD per-host in-flight limits plus
                 budget-capped hedged fetches
   -shards N     partition the crawl across N robot shards by host hash;

@@ -349,3 +349,38 @@ fn poacher_report_is_invariant_across_jobs_and_shards() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The faulty, adaptive, four-shard, four-wide `-mega` crawl ci.sh also
+/// replays, recorded before HEAD link checks were batched: widening the
+/// HEADs changes when requests overlap, never what the crawl reports.
+const FAULTY_WIDE_GOLDEN: &str = include_str!("../../../tests/golden/poacher_faulty_wide.txt");
+
+#[test]
+fn poacher_faulty_wide_crawl_matches_its_golden() {
+    let out = poacher(&[
+        "-mega",
+        "8x100",
+        "-shards",
+        "4",
+        "-jobs",
+        "4",
+        "-stats",
+        "-faults",
+        "10%",
+        "-fault-seed",
+        "7",
+        "-adaptive",
+        "-quiet",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "planted defects and dead links");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let first_diff = stdout
+        .lines()
+        .zip(FAULTY_WIDE_GOLDEN.lines())
+        .position(|(got, want)| got != want);
+    assert_eq!(first_diff, None, "first differing line (0-based)");
+    assert!(
+        stdout == FAULTY_WIDE_GOLDEN,
+        "stdout differs from the golden"
+    );
+}

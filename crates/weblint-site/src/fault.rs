@@ -901,6 +901,29 @@ impl<F> ResilientFetcher<F> {
         hosts.entry(host.to_string()).or_default().stats.backoff_us += us;
     }
 
+    /// The retry loop alone: attempt with `op` until `failed` clears or
+    /// the retries run out, accounting backoff (a commutative add, safe
+    /// from any thread). No admission check, no breaker transition.
+    fn retry<R>(
+        &self,
+        url: &Url,
+        op: impl Fn(&F, &Url) -> R,
+        failed: impl Fn(&R) -> bool,
+    ) -> (R, RequestCost) {
+        let host = url.host.as_str();
+        let mut cost = RequestCost::default();
+        loop {
+            let result = op(&self.inner, url);
+            if !failed(&result) || cost.retries >= self.retry.max_retries {
+                return (result, cost);
+            }
+            let wait = self.backoff(host, cost.retries);
+            self.add_backoff(host, wait);
+            cost.backoff_us += wait;
+            cost.retries += 1;
+        }
+    }
+
     /// Drive one request through admission, retries, and bookkeeping.
     /// `op` performs an attempt, `failed` inspects its result. Returns
     /// the result plus what the request cost this layer.
@@ -911,8 +934,8 @@ impl<F> ResilientFetcher<F> {
         op: impl Fn(&F, &Url) -> R,
         failed: impl Fn(&R) -> bool,
     ) -> (R, RequestCost) {
-        let host = url.host.clone();
-        if !self.admit(&host) {
+        let host = url.host.as_str();
+        if !self.admit(host) {
             return (
                 shed(),
                 RequestCost {
@@ -921,25 +944,13 @@ impl<F> ResilientFetcher<F> {
                 },
             );
         }
-        let mut cost = RequestCost::default();
-        let mut attempt = 0u32;
-        loop {
-            let result = op(&self.inner, url);
-            if !failed(&result) {
-                self.record_success(&host, attempt);
-                cost.retries = attempt;
-                return (result, cost);
-            }
-            if attempt >= self.retry.max_retries {
-                self.record_failure(&host, attempt);
-                cost.retries = attempt;
-                return (result, cost);
-            }
-            let wait = self.backoff(&host, attempt);
-            self.add_backoff(&host, wait);
-            cost.backoff_us += wait;
-            attempt += 1;
+        let (result, cost) = self.retry(url, op, &failed);
+        if failed(&result) {
+            self.record_failure(host, cost.retries);
+        } else {
+            self.record_success(host, cost.retries);
         }
+        (result, cost)
     }
 }
 
@@ -966,27 +977,27 @@ pub(crate) enum HopRecord {
 
 impl<F: Fetcher> ResilientFetcher<F> {
     /// Worker half of a scheduler-issued GET: the retry loop alone, with
-    /// no admission check and no breaker transition. Backoff is still
-    /// accounted (a commutative add, safe from any thread); the
-    /// order-sensitive bookkeeping is deferred to [`Self::settle_hop`].
+    /// no admission check and no breaker transition. The order-sensitive
+    /// bookkeeping is deferred to [`Self::settle_hop`].
     pub(crate) fn attempt_get(&self, url: &Url) -> ((Status, String, String), RequestCost) {
-        let host = url.host.as_str();
-        let mut cost = RequestCost::default();
-        let mut attempt = 0u32;
-        loop {
-            let result = self.inner.get(url);
-            if !transient(&result.0) || attempt >= self.retry.max_retries {
-                cost.retries = attempt;
-                return (result, cost);
-            }
-            let wait = self.backoff(host, attempt);
-            self.add_backoff(host, wait);
-            cost.backoff_us += wait;
-            attempt += 1;
-        }
+        self.retry(
+            url,
+            |inner, url| inner.get(url),
+            |(status, _, _)| transient(status),
+        )
     }
 
-    /// Scheduler half of a scheduler-issued GET: replay the admission
+    /// Worker half of a scheduler-issued HEAD, the link check's twin of
+    /// [`Self::attempt_get`].
+    pub(crate) fn attempt_head(&self, url: &Url) -> ((Status, String), RequestCost) {
+        self.retry(
+            url,
+            |inner, url| inner.head(url),
+            |(status, _)| transient(status),
+        )
+    }
+
+    /// Scheduler half of a scheduler-issued request: replay the admission
     /// and outcome bookkeeping that [`Self::drive`] would have done,
     /// strictly in issue order so breaker transitions are deterministic
     /// no matter how the parallel workers interleaved.

@@ -25,25 +25,36 @@
 //! assert_eq!(run.report.dead_links[0].href, "gone.html");
 //! ```
 //!
+//! Each shard runs a wave in two phases: HEAD every link check and every
+//! crawl candidate, then GET and lint the pages among them. Both phases
+//! issue in batches of up to [`RobotOptions::jobs`] requests, clamped per
+//! host by the frozen AIMD limit, on one set of fetch workers per
+//! shard-wave: `jobs − 1` scoped threads plus the shard thread. Workers
+//! only run requests and read a frozen breaker snapshot; every breaker
+//! transition and pacer observation is settled on the shard thread in
+//! issue order before the next batch forms.
+//!
 //! More shards, a wider [`RobotOptions::jobs`], checkpoints, and fault or
 //! pacing layers in the stack change how the crawl runs, not what a
 //! fault-free crawl reports.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::Scope;
 
 use weblint_core::{Diagnostic, LintConfig, LintSession};
 
 use crate::checkpoint::{
     self, load_checkpoint, save_checkpoint, CheckpointError, CheckpointMeta, ShardState,
 };
-use crate::fault::{transient, HopRecord, VIRTUAL_RTT_US};
+use crate::fault::{transient, HopRecord, RequestCost, VIRTUAL_RTT_US};
 use crate::frontier::{shard_of, Candidate, ShardFrontier};
 use crate::links::{extract_links, LinkKind};
-use crate::pacing::{HedgeToken, Observation};
+use crate::pacing::{HedgeToken, Observation, Pacer};
 use crate::stack::{FetchStack, StackState, StackTelemetry};
 use crate::url::Url;
 use crate::web::{SimulatedWeb, Status};
@@ -214,8 +225,9 @@ pub struct RobotOptions {
     /// Bound on click depth: links found on pages at this depth are
     /// still validated, but not crawled. `None` crawls without bound.
     pub max_depth: Option<usize>,
-    /// Pages each shard fetches and lints at once (the adaptive per-host
-    /// limit clamps each batch further). `1` crawls sequentially.
+    /// Requests each shard has in flight: HEAD link checks and page GETs
+    /// (the adaptive per-host limit clamps each batch further). `1`
+    /// crawls sequentially, on the shard thread alone.
     pub jobs: usize,
     /// HEAD-validate links that leave the start URLs' hosts.
     pub check_external: bool,
@@ -273,7 +285,7 @@ impl RobotOptionsBuilder {
         self
     }
 
-    /// Pages fetched and linted at once per shard; clamped to 1..=64.
+    /// Requests in flight per shard, HEADs and GETs; clamped to 1..=64.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.options.jobs = jobs.clamp(1, 64);
         self
@@ -452,34 +464,110 @@ struct Fetched {
     hedge_won: bool,
 }
 
-/// Fetch a batch of candidates, each with its hedge token — inline when
-/// it is one, otherwise one scoped worker thread each (the batch width is
-/// already capped by `jobs` and the per-host limit). Results come back in
-/// batch order.
-fn run_batch<F: Fetcher + Sync>(
-    options: &RobotOptions,
-    stack: &FetchStack<F>,
-    batch: &[(&Candidate, HedgeToken)],
-) -> Vec<Fetched> {
-    if let [(candidate, token)] = batch {
-        return vec![run_task(options, stack, &candidate.url, *token)];
+/// A request for the fetch workers, boxed with its answer type erased:
+/// the pool below is then compiled once, here, rather than once per
+/// fetcher type in every crate that crawls.
+type Request<'env> = Box<dyn FnOnce() -> Answer + Send + 'env>;
+type Answer = Box<dyn Any + Send>;
+/// What a worker runs: a request that sends its own answer back.
+type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
+
+/// One shard's fetch workers for one wave: `jobs − 1` scoped threads
+/// that serve every HEAD and GET batch of the wave, plus the shard thread
+/// itself, which runs the first request of each batch. `jobs = 1` spawns
+/// none.
+struct FetchPool<'env> {
+    queue: mpsc::Sender<Job<'env>>,
+}
+
+impl<'env> FetchPool<'env> {
+    /// Spawn `workers` threads on `scope`, serving one queue until the
+    /// pool is dropped — when the shard returns or panics.
+    fn spawn<'scope>(scope: &'scope Scope<'scope, 'env>, workers: usize) -> FetchPool<'env> {
+        let (queue, inbox) = mpsc::channel::<Job<'env>>();
+        let inbox = Arc::new(Mutex::new(inbox));
+        for _ in 0..workers {
+            let inbox = Arc::clone(&inbox);
+            scope.spawn(move || loop {
+                // The guard drops at the `;`: one worker waits on the
+                // queue at a time, none holds it while fetching.
+                let job = inbox.lock().expect("queue lock").recv();
+                match job {
+                    Ok(job) => job(),
+                    Err(_) => break,
+                }
+            });
+        }
+        FetchPool { queue }
     }
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = batch
-            .iter()
-            .map(|(candidate, token)| {
-                scope.spawn(move || run_task(options, stack, &candidate.url, *token))
-            })
+
+    /// Run `batch` — the first request here, the rest on the workers —
+    /// and return the answers in batch order. A request that panicked
+    /// re-raises its panic on the shard thread.
+    fn run<T: Send + 'static>(
+        &self,
+        batch: impl Iterator<Item = impl FnOnce() -> T + Send + 'env>,
+    ) -> Vec<T> {
+        let requests = batch
+            .map(|request| Box::new(move || Box::new(request()) as Answer) as Request<'env>)
             .collect();
-        workers
+        self.dispatch(requests)
             .into_iter()
-            .map(|worker| {
-                worker
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            .map(|answer| {
+                *answer
+                    .downcast::<T>()
+                    .expect("a request answers its own type")
             })
             .collect()
-    })
+    }
+
+    /// The untyped half of [`Self::run`].
+    fn dispatch(&self, batch: Vec<Request<'env>>) -> Vec<Answer> {
+        let len = batch.len();
+        let (tx, rx) = mpsc::channel();
+        let mut batch = batch.into_iter();
+        let first = batch.next();
+        for (i, request) in batch.enumerate() {
+            let tx = tx.clone();
+            let job: Job<'env> = Box::new(move || {
+                let _ = tx.send((i + 1, catch_unwind(AssertUnwindSafe(request))));
+            });
+            self.queue
+                .send(job)
+                .expect("fetch workers outlive the wave");
+        }
+        drop(tx);
+        let mut answers: Vec<Option<Answer>> = (0..len).map(|_| None).collect();
+        if let Some(first) = first {
+            answers[0] = Some(first());
+        }
+        for (i, answer) in rx.iter() {
+            answers[i] = Some(answer.unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        answers
+            .into_iter()
+            .map(|answer| answer.expect("every request answers"))
+            .collect()
+    }
+}
+
+/// How many requests from the front of `pending` the next batch takes:
+/// issue order is never changed, the batch holds at most `jobs`, and no
+/// host gets more than its frozen AIMD limit (the first always goes).
+/// The caller issues and settles the batch before forming the next.
+fn batch_len(jobs: usize, pacer: &Pacer, pending: &[&Candidate]) -> usize {
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut len = 0usize;
+    for candidate in pending.iter().take(jobs) {
+        let host = candidate.url.host.as_str();
+        let seen = counts.entry(host).or_insert(0);
+        if len > 0 && *seen >= pacer.limit(host).max(1) {
+            break;
+        }
+        *seen += 1;
+        len += 1;
+    }
+    len
 }
 
 /// Fetch one URL on a worker: follow redirects through the stack,
@@ -538,11 +626,33 @@ fn run_task<F: Fetcher>(
     }
 }
 
-/// HEAD `url` through the stack's guarded drive and feed the answer to
-/// the pacer as one observation.
-fn probe<F: Fetcher>(stack: &FetchStack<F>, url: &Url) -> (Status, String) {
-    let (result, cost) = stack.head_cost(url);
-    let bad = cost.shed || cost.retries > 0 || transient(&result.0);
+/// HEAD `url` on a worker: shed it if the frozen breaker snapshot is
+/// open, otherwise run the retry loop, leaving the breaker bookkeeping
+/// to [`settle_head`].
+fn run_head<F: Fetcher>(stack: &FetchStack<F>, url: &Url) -> ((Status, String), RequestCost) {
+    if !stack.frozen_allows(&url.host) {
+        let shed = RequestCost {
+            shed: true,
+            ..RequestCost::default()
+        };
+        return ((Status::ServerError, String::new()), shed);
+    }
+    stack.attempt_head(url)
+}
+
+/// Settle one HEAD in issue order: the resilience bookkeeping its worker
+/// skipped, then one pacer observation.
+fn settle_head<F: Fetcher>(stack: &FetchStack<F>, url: &Url, status: &Status, cost: RequestCost) {
+    let hop = if cost.shed {
+        HopRecord::Shed
+    } else {
+        HopRecord::Done {
+            failed: transient(status),
+            retries: cost.retries,
+        }
+    };
+    stack.settle_hop(&url.host, &hop);
+    let bad = cost.shed || cost.retries > 0 || transient(status);
     stack.pacer().observe(
         &url.host,
         Observation {
@@ -551,7 +661,6 @@ fn probe<F: Fetcher>(stack: &FetchStack<F>, url: &Url) -> (Status, String) {
             latency_us: cost.virtual_us(),
         },
     );
-    result
 }
 
 /// Why a URL could not be checked.
@@ -833,9 +942,9 @@ fn dead_reason(status: &Status, external: bool) -> Option<String> {
     })
 }
 
-/// Run one shard's wave on its own thread: HEAD-validate probes,
-/// classify candidates, then GET + lint pages in bounded batches, settled
-/// in issue order.
+/// Run one shard's wave on its own thread: HEAD-validate probes and
+/// classify candidates, then GET + lint pages, every request in bounded
+/// batches on one [`FetchPool`] and settled in issue order.
 /// Everything order-sensitive happens in `(depth, url)` order, so the
 /// delta is a pure function of (assignment, restored stack state).
 fn run_shard_wave<F: Fetcher + Sync>(
@@ -844,25 +953,56 @@ fn run_shard_wave<F: Fetcher + Sync>(
     stack: &FetchStack<F>,
     assignment: &WaveAssignment,
 ) -> WaveDelta {
+    std::thread::scope(|scope| {
+        let pool = FetchPool::spawn(scope, options.jobs - 1);
+        shard_wave(options, federation, stack, assignment, &pool)
+    })
+}
+
+/// The body of [`run_shard_wave`], issuing on `pool`.
+fn shard_wave<'env, F: Fetcher + Sync>(
+    options: &'env RobotOptions,
+    federation: &BTreeSet<String>,
+    stack: &'env FetchStack<F>,
+    assignment: &'env WaveAssignment,
+    pool: &FetchPool<'env>,
+) -> WaveDelta {
     let mut delta = WaveDelta::default();
-    for request in &assignment.probes {
-        let (status, _) = probe(stack, &request.url);
+    // HEAD the probes, then the candidates, as one queue.
+    let heads: Vec<&Candidate> = assignment
+        .probes
+        .iter()
+        .chain(&assignment.candidates)
+        .collect();
+    let mut answers: Vec<(Status, String)> = Vec::with_capacity(heads.len());
+    let mut pending = &heads[..];
+    while !pending.is_empty() {
+        let (batch, rest) = pending.split_at(batch_len(options.jobs, stack.pacer(), pending));
+        let requests = batch.iter().map(|&c| move || run_head(stack, &c.url));
+        for (candidate, (answer, cost)) in batch.iter().zip(pool.run(requests)) {
+            settle_head(stack, &candidate.url, &answer.0, cost);
+            answers.push(answer);
+        }
+        pending = rest;
+    }
+    let (probe_answers, candidate_answers) = answers.split_at(assignment.probes.len());
+    for (request, (status, _)) in assignment.probes.iter().zip(probe_answers) {
         let external = !federation.contains(&request.url.host);
-        if let Some(reason) = dead_reason(&status, external) {
+        if let Some(reason) = dead_reason(status, external) {
             let (page, href) = attribution(request);
             delta.dead_links.push(DeadLink { page, href, reason });
         }
     }
-    // HEAD-classify candidates: pages and redirects go on to the GET
-    // phase, assets are done, the dead are reported.
+    // Classify candidates: pages and redirects go on to the GET phase,
+    // assets are done, the dead are reported.
     let mut gets: Vec<&Candidate> = Vec::new();
-    for candidate in &assignment.candidates {
-        match probe(stack, &candidate.url) {
+    for (candidate, answer) in assignment.candidates.iter().zip(candidate_answers) {
+        match answer {
             (Status::Ok, ct) if ct.starts_with("text/html") => gets.push(candidate),
             (Status::Ok, _) => {}
             (Status::Redirect(_), _) => gets.push(candidate),
             (status, _) => {
-                if let Some(reason) = dead_reason(&status, false) {
+                if let Some(reason) = dead_reason(status, false) {
                     let (page, href) = attribution(candidate);
                     delta.dead_links.push(DeadLink { page, href, reason });
                     delta.dead_pending.push(candidate.url.to_string());
@@ -876,38 +1016,24 @@ fn run_shard_wave<F: Fetcher + Sync>(
     if assignment.inject_panic && gets.is_empty() {
         panic!("injected shard death");
     }
-    // GET in batches: take candidates from the front (never reorder)
-    // while each host stays under its frozen AIMD limit and the batch
-    // under `jobs`; settle in issue order.
-    let mut index = 0usize;
-    let mut first_batch = true;
-    while index < gets.len() {
-        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut batch: Vec<(&Candidate, HedgeToken)> = Vec::new();
-        while index < gets.len() && batch.len() < options.jobs {
-            let candidate = gets[index];
-            let host = candidate.url.host.as_str();
-            let limit = stack.pacer().limit(host).max(1);
-            let seen = counts.get(host).copied().unwrap_or(0);
-            if !batch.is_empty() && seen >= limit {
-                break;
-            }
-            *counts.entry(host).or_insert(0) += 1;
+    let mut pending = &gets[..];
+    while !pending.is_empty() {
+        let (batch, rest) = pending.split_at(batch_len(options.jobs, stack.pacer(), pending));
+        let requests = batch.iter().map(|&c| {
+            let host = c.url.host.as_str();
             let token = stack.pacer().authorize(host, stack.breaker_state(host));
-            batch.push((candidate, token));
-            index += 1;
-        }
-        let fetched = run_batch(options, stack, &batch);
-        for ((candidate, _), fetched) in batch.into_iter().zip(fetched) {
+            move || run_task(options, stack, &c.url, token)
+        });
+        for (candidate, fetched) in batch.iter().zip(pool.run(requests)) {
             settle_sharded_task(options, federation, stack, candidate, fetched, &mut delta);
         }
-        if assignment.inject_panic && first_batch {
+        if assignment.inject_panic {
             // Mid-wave: some of this wave's work is settled, the rest is
             // in flight. The coordinator must rerun the whole wave from
             // the pre-wave snapshot.
             panic!("injected shard death");
         }
-        first_batch = false;
+        pending = rest;
     }
     delta.stack = stack.export_state();
     delta
@@ -1358,7 +1484,12 @@ impl Robot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pacing::AimdPolicy;
     use crate::web::SharedWeb;
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicUsize;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     fn page(body: &str) -> String {
         format!(
@@ -1762,5 +1893,193 @@ mod tests {
         assert!(!resumed.report.truncated);
         assert_eq!(resumed.report.pages.len(), 4);
         assert_eq!(resumed.report.dead_links.len(), 1);
+    }
+
+    /// A transport that counts what the robot asks of it: HEADs per URL,
+    /// the most HEADs ever in flight at once, and every thread a fetch
+    /// ran on. Each HEAD lingers a moment so that HEADs issued together
+    /// overlap; nothing asserted reads a clock.
+    struct Gauge {
+        web: SharedWeb,
+        heads: Mutex<BTreeMap<String, usize>>,
+        in_flight: AtomicUsize,
+        peak: AtomicUsize,
+        threads: Mutex<HashSet<ThreadId>>,
+    }
+
+    impl Gauge {
+        fn new(web: SharedWeb) -> Gauge {
+            Gauge {
+                web,
+                heads: Mutex::new(BTreeMap::new()),
+                in_flight: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+                threads: Mutex::new(HashSet::new()),
+            }
+        }
+
+        fn heads_of(&self, url: &str) -> usize {
+            self.heads.lock().unwrap().get(url).copied().unwrap_or(0)
+        }
+
+        fn threads(&self) -> usize {
+            self.threads.lock().unwrap().len()
+        }
+    }
+
+    impl Fetcher for &Gauge {
+        fn head(&self, url: &Url) -> (Status, String) {
+            self.threads
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+            *self
+                .heads
+                .lock()
+                .unwrap()
+                .entry(url.to_string())
+                .or_insert(0) += 1;
+            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(5));
+            let answer = self.web.head(url);
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            answer
+        }
+
+        fn get(&self, url: &Url) -> (Status, String, String) {
+            self.threads
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+            self.web.get(url)
+        }
+    }
+
+    /// One host whose index links ten pages.
+    fn wide_site() -> SharedWeb {
+        let mut web = SimulatedWeb::new();
+        let links: String = (1..=10)
+            .map(|i| format!("<A HREF=\"p{i}.html\">{i}</A> "))
+            .collect();
+        web.add_page("http://site/index.html", page(&format!("<P>{links}</P>")));
+        for i in 1..=10 {
+            web.add_page(&format!("http://site/p{i}.html"), page("<P>leaf</P>"));
+        }
+        SharedWeb::new(web)
+    }
+
+    #[test]
+    fn head_checks_go_out_jobs_wide_on_one_pool_per_wave() {
+        // The host's AIMD limit is pinned at 3, below the width of 4.
+        let aimd = AimdPolicy {
+            initial_limit: 3,
+            max_limit: 3,
+            increase_per: 4,
+        };
+        let crawl = |jobs: usize| {
+            let gauge = Gauge::new(wide_site());
+            let robot = Robot::new(RobotOptions::builder().jobs(jobs).build());
+            let make_stack = |_| FetchStack::new(&gauge).adaptive(aimd.clone()).build();
+            let run = robot
+                .crawl_sharded(&[start()], make_stack, &ShardedOptions::default())
+                .unwrap();
+            assert_eq!(run.report.pages.len(), 11);
+            assert_eq!(gauge.heads.lock().unwrap().len(), 11, "one HEAD per page");
+            let peak = gauge.peak.load(Ordering::SeqCst);
+            (peak, gauge.threads(), run.waves)
+        };
+
+        // One wide: one HEAD at a time, every fetch of a wave on its
+        // shard thread.
+        let (peak, threads, waves) = crawl(1);
+        assert_eq!(peak, 1);
+        assert!(threads <= waves, "{threads} threads over {waves} waves");
+
+        // Four wide: HEADs overlap, but never past the host's limit, and
+        // each wave's batches share one set of workers.
+        let (peak, threads, waves) = crawl(4);
+        assert!((2..=3).contains(&peak), "peak {peak} HEADs in flight");
+        assert!(threads <= waves * 4, "{threads} threads over {waves} waves");
+    }
+
+    #[test]
+    fn resumed_cuts_report_once_and_recheck_pending_links() {
+        // index -> a, b; a -> c, gone; b -> gone2.
+        let mut web = SimulatedWeb::new();
+        web.add_page(
+            "http://site/index.html",
+            page("<P><A HREF=\"a.html\">a</A> <A HREF=\"b.html\">b</A></P>"),
+        );
+        web.add_page(
+            "http://site/a.html",
+            page("<P><A HREF=\"c.html\">c</A> <A HREF=\"gone.html\">x</A></P>"),
+        );
+        web.add_page(
+            "http://site/b.html",
+            page("<P><A HREF=\"gone2.html\">y</A></P>"),
+        );
+        web.add_page("http://site/c.html", page("<P>deep</P>"));
+        let gauge = Gauge::new(SharedWeb::new(web));
+        let dir = std::env::temp_dir().join(format!("weblint-recut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ShardedOptions {
+            checkpoint: Some(CheckpointConfig {
+                dir: dir.clone(),
+                every_pages: 64,
+                config_token: String::new(),
+            }),
+            resume: true,
+            ..ShardedOptions::default()
+        };
+        let crawl = |max_pages: usize| {
+            let robot = Robot::new(RobotOptions::builder().max_pages(max_pages).build());
+            let make_stack = |_| FetchStack::new(&gauge).build();
+            robot.crawl_sharded(&[start()], make_stack, &opts).unwrap()
+        };
+        let heads = |path: &str| gauge.heads_of(&format!("http://site/{path}"));
+
+        // Cut after index and a: the cut HEADs b, c and gone; gone is
+        // reported and leaves the frontier, b and c stay pending.
+        let first = crawl(2);
+        assert_eq!(first.outcome, ShardedOutcome::Paused);
+        assert_eq!(
+            (heads("b.html"), heads("c.html"), heads("gone.html")),
+            (1, 1, 1)
+        );
+
+        // Resume one page wider: b is HEADed again to classify it, then
+        // crawled; the second cut HEADs c again, and gone2 once.
+        let second = crawl(3);
+        assert_eq!(second.outcome, ShardedOutcome::Paused);
+        assert!(second.report.truncated);
+        assert_eq!((heads("b.html"), heads("c.html")), (2, 2));
+        assert_eq!(heads("gone2.html"), 1);
+
+        // Resume to completion: c, pending through both cuts, is HEADed
+        // a third time and crawled. Nothing dead is ever re-checked.
+        let last = crawl(10);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(last.outcome, ShardedOutcome::Complete);
+        assert!(!last.report.truncated);
+        assert_eq!((heads("b.html"), heads("c.html")), (2, 3));
+        assert_eq!((heads("gone.html"), heads("gone2.html")), (1, 1));
+        assert_eq!((heads("index.html"), heads("a.html")), (1, 1));
+
+        // Every page and every dead link appears exactly once.
+        let pages: Vec<&str> = last
+            .report
+            .pages
+            .iter()
+            .map(|p| p.url.path.as_str())
+            .collect();
+        assert_eq!(pages, ["/index.html", "/a.html", "/b.html", "/c.html"]);
+        let dead: Vec<(&str, &str)> = last
+            .report
+            .dead_links
+            .iter()
+            .map(|d| (d.page.path.as_str(), d.href.as_str()))
+            .collect();
+        assert_eq!(dead, [("/a.html", "gone.html"), ("/b.html", "gone2.html")]);
     }
 }

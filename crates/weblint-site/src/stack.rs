@@ -253,6 +253,17 @@ impl<F: Fetcher> FetchStack<F> {
         }
     }
 
+    /// Worker half of a scheduler-issued HEAD: retries without breaker
+    /// bookkeeping (see [`ResilientFetcher::attempt_head`]).
+    pub(crate) fn attempt_head(&self, url: &Url) -> ((Status, String), RequestCost) {
+        match &self.tower {
+            Tower::Plain(f) => (f.head(url), RequestCost::default()),
+            Tower::Faulty(f) => (f.head(url), RequestCost::default()),
+            Tower::Resilient(r) => r.attempt_head(url),
+            Tower::ResilientFaulty(r) => r.attempt_head(url),
+        }
+    }
+
     /// One raw attempt below the resilience layer — the hedge: a single
     /// speculative fetch, never a second retry loop.
     pub(crate) fn raw_get(&self, url: &Url) -> (Status, String, String) {
