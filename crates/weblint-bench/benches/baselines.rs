@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::hint::black_box;
 use weblint_bench::experiment_header;
-use weblint_corpus::{all_defect_classes, generate_document};
+use weblint_corpus::{all_defect_classes, dirty_document, generate_document};
 use weblint_validator::{HtmlChecker, RegexChecker, StrictValidator, WeblintChecker};
 
 const DOCS_PER_CLASS: usize = 10;
@@ -99,7 +99,7 @@ fn print_detection_matrix() {
 
 fn bench_checkers(c: &mut Criterion) {
     print_detection_matrix();
-    let doc = weblint_bench::dirty_document(6, 64 << 10, 16);
+    let doc = dirty_document(6, 64 << 10, 16);
     let weblint = WeblintChecker::default();
     let strict = StrictValidator::default();
     let regex = RegexChecker::new();

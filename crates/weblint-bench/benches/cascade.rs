@@ -10,8 +10,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use weblint_bench::{default_weblint, experiment_header, naive_weblint};
-use weblint_corpus::{all_defect_classes, generate_document, DefectClass};
+use weblint_bench::{experiment_header, naive_weblint};
+use weblint_core::LintSession;
+use weblint_corpus::{all_defect_classes, dirty_document, generate_document, DefectClass};
 
 const DOCS_PER_CLASS: usize = 20;
 
@@ -20,7 +21,7 @@ fn print_cascade_table() {
         "E5",
         "messages per injected defect: heuristics on vs off (cascade factor)",
     );
-    let mut on = default_weblint();
+    let mut on = LintSession::new();
     let mut off = naive_weblint();
     println!(
         "  {:<24} {:>10} {:>10} {:>8}",
@@ -63,8 +64,8 @@ fn print_cascade_table() {
 fn bench_heuristics_cost(c: &mut Criterion) {
     print_cascade_table();
     // The heuristics are nearly free: same corpus, both configurations.
-    let doc = weblint_bench::dirty_document(5, 64 << 10, 16);
-    let mut on = default_weblint();
+    let doc = dirty_document(5, 64 << 10, 16);
+    let mut on = LintSession::new();
     let mut off = naive_weblint();
     let mut group = c.benchmark_group("cascade_ablation");
     group.bench_function("heuristics_on", |b| {

@@ -6,9 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use weblint_bench::{dirty_document, experiment_header};
+use weblint_bench::experiment_header;
 use weblint_config::{apply_config_text, extract_pragmas};
 use weblint_core::{Category, LintConfig, LintSession};
+use weblint_corpus::dirty_document;
 
 fn configs() -> Vec<(&'static str, LintConfig)> {
     let mut none = LintConfig::default();

@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use weblint_bench::{dirty_document, experiment_header, DOC_SIZES};
+use weblint_bench::experiment_header;
+use weblint_corpus::dirty_document;
 use weblint_gateway::{render_report, Gateway, ReportOptions};
 use weblint_site::{SimulatedWeb, WebFetcher};
 
@@ -15,7 +16,12 @@ fn bench_gateway(c: &mut Criterion) {
     let gateway = Gateway::default();
     let mut weblint = weblint_core::LintSession::new();
     let mut group = c.benchmark_group("gateway");
-    for &(label, bytes) in DOC_SIZES {
+    for (label, bytes) in [
+        ("1KiB", 1 << 10),
+        ("16KiB", 16 << 10),
+        ("256KiB", 256 << 10),
+        ("1MiB", 1 << 20),
+    ] {
         let doc = dirty_document(9, bytes, bytes / 4096);
         let diags = weblint.check_string(&doc);
         let report = gateway.check_and_render("bench", &doc);

@@ -78,9 +78,10 @@ pub fn run(args: &Args, out: &mut impl std::io::Write, err: &mut impl std::io::W
         return run_profile(args, &config, out, err);
     }
 
-    // `-jobs N` (or `-stats`) routes the run through the lint service;
-    // otherwise everything happens inline on this thread, as it always
-    // did. Output is byte-identical either way.
+    // `-jobs N` (or `-stats`) routes the input files through the lint
+    // service; otherwise everything happens inline on this thread. `-R`
+    // trees lint on the site checker's own threads at the same width.
+    // Output is byte-identical either way.
     let service = (args.jobs > 1 || args.stats).then(|| {
         LintService::new(ServiceConfig {
             workers: args.jobs.max(1),
@@ -94,7 +95,7 @@ pub fn run(args: &Args, out: &mut impl std::io::Write, err: &mut impl std::io::W
         None => args
             .inputs
             .iter()
-            .map(|input| check_one(input, args, &config, None, out, err))
+            .map(|input| check_one(input, args, &config, out, err))
             .collect(),
     };
 
@@ -184,9 +185,7 @@ fn run_parallel(
                     }
                 }
             }
-            Prepared::Dir(path) => {
-                check_directory(&path, config, args.format, Some(service), out, err)
-            }
+            Prepared::Dir(path) => check_directory(&path, config, args, out, err),
             Prepared::Failed(message) => {
                 let _ = writeln!(err, "{message}");
                 InputStatus::Failed
@@ -331,7 +330,6 @@ fn check_one(
     input: &str,
     args: &Args,
     config: &LintConfig,
-    service: Option<&LintService>,
     out: &mut impl std::io::Write,
     err: &mut impl std::io::Write,
 ) -> InputStatus {
@@ -348,7 +346,7 @@ fn check_one(
             );
             return InputStatus::Failed;
         }
-        return check_directory(path, config, args.format, service, out, err);
+        return check_directory(path, config, args, out, err);
     }
     match std::fs::read(path) {
         Ok(bytes) => {
@@ -458,11 +456,13 @@ fn lint_source(
     }
 }
 
+/// `-R`: check a directory tree as a site, linting `-jobs` pages at once
+/// on the site checker's own threads (the lint service is not involved,
+/// so `-stats` does not count these pages).
 fn check_directory(
     dir: &Path,
     config: &LintConfig,
-    format: OutputFormat,
-    service: Option<&LintService>,
+    args: &Args,
     out: &mut impl std::io::Write,
     err: &mut impl std::io::Write,
 ) -> InputStatus {
@@ -473,11 +473,9 @@ fn check_directory(
             return InputStatus::Failed;
         }
     };
-    let checker = SiteChecker::new(config.clone());
-    let report = match service {
-        Some(service) => checker.check_with(&store, service),
-        None => checker.check(&store),
-    };
+    let report = SiteChecker::new(config.clone())
+        .jobs(args.jobs)
+        .check(&store);
     let mut all: Vec<(String, Vec<Diagnostic>)> = report.pages.clone();
     for (path, diag) in &report.site_diagnostics {
         match all.iter_mut().find(|(p, _)| p == path) {
@@ -491,7 +489,7 @@ fn check_directory(
         let _ = write!(
             out,
             "{}",
-            format_report(diags, &shown.to_string_lossy(), format)
+            format_report(diags, &shown.to_string_lossy(), args.format)
         );
         total.extend(diags.iter().cloned());
     }

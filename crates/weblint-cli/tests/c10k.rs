@@ -2,24 +2,25 @@
 //!
 //! Ten thousand established keep-alive connections must sit on one loop
 //! thread with flat memory — a buffer each, not a stack each — and the
-//! loop must still answer promptly with all of them parked. Request
-//! throughput under load is timed end to end by the wlbench `serve`
-//! workload, not here.
+//! loop must still answer with all of them parked. Request throughput
+//! under load is timed end to end by the wlbench `serve` workload, not
+//! here.
 //!
 //! The server runs as a real `weblint-serve` subprocess (its own file
 //! descriptor budget, its own address space for the RSS measurements);
-//! the bench process plays the 10k clients.
+//! the test process plays the 10k clients. Each process needs an open-file
+//! limit above 10k, so the test is ignored by default and `ci.sh` runs it
+//! with `--ignored`. It reads `/proc/<pid>/status`, so it is Linux-only
+//! like the epoll backend.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-use weblint_bench::experiment_header;
+
 use weblint_httpd::client;
 
-/// Idle population for the flat-memory phase (`C10K_IDLE` overrides).
+/// Idle population parked on the loop.
 const IDLE_CONNS: usize = 10_000;
 /// Idle-population memory bound: bytes of server RSS growth per
 /// additional established connection. A parked connection costs a small
@@ -35,7 +36,7 @@ struct Server {
 
 impl Server {
     fn spawn() -> Server {
-        let mut child = Command::new(server_binary())
+        let mut child = Command::new(env!("CARGO_BIN_EXE_weblint-serve"))
             .args([
                 "-port",
                 "0",
@@ -64,24 +65,16 @@ impl Server {
         Server { child, addr }
     }
 
-    /// Fetch `/metrics` over a throwaway connection.
-    fn metrics(&self) -> String {
+    /// The `open_connections` gauge, parsed off `/metrics` (fetched over
+    /// a throwaway connection) at its "  loop:  N open, ..." line.
+    fn open_connections(&self) -> u64 {
         let mut stream = TcpStream::connect(self.addr).expect("connect for metrics");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("read timeout");
-        stream
-            .write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .expect("send metrics request");
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("read metrics");
-        String::from_utf8_lossy(&raw).into_owned()
-    }
-
-    /// The `open_connections` gauge, parsed off the rendered metrics
-    /// ("  loop:  N open, ...").
-    fn open_connections(&self) -> u64 {
-        let text = self.metrics();
+        client::write_request(&mut stream, "GET", "/metrics", &[], b"").expect("send");
+        let response = client::read_response(&mut BufReader::new(stream)).expect("metrics");
+        let text = response.body_text();
         text.lines()
             .find_map(|line| {
                 line.trim_start()
@@ -115,49 +108,19 @@ impl Drop for Server {
     }
 }
 
-/// Locate (building if needed) the release `weblint-serve` binary.
-fn server_binary() -> PathBuf {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/release/weblint-serve");
-    if !path.exists() {
-        let status = Command::new("cargo")
-            .args([
-                "build",
-                "--release",
-                "-p",
-                "weblint-cli",
-                "--bin",
-                "weblint-serve",
-            ])
-            .current_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."))
-            .status()
-            .expect("run cargo build");
-        assert!(status.success(), "building weblint-serve failed");
-    }
-    path.canonicalize().expect("weblint-serve binary path")
-}
-
-/// The C10k phase proper: park an idle keep-alive population on the
-/// event loop and watch the server's RSS and thread count as it grows.
-fn bench_idle_scale(c: &mut Criterion) {
-    let idle: usize = std::env::var("C10K_IDLE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(IDLE_CONNS);
-    experiment_header(
-        "E19",
-        "C10k: idle keep-alive population on one event-loop thread",
-    );
+#[test]
+#[ignore = "needs a 10k+ fd budget"]
+fn ten_thousand_idle_connections_keep_memory_and_threads_flat() {
     let server = Server::spawn();
-    let request = client::request_bytes("GET", "/health", &[], b"");
 
-    // Grow the population in steps; after each, wait for the server's
+    // Grow the population in quarters; after each, wait for the server's
     // open-connection gauge to catch up (accepts are asynchronous) and
     // sample its memory.
-    let step = (idle / 4).max(1);
-    let mut conns: Vec<TcpStream> = Vec::with_capacity(idle);
+    let step = IDLE_CONNS / 4;
+    let mut conns: Vec<TcpStream> = Vec::with_capacity(IDLE_CONNS);
     let mut samples = Vec::new();
-    while conns.len() < idle {
-        let target = (conns.len() + step).min(idle);
+    while conns.len() < IDLE_CONNS {
+        let target = conns.len() + step;
         while conns.len() < target {
             let stream = TcpStream::connect(server.addr)
                 .unwrap_or_else(|e| panic!("connect {}: {e}", conns.len()));
@@ -172,7 +135,7 @@ fn bench_idle_scale(c: &mut Criterion) {
             std::thread::sleep(Duration::from_millis(20));
         }
         let (rss_kb, threads) = server.rss_and_threads();
-        println!("  {target:>6} idle conn(s): RSS {rss_kb:>6} KiB, {threads} thread(s)");
+        eprintln!("  {target:>6} idle conn(s): RSS {rss_kb:>6} KiB, {threads} thread(s)");
         samples.push((target as u64, rss_kb, threads));
     }
 
@@ -185,12 +148,11 @@ fn bench_idle_scale(c: &mut Criterion) {
         first_threads, last_threads,
         "the idle population grew the thread count"
     );
-    let grown = (last_rss.saturating_sub(first_rss)) * 1024;
-    let per_conn = grown / (last_count - first_count).max(1);
-    println!(
-        "  growth {}..{}: {} KiB total, {per_conn} B per connection (bound {MAX_BYTES_PER_IDLE_CONN})",
-        first_count,
-        last_count,
+    let grown = last_rss.saturating_sub(first_rss) * 1024;
+    let per_conn = grown / (last_count - first_count);
+    eprintln!(
+        "  growth {first_count}..{last_count}: {} KiB total, {per_conn} B per connection \
+         (bound {MAX_BYTES_PER_IDLE_CONN})",
         grown / 1024
     );
     assert!(
@@ -198,33 +160,20 @@ fn bench_idle_scale(c: &mut Criterion) {
         "idle connections cost {per_conn} B each (bound {MAX_BYTES_PER_IDLE_CONN})"
     );
 
-    // The loop must still be responsive with the whole population
-    // parked: time a round trip over a handful of the parked
-    // connections, criterion-sampled.
-    let mut group = c.benchmark_group("c10k_idle");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function(BenchmarkId::new("roundtrip_amid", idle), |b| {
-        let mut stream = conns[idle / 2].try_clone().expect("clone");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        b.iter(|| {
-            stream.write_all(&request).expect("send");
-            let response = client::read_response(&mut reader).expect("response");
-            assert_eq!(response.status, 200);
-        })
-    });
-    group.finish();
+    // The loop still answers with the whole population parked: round
+    // trips through a connection in the middle of it.
+    let request = client::request_bytes("GET", "/health", &[], b"");
+    let mut stream = conns[IDLE_CONNS / 2].try_clone().expect("clone");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for _ in 0..10 {
+        stream.write_all(&request).expect("send");
+        let response = client::read_response(&mut reader).expect("response");
+        assert_eq!(response.status, 200);
+    }
 
     let open = server.open_connections();
     assert!(
-        open >= idle as u64,
-        "gauge says {open} open with {idle} parked"
+        open >= IDLE_CONNS as u64,
+        "gauge says {open} open with {IDLE_CONNS} parked"
     );
-    drop(conns);
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_idle_scale
-}
-criterion_main!(benches);

@@ -738,7 +738,8 @@ impl Checker<'_> {
             let rule = self.custom[i];
             let t0 = self.prof_start();
             let mut fired = false;
-            if rule.element_matches(tag.name) {
+            let gated = rule.element_matches(tag.name);
+            if gated {
                 let mut ok = true;
                 // The first required attribute's value feeds `{value}`.
                 let mut value: Option<&str> = None;
@@ -773,6 +774,9 @@ impl Checker<'_> {
                 }
             }
             if let Some(p) = self.profile.as_deref_mut() {
+                if gated {
+                    p.pass_custom_gate(rule.id);
+                }
                 if fired {
                     p.hit_custom(rule.id);
                 }

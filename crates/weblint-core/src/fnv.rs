@@ -1,9 +1,10 @@
 //! FNV-1a hashing.
 //!
-//! The cache keys documents by content hash. FNV-1a is small, fast on the
-//! short-to-medium strings HTML pages tend to be, and — unlike
-//! `DefaultHasher` — stable across processes and Rust releases, so hashes
-//! are safe to surface in logs and metrics.
+//! The lint service keys its cache by content hash; the crawler hashes
+//! hosts to shards, seeds its fault schedules and checksums checkpoints.
+//! FNV-1a is small, fast on the short-to-medium strings HTML pages tend
+//! to be, and — unlike `DefaultHasher` — stable across processes and Rust
+//! releases, so hashes are safe to surface in logs, metrics and files.
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

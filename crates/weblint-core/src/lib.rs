@@ -33,6 +33,7 @@
 pub mod catalog;
 mod engine;
 mod fix;
+mod fnv;
 mod format;
 mod message;
 mod options;
@@ -40,6 +41,7 @@ mod session;
 
 pub use catalog::{check_def, ids_in_category, CheckDef, CATALOG};
 pub use fix::{Edit, Fix};
+pub use fnv::{fnv1a, Fnv1a};
 pub use format::{format_diagnostic, format_report, OutputFormat, Summary};
 pub use message::{Category, Diagnostic};
 pub use options::{CaseStyle, LintConfig, UnknownCheck};

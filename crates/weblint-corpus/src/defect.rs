@@ -6,7 +6,7 @@
 //! three checkers over documents mutated by every class and compares who
 //! detects what, with how many messages.
 
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// A class of HTML authoring mistake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,6 +67,23 @@ pub enum DefectClass {
     RequiredContext,
     /// An `<A NAME=…>` with no content.
     EmptyContainer,
+}
+
+/// A generated document of roughly `bytes` with `defects` defects of
+/// rotating classes injected — the "dirty" corpus the throughput sweeps,
+/// the golden corpus and the streaming parity suite share.
+/// [`DefectClass::UnclosedComment`] is skipped: it swallows the rest of
+/// the document and would mask every later defect.
+pub fn dirty_document(seed: u64, bytes: usize, defects: usize) -> String {
+    let mut doc = crate::generate_document(seed, bytes);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1517);
+    let classes = all_defect_classes();
+    for class in (0..defects).map(|i| classes[i % classes.len()]) {
+        if class != DefectClass::UnclosedComment {
+            doc = class.inject(&doc, &mut rng);
+        }
+    }
+    doc
 }
 
 /// Every defect class, in a stable order.

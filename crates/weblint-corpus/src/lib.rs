@@ -33,7 +33,7 @@ mod mega;
 mod site;
 mod words;
 
-pub use defect::{all_defect_classes, DefectClass};
+pub use defect::{all_defect_classes, dirty_document, DefectClass};
 pub use gen::{generate_document, generate_document_with, GenOptions};
 pub use mega::{MegaSite, MegaSiteOptions};
 pub use site::{generate_site, GeneratedPage, SiteOptions, SiteSpec};

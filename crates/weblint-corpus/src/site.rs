@@ -68,6 +68,16 @@ impl SiteSpec {
         self.pages.iter().map(|p| p.html.len()).sum()
     }
 
+    /// Every file of the site as `(path, contents)`: the pages, then each
+    /// asset as a GIF stub.
+    pub fn files(&self) -> impl Iterator<Item = (&str, &str)> {
+        let pages = self
+            .pages
+            .iter()
+            .map(|p| (p.path.as_str(), p.html.as_str()));
+        pages.chain(self.assets.iter().map(|a| (a.as_str(), "GIF89a")))
+    }
+
     /// Find a page by path.
     pub fn page(&self, path: &str) -> Option<&GeneratedPage> {
         self.pages.iter().find(|p| p.path == path)

@@ -17,6 +17,9 @@ pub struct RuleStat {
     pub hits: u64,
     /// Wall time attributed to the rule's check sections, in nanoseconds.
     pub nanos: u64,
+    /// Custom rules only: start tags that passed the rule's element gate
+    /// and so reached its attribute predicates.
+    pub gate_passes: u64,
 }
 
 /// Accumulated per-rule cost over one or more lint runs.
@@ -72,6 +75,11 @@ impl Profile {
         self.custom_mut(id).hits += 1;
     }
 
+    /// Count one start tag past a custom rule's element gate.
+    pub fn pass_custom_gate(&mut self, id: &'static str) {
+        self.custom_mut(id).gate_passes += 1;
+    }
+
     /// Attribute elapsed wall time to a custom rule.
     pub fn add_custom_time(&mut self, id: &'static str, elapsed: Duration) {
         self.custom_mut(id).nanos += elapsed.as_nanos() as u64;
@@ -80,6 +88,15 @@ impl Profile {
     /// The stats recorded for a built-in rule.
     pub fn stat(&self, rule: Rule) -> RuleStat {
         self.builtin.get(rule as usize).copied().unwrap_or_default()
+    }
+
+    /// The stats recorded for a custom rule (zero if it never ran).
+    pub fn custom_stat(&self, id: &str) -> RuleStat {
+        self.custom
+            .iter()
+            .find(|(c, _)| *c == id)
+            .map(|(_, stat)| *stat)
+            .unwrap_or_default()
     }
 
     /// Every rule with activity: `(id, stat)`, built-ins first (registry
@@ -118,6 +135,7 @@ impl Profile {
             let mine = self.custom_mut(id);
             mine.hits += stat.hits;
             mine.nanos += stat.nanos;
+            mine.gate_passes += stat.gate_passes;
         }
         self.total_nanos += other.total_nanos;
         self.documents += other.documents;
@@ -218,6 +236,10 @@ mod tests {
         p.hit(Rule::ImgAlt);
         p.add_time(Rule::ImgAlt, Duration::from_micros(5));
         p.hit_custom("button-class");
+        p.pass_custom_gate("button-class");
+        p.pass_custom_gate("button-class");
+        assert_eq!(p.custom_stat("button-class").gate_passes, 2);
+        assert_eq!(p.custom_stat("never-ran"), RuleStat::default());
         assert_eq!(p.stat(Rule::ImgAlt).hits, 2);
         assert_eq!(p.stat(Rule::ImgAlt).nanos, 5_000);
         assert_eq!(p.total_hits(), 3);
@@ -236,6 +258,7 @@ mod tests {
         let mut b = Profile::new();
         b.hit(Rule::OddQuotes);
         b.hit_custom("x-rule");
+        b.pass_custom_gate("x-rule");
         b.total_nanos = 50;
         b.documents = 2;
         a.merge(&b);
@@ -243,6 +266,7 @@ mod tests {
         assert_eq!(a.total_nanos, 150);
         assert_eq!(a.documents, 3);
         assert_eq!(a.total_hits(), 3);
+        assert_eq!(a.custom_stat("x-rule").gate_passes, 1);
     }
 
     #[test]

@@ -12,9 +12,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use weblint_core::{Diagnostic, LintConfig};
-
-use crate::fnv::{fnv1a, Fnv1a};
+use weblint_core::{fnv1a, Diagnostic, Fnv1a, LintConfig};
 
 /// Number of independently locked shards. A small power of two: enough to
 /// keep a handful of workers from contending, cheap to iterate for stats.

@@ -35,13 +35,11 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod fnv;
 mod metrics;
 mod queue;
 mod service;
 
 pub use cache::{config_fingerprint, CacheKey, CacheStats, ResultCache};
-pub use fnv::{fnv1a, Fnv1a};
 pub use metrics::ServiceMetrics;
 pub use queue::{SubmitError, SubmitPolicy};
 pub use service::{JobError, JobHandle, JobResult, LintService, ServiceConfig, PANIC_MARKER};

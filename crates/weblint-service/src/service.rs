@@ -8,10 +8,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use weblint_core::{Diagnostic, LintConfig, LintSession};
+use weblint_core::{fnv1a, Diagnostic, LintConfig, LintSession};
 
 use crate::cache::{config_fingerprint, CacheKey, ResultCache};
-use crate::fnv::fnv1a;
 use crate::metrics::{Counters, ServiceMetrics};
 use crate::queue::{BoundedQueue, SubmitError, SubmitPolicy};
 
@@ -218,7 +217,7 @@ impl LintService {
     }
 
     /// Submit one document, optionally overriding the configuration (the
-    /// CLI and site checker use this for pages carrying pragmas).
+    /// CLI, gateway and server use this for pages carrying pragmas).
     pub fn submit_with<'a>(
         &self,
         source: impl Into<Cow<'a, str>>,

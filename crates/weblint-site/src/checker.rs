@@ -1,9 +1,9 @@
 //! The `-R` site checker.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use weblint_core::{Category, Diagnostic, LintConfig, LintSession, Summary};
-use weblint_service::{JobHandle, LintService};
 
 use crate::links::{anchor_names, extract_links, fragment_of, resolve_local, LinkKind};
 use crate::store::PageStore;
@@ -40,26 +40,22 @@ impl SiteReport {
 #[derive(Debug, Clone)]
 pub struct SiteChecker {
     config: LintConfig,
+    jobs: usize,
 }
 
 impl SiteChecker {
-    /// A site checker with the given per-page configuration.
+    /// A site checker with the given per-page configuration, linting one
+    /// page at a time.
     pub fn new(config: LintConfig) -> SiteChecker {
-        SiteChecker { config }
+        SiteChecker { config, jobs: 1 }
     }
 
-    /// Check every page plus the site-level properties.
-    pub fn check(&self, store: &dyn PageStore) -> SiteReport {
-        self.check_impl(store, None)
-    }
-
-    /// [`SiteChecker::check`], but with per-page linting fanned out over a
-    /// [`LintService`]. Pages are submitted up front so the workers lint
-    /// while this thread walks links, anchors, and directories; results
-    /// are collected in page order, so the report is identical to the
-    /// sequential one.
-    pub fn check_with(&self, store: &dyn PageStore, service: &LintService) -> SiteReport {
-        self.check_impl(store, Some(service))
+    /// Lint up to `jobs` pages at once (0 counts as 1): `jobs - 1` scoped
+    /// threads plus the calling one. Results are collected in page order,
+    /// so the report is identical at every width.
+    pub fn jobs(mut self, jobs: usize) -> SiteChecker {
+        self.jobs = jobs.max(1);
+        self
     }
 
     /// The per-page configuration after applying in-page pragmas, exactly
@@ -78,167 +74,140 @@ impl SiteChecker {
         self.config.clone()
     }
 
-    fn check_impl(&self, store: &dyn PageStore, service: Option<&LintService>) -> SiteReport {
+    /// Check every page plus the site-level properties. With `jobs > 1`,
+    /// `jobs - 1` scoped threads lint pages while this thread walks links,
+    /// anchors and directories, then this thread joins the linting. Each
+    /// thread claims pages off a shared cursor and keeps one session, which
+    /// only rebuilds the HTML tables when a pragma changes the version or
+    /// extensions. Results are collected in page order, so the report is
+    /// identical at every width; an engine panic on any thread propagates.
+    pub fn check(&self, store: &dyn PageStore) -> SiteReport {
         let pages = store.pages();
-        // Read every page first; with a service attached, submit each one
-        // immediately so linting overlaps the link analysis below.
-        let mut docs: Vec<(String, String)> = Vec::with_capacity(pages.len());
-        let mut handles: Vec<Option<JobHandle>> = Vec::with_capacity(pages.len());
-        for page in &pages {
-            let Some(html) = store.read(page) else {
-                continue;
-            };
-            if let Some(service) = service {
-                let config = self.page_config(&html);
-                handles.push(service.submit_with(html.clone(), Some(config)).ok());
-            }
-            docs.push((page.clone(), html));
-        }
+        let docs: Vec<(String, String)> = pages
+            .iter()
+            .filter_map(|page| store.read(page).map(|html| (page.clone(), html)))
+            .collect();
 
-        let mut report = SiteReport {
-            pages: Vec::with_capacity(docs.len()),
-            site_diagnostics: Vec::new(),
+        let next = AtomicUsize::new(0);
+        let lint_claimed = || {
+            let mut session = LintSession::with_config(self.config.clone());
+            let mut linted = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((_, html)) = docs.get(i) else {
+                    return linted;
+                };
+                session.set_config(self.page_config(html));
+                linted.push((i, session.check_string(html)));
+            }
         };
+        let (mut lints, site_diagnostics) = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.jobs).map(|_| scope.spawn(lint_claimed)).collect();
+            let site_diagnostics = self.site_diagnostics(store, &pages, &docs);
+            let mut lints = lint_claimed();
+            for helper in helpers {
+                lints.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            (lints, site_diagnostics)
+        });
+        lints.sort_unstable_by_key(|&(i, _)| i);
+        SiteReport {
+            pages: docs
+                .into_iter()
+                .zip(lints)
+                .map(|((page, _), (_, diags))| (page, diags))
+                .collect(),
+            site_diagnostics,
+        }
+    }
+
+    /// The site-level diagnostics (`bad-link`, `orphan-page`,
+    /// `directory-index`) for `docs`, the readable pages among `pages`.
+    fn site_diagnostics(
+        &self,
+        store: &dyn PageStore,
+        pages: &[String],
+        docs: &[(String, String)],
+    ) -> Vec<(String, Diagnostic)> {
+        let mut site: Vec<(String, Diagnostic)> = Vec::new();
         let mut inbound: HashSet<String> = HashSet::new();
         // Lazily-computed anchor sets, shared across all fragment checks.
         let mut anchors: HashMap<String, HashSet<String>> = HashMap::new();
-        let mut anchors_of = |path: &str, html: Option<&str>| -> HashSet<String> {
-            if let Some(cached) = anchors.get(path) {
-                return cached.clone();
-            }
-            let computed = match html {
-                Some(html) => anchor_names(html),
-                None => store
-                    .read(path)
-                    .map(|h| anchor_names(&h))
-                    .unwrap_or_default(),
-            };
-            anchors.insert(path.to_string(), computed.clone());
-            computed
+        let mut has_anchor = |path: &str, html: Option<&str>, fragment: &str| -> bool {
+            anchors
+                .entry(path.to_string())
+                .or_insert_with(|| match html {
+                    Some(html) => anchor_names(html),
+                    None => store
+                        .read(path)
+                        .map(|h| anchor_names(&h))
+                        .unwrap_or_default(),
+                })
+                .contains(fragment)
         };
 
-        for (page, html) in &docs {
-            // Link validation: every local link must resolve to something
-            // that exists in the store.
+        // Link validation: every local link must resolve to something that
+        // exists in the store, and a fragment must name an anchor on its
+        // target page.
+        let bad_links = self.config.is_enabled("bad-link");
+        for (page, html) in docs {
             for link in extract_links(html) {
-                // Same-page fragments must name an anchor on this page.
-                if link.kind == LinkKind::Fragment {
-                    if let Some(fragment) = fragment_of(&link.href) {
-                        if self.config.is_enabled("bad-link")
-                            && !anchors_of(page, Some(html)).contains(fragment)
-                        {
-                            report.site_diagnostics.push((
-                                page.clone(),
-                                Diagnostic::new(
-                                    "bad-link",
-                                    Category::Error,
-                                    link.line,
-                                    1,
-                                    format!(
-                                        "no anchor \"{fragment}\" on this page \
-                                         (target of {} \"{}\")",
-                                        link.source, link.href
-                                    ),
-                                ),
-                            ));
+                let (source, href) = (link.source, &link.href);
+                let problem = match link.kind {
+                    LinkKind::Fragment => fragment_of(href)
+                        .filter(|f| bad_links && !has_anchor(page, Some(html), f))
+                        .map(|f| {
+                            format!(
+                                "no anchor \"{f}\" on this page (target of {source} \"{href}\")"
+                            )
+                        }),
+                    LinkKind::Local => match resolve_local(page, href) {
+                        Some(target) => {
+                            let problem = if !store.exists(&target) {
+                                Some(format!(
+                                    "target of {source} \"{href}\" does not exist ({target})"
+                                ))
+                            } else {
+                                fragment_of(href)
+                                    .filter(|f| {
+                                        bad_links
+                                            && crate::store::is_html_path(&target)
+                                            && !has_anchor(&target, None, f)
+                                    })
+                                    .map(|f| {
+                                        format!(
+                                            "no anchor \"{f}\" in {target} \
+                                             (target of {source} \"{href}\")"
+                                        )
+                                    })
+                            };
+                            inbound.insert(target);
+                            problem
                         }
-                    }
-                    continue;
-                }
-                if link.kind != LinkKind::Local {
-                    continue;
-                }
-                match resolve_local(page, &link.href) {
-                    Some(target) => {
-                        inbound.insert(target.clone());
-                        // Cross-page fragment: the target page must define
-                        // the anchor.
-                        if store.exists(&target) && self.config.is_enabled("bad-link") {
-                            if let Some(fragment) = fragment_of(&link.href) {
-                                if crate::store::is_html_path(&target)
-                                    && !anchors_of(&target, None).contains(fragment)
-                                {
-                                    report.site_diagnostics.push((
-                                        page.clone(),
-                                        Diagnostic::new(
-                                            "bad-link",
-                                            Category::Error,
-                                            link.line,
-                                            1,
-                                            format!(
-                                                "no anchor \"{fragment}\" in {target} \
-                                                 (target of {} \"{}\")",
-                                                link.source, link.href
-                                            ),
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                        if !store.exists(&target) && self.config.is_enabled("bad-link") {
-                            report.site_diagnostics.push((
-                                page.clone(),
-                                Diagnostic::new(
-                                    "bad-link",
-                                    Category::Error,
-                                    link.line,
-                                    1,
-                                    format!(
-                                        "target of {} \"{}\" does not exist ({})",
-                                        link.source, link.href, target
-                                    ),
-                                ),
-                            ));
-                        }
-                    }
-                    None => {
-                        if self.config.is_enabled("bad-link") {
-                            report.site_diagnostics.push((
-                                page.clone(),
-                                Diagnostic::new(
-                                    "bad-link",
-                                    Category::Error,
-                                    link.line,
-                                    1,
-                                    format!(
-                                        "{} \"{}\" points outside the site",
-                                        link.source, link.href
-                                    ),
-                                ),
-                            ));
-                        }
-                    }
+                        None => Some(format!("{source} \"{href}\" points outside the site")),
+                    },
+                    LinkKind::External | LinkKind::Mailto => None,
+                };
+                if let Some(message) = problem.filter(|_| bad_links) {
+                    site.push((
+                        page.clone(),
+                        Diagnostic::new("bad-link", Category::Error, link.line, 1, message),
+                    ));
                 }
             }
-        }
-
-        // Per-page lint results, in page order: collected from the service
-        // handles when fanned out, computed inline otherwise. One session
-        // serves every inline page; it only rebuilds the HTML tables when
-        // a pragma changes the version or extensions.
-        let mut handles = handles.into_iter();
-        let mut session = LintSession::with_config(self.config.clone());
-        for (page, html) in &docs {
-            let diags = match handles.next().flatten() {
-                Some(handle) => handle.wait().unwrap_or_default(),
-                None => {
-                    session.set_config(self.page_config(html));
-                    session.check_string(html)
-                }
-            };
-            report.pages.push((page.clone(), diags));
         }
 
         // Orphan pages: not the target of any link. Index files are the
         // entry points users type, so they are exempt.
         if self.config.is_enabled("orphan-page") {
-            for page in &pages {
-                let is_index = page == "index.html"
-                    || page.ends_with("/index.html")
-                    || page == "index.htm"
-                    || page.ends_with("/index.htm");
+            for page in pages {
+                let is_index = matches!(page.rsplit('/').next(), Some("index.html" | "index.htm"));
                 if !is_index && !inbound.contains(page) {
-                    report.site_diagnostics.push((
+                    site.push((
                         page.clone(),
                         Diagnostic::new(
                             "orphan-page",
@@ -255,14 +224,15 @@ impl SiteChecker {
         // Directory index files.
         if self.config.is_enabled("directory-index") {
             for dir in store.directories() {
-                let candidates = if dir.is_empty() {
-                    ["index.html".to_string(), "index.htm".to_string()]
+                let prefix = if dir.is_empty() {
+                    String::new()
                 } else {
-                    [format!("{dir}/index.html"), format!("{dir}/index.htm")]
+                    format!("{dir}/")
                 };
-                if !candidates.iter().any(|c| store.exists(c)) {
+                let index_in = |name: &str| store.exists(&format!("{prefix}{name}"));
+                if !index_in("index.html") && !index_in("index.htm") {
                     let shown = if dir.is_empty() { "." } else { dir.as_str() };
-                    report.site_diagnostics.push((
+                    site.push((
                         dir.clone(),
                         Diagnostic::new(
                             "directory-index",
@@ -276,7 +246,7 @@ impl SiteChecker {
             }
         }
 
-        report
+        site
     }
 }
 
@@ -460,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn check_with_service_matches_sequential() {
+    fn every_width_matches_sequential() {
         let mut store = MemStore::new();
         store.insert(
             "index.html",
@@ -474,13 +444,15 @@ mod tests {
             ),
         );
         store.insert("lonely.html", page("<H2>bad</H3>"));
-        let checker = checker();
-        let sequential = checker.check(&store);
-        let service = LintService::with_config(LintConfig::default());
-        let fanned = checker.check_with(&store, &service);
-        assert_eq!(fanned.pages, sequential.pages);
-        assert_eq!(fanned.site_diagnostics, sequential.site_diagnostics);
-        assert!(service.metrics().jobs_completed >= 3);
+        let sequential = checker().check(&store);
+        for jobs in [0, 2, 3, 8] {
+            let wide = checker().jobs(jobs).check(&store);
+            assert_eq!(wide.pages, sequential.pages, "jobs {jobs}");
+            assert_eq!(
+                wide.site_diagnostics, sequential.site_diagnostics,
+                "jobs {jobs}"
+            );
+        }
     }
 
     #[test]

@@ -35,8 +35,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use weblint_core::{intern_id, Category, Diagnostic, Pos, Span};
-use weblint_service::fnv1a;
+use weblint_core::{fnv1a, intern_id, Category, Diagnostic, Pos, Span};
 
 use crate::fault::{
     BreakerSnapshot, FaultLayerState, HostFaults, HostResilience, ResilienceHostState,

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Mutex;
 
-use weblint_service::fnv1a;
+use weblint_core::fnv1a;
 
 use crate::robot::Fetcher;
 use crate::url::Url;

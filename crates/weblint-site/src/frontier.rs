@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use weblint_service::fnv1a;
+use weblint_core::fnv1a;
 
 use crate::url::Url;
 

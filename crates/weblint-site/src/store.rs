@@ -62,6 +62,15 @@ impl MemStore {
     }
 }
 
+impl<P: Into<String>, C: Into<String>> FromIterator<(P, C)> for MemStore {
+    fn from_iter<I: IntoIterator<Item = (P, C)>>(files: I) -> MemStore {
+        let files = files.into_iter().map(|(p, c)| (p.into(), c.into()));
+        MemStore {
+            files: files.collect(),
+        }
+    }
+}
+
 impl PageStore for MemStore {
     fn pages(&self) -> Vec<String> {
         self.files

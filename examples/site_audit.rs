@@ -26,13 +26,7 @@ fn main() {
             directories: 3,
         },
     );
-    let mut store = MemStore::new();
-    for page in &spec.pages {
-        store.insert(page.path.clone(), page.html.clone());
-    }
-    for asset in &spec.assets {
-        store.insert(asset.clone(), "GIF89a");
-    }
+    let store: MemStore = spec.files().collect();
     println!(
         "site: {} pages, {} bytes, {} intentional dead links",
         spec.pages.len(),

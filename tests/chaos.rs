@@ -17,16 +17,37 @@ use std::time::Duration;
 
 use std::path::PathBuf;
 
+use weblint_corpus::{MegaSite, MegaSiteOptions};
 use weblint_gateway::Gateway;
 use weblint_httpd::{client, HttpServer, ServerConfig};
 use weblint_service::{ServiceConfig, PANIC_MARKER};
 use weblint_site::{
     AimdPolicy, BreakerState, CheckpointConfig, CheckpointError, FaultSpec, FaultyWeb, FetchStack,
-    Fetcher, HedgePolicy, Observation, Pacer, ResilientFetcher, Robot, RobotOptions, ShardChaos,
-    ShardedOptions, ShardedOutcome, ShardedReport, SharedWeb, SimulatedWeb, Status, Url,
+    Fetcher, FnFetcher, HedgePolicy, Observation, Pacer, ResilientFetcher, Robot, RobotOptions,
+    ShardChaos, ShardedOptions, ShardedOutcome, ShardedReport, SharedWeb, SimulatedWeb, Status,
+    Url,
 };
 
 const PAGES: usize = 24;
+
+/// Real per-request latency of the sleepy transports, so in-flight
+/// parallelism shows up the way it would on a network instead of being
+/// optimized away by the instant in-memory fabric.
+const RTT: Duration = Duration::from_millis(2);
+
+/// A transport that sleeps [`RTT`] before every answer.
+struct Sleepy<F>(F);
+
+impl<F: Fetcher> Fetcher for Sleepy<F> {
+    fn head(&self, url: &Url) -> (Status, String) {
+        thread::sleep(RTT);
+        self.0.head(url)
+    }
+    fn get(&self, url: &Url) -> (Status, String, String) {
+        thread::sleep(RTT);
+        self.0.get(url)
+    }
+}
 
 /// A fully-linked demo site: an index fanning out to [`PAGES`] pages,
 /// each linking onward, so a crawl touches every page and revisits links.
@@ -146,19 +167,64 @@ fn every_injected_fault_is_accounted_in_per_host_stats() {
     assert_eq!(r.successes + r.failures + r.fast_failures, r.requests);
 }
 
+/// The E15 grid: every crawl discipline at every fault rate, over the
+/// sleepy transport. Returns `(rate, discipline, merged report)` per cell.
+fn adaptive_grid() -> Vec<(u8, &'static str, String)> {
+    let web = site();
+    let mut cells = Vec::new();
+    for rate in [0u8, 20, 50] {
+        for (discipline, jobs, adaptive) in [
+            ("sequential", 1, false),
+            ("fixed x8", 8, false),
+            ("adaptive x8", 8, true),
+        ] {
+            let run = crawl_site(jobs, |_| {
+                let builder = FetchStack::new(Sleepy(web.clone()))
+                    .faults(FaultSpec::all(rate), 13)
+                    .resilience_defaults();
+                match adaptive {
+                    true => builder.adaptive_defaults().hedging_defaults().build(),
+                    false => builder.build(),
+                }
+            });
+            assert_eq!(run.outcome, ShardedOutcome::Complete);
+            cells.push((rate, discipline, report_fingerprint(&run)));
+        }
+    }
+    cells
+}
+
 #[test]
 fn chaotic_crawl_finishes_within_a_hard_deadline() {
-    // The crawl runs on a scout thread so a wedge (deadlock, unbounded
-    // retry loop) fails the test instead of hanging the suite.
+    // The crawls run on a scout thread so a wedge (deadlock, unbounded
+    // retry loop) fails the test instead of hanging the suite: one
+    // chaotic crawl, then the E15 grid (sequential, fixed 8-wide and
+    // adaptive 8-wide at 0/20/50% faults over real 2 ms round trips).
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
-        let _ = tx.send(chaotic_crawl(7, 20));
+        let _ = tx.send((chaotic_crawl(7, 20), adaptive_grid()));
     });
-    let (_, resilience, pages, _) = rx
+    let ((_, resilience, pages, _), grid) = rx
         .recv_timeout(Duration::from_secs(60))
         .expect("chaotic crawl wedged");
     assert!(pages >= 1, "crawl found no pages at all");
     assert!(resilience.starts_with("resilience:"), "{resilience}");
+
+    // Without faults the discipline may only change speed: each one
+    // crawls the whole site and reports the same bytes. Under faults each
+    // still reports the start page.
+    let clean = &grid[0].2;
+    assert_eq!(clean.lines().count(), PAGES + 2, "{clean}");
+    assert!(!clean.contains("dead "), "{clean}");
+    for (rate, discipline, report) in &grid {
+        assert!(
+            report.starts_with("http://chaos/index.html d0"),
+            "{discipline} at {rate}% lost the start page:\n{report}"
+        );
+        if *rate == 0 {
+            assert_eq!(report, clean, "{discipline} changed the clean report");
+        }
+    }
 }
 
 /// Drive one chaos-configured server through a fixed request script and
@@ -525,14 +591,67 @@ fn sharded_crawls_are_deterministic_for_a_fixed_seed() {
     }
 }
 
+/// One sharded crawl of a generated MegaSite federation (8 hosts × 12
+/// pages, planted defects and dead links) behind a sleepy transport.
+fn mega_crawl(site: &MegaSite, shards: usize) -> ShardedReport {
+    let robot = Robot::new(
+        RobotOptions::builder()
+            .max_pages(site.total_pages() + 8)
+            .jobs(4)
+            .check_external(false)
+            .build(),
+    );
+    let starts: Vec<Url> = site
+        .start_urls()
+        .iter()
+        .map(|u| Url::parse(u).unwrap())
+        .collect();
+    let make_stack = |_| {
+        let fetcher = FnFetcher::new(|url: &Url| site.resolve(&url.host, &url.path));
+        FetchStack::new(Sleepy(fetcher))
+            .adaptive_defaults()
+            .hedging_defaults()
+            .build()
+    };
+    let options = ShardedOptions {
+        shards,
+        seed: 18,
+        ..ShardedOptions::default()
+    };
+    robot.crawl_sharded(&starts, make_stack, &options).unwrap()
+}
+
 #[test]
 fn merged_report_is_invariant_across_shard_counts() {
     // Without faults the crawl's observable result is a property of the
-    // site, not the partitioning: 1, 2 and 4 shards produce the same
+    // site, not the partitioning: 1, 2, 4 and 8 shards produce the same
     // merged report (telemetry differs — it is per shard).
     let one = report_fingerprint(&fed_crawl(1, 0, |_| {}).unwrap());
-    for shards in [2usize, 4] {
+    for shards in [2usize, 4, 8] {
         let many = fed_crawl(shards, 0, |_| {}).unwrap();
+        assert_eq!(many.shards, shards);
+        assert_eq!(report_fingerprint(&many), one, "{shards} shards diverged");
+    }
+
+    // The same over a generated federation (E18's), where the crawl must
+    // also reach every page it generated.
+    let site = MegaSite::new(
+        18,
+        &MegaSiteOptions {
+            hosts: 8,
+            pages_per_host: 12,
+            ..MegaSiteOptions::default()
+        },
+    );
+    let one = mega_crawl(&site, 1);
+    assert_eq!(
+        one.report.pages.len(),
+        site.total_pages(),
+        "crawl missed pages"
+    );
+    let one = report_fingerprint(&one);
+    for shards in [2usize, 4, 8] {
+        let many = mega_crawl(&site, shards);
         assert_eq!(many.shards, shards);
         assert_eq!(report_fingerprint(&many), one, "{shards} shards diverged");
     }

@@ -23,8 +23,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use rand::SeedableRng;
 use weblint_core::{format_report, Diagnostic, LintConfig, LintSession, OutputFormat, Summary};
+use weblint_corpus::dirty_document;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -58,22 +58,6 @@ fn configs() -> Vec<(&'static str, LintConfig)> {
     out.push(("netscape", c));
 
     out
-}
-
-/// Inject `count` defects of rotating classes (mirrors the bench helper;
-/// the bench crate is not a dependency of the root package).
-fn dirty_document(seed: u64, bytes: usize, defects: usize) -> String {
-    let mut doc = weblint_corpus::generate_document(seed, bytes);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1517);
-    let classes = weblint_corpus::all_defect_classes();
-    for i in 0..defects {
-        let class = classes[i % classes.len()];
-        if class == weblint_corpus::DefectClass::UnclosedComment {
-            continue;
-        }
-        doc = class.inject(&doc, &mut rng);
-    }
-    doc
 }
 
 /// Every (name, source) pair in the golden corpus, in golden order.

@@ -32,14 +32,7 @@ fn options(pages: usize) -> SiteOptions {
 }
 
 fn store_for(spec: &weblint::corpus::SiteSpec) -> MemStore {
-    let mut store = MemStore::new();
-    for page in &spec.pages {
-        store.insert(page.path.clone(), page.html.clone());
-    }
-    for asset in &spec.assets {
-        store.insert(asset.clone(), "GIF89a");
-    }
-    store
+    spec.files().collect()
 }
 
 #[test]

@@ -81,13 +81,7 @@ fn site_soak() {
                 directories: 3,
             },
         );
-        let mut store = MemStore::new();
-        for page in &spec.pages {
-            store.insert(page.path.clone(), page.html.clone());
-        }
-        for asset in &spec.assets {
-            store.insert(asset.clone(), "GIF89a");
-        }
+        let store: MemStore = spec.files().collect();
         let report = SiteChecker::new(LintConfig::default()).check(&store);
         let bad = report
             .site_diagnostics

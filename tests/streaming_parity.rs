@@ -18,12 +18,17 @@
 //!   from 1 byte to a few hundred,
 //! - a multi-byte UTF-8 document split inside its characters.
 //!
+//! It also pins E20a's latency claim by counting feeds instead of timing
+//! them: a finding near the top of a document leaves the session on the
+//! first 8 KiB feed whether 64 KiB or 6.4 MiB follow.
+//!
 //! `ci.sh` runs this in release mode under `timeout`.
 
 use std::path::Path;
 
 use rand::{Rng, SeedableRng};
 use weblint_core::{Diagnostic, LintSession};
+use weblint_corpus::dirty_document;
 
 /// Width of the sliding split window, in bytes. Documents at or below
 /// this size are split at every single offset instead.
@@ -106,22 +111,6 @@ fn random_splits(name: &str, source: &str, one_shot: &[Diagnostic], seed: u64) {
             &chunks,
         );
     }
-}
-
-/// Inject `count` defects of rotating classes (mirrors the golden-corpus
-/// helper, so the documents here have the same shapes).
-fn dirty_document(seed: u64, bytes: usize, defects: usize) -> String {
-    let mut doc = weblint_corpus::generate_document(seed, bytes);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1517);
-    let classes = weblint_corpus::all_defect_classes();
-    for i in 0..defects {
-        let class = classes[i % classes.len()];
-        if class == weblint_corpus::DefectClass::UnclosedComment {
-            continue;
-        }
-        doc = class.inject(&doc, &mut rng);
-    }
-    doc
 }
 
 /// The golden corpus, minus `big.html` (windowed separately below).
@@ -235,6 +224,36 @@ fn rendered_reports_match_byte_for_byte() {
         assert_eq!(
             format_report(&got, "doc", format),
             format_report(&one_shot, "doc", format),
+        );
+    }
+}
+
+#[test]
+fn first_finding_leaves_the_first_feed_at_every_size() {
+    // E20a: time-to-first-finding is flat in document size. One-shot
+    // cannot report anything before the whole document is linted; the
+    // session reports a defect as soon as its trigger token closes. So a
+    // malformed heading at the top of the body must come out of feed 1 at
+    // 1x, 10x and 100x the size — a count, not a timing.
+    const CHUNK: usize = 8 << 10;
+    for bytes in [64 << 10, 640 << 10, 6400 << 10] {
+        let doc = weblint_corpus::generate_document(0xE20, bytes).replacen(
+            "<BODY>",
+            "<BODY>\n<H1>early finding</H2>",
+            1,
+        );
+        let mut session = LintSession::new();
+        let first = doc
+            .as_bytes()
+            .chunks(CHUNK)
+            .enumerate()
+            .find_map(|(i, chunk)| session.feed(chunk).next().map(|d| (i + 1, d.id)));
+        session.abort();
+        assert_eq!(
+            first,
+            Some((1, "heading-mismatch")),
+            "first finding of a {}-byte document (feed, id)",
+            doc.len()
         );
     }
 }
