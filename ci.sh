@@ -139,6 +139,31 @@ rc=0; "$poacher" $crawl -checkpoint-dir "$ckroot/kill" -checkpoint-every 8 \
 test "$rc" -eq 1
 cmp "$ckroot/killed.out" "$ckroot/golden.out"
 
+# The same pause + resume with faults but no -adaptive: the stack then
+# holds the fault and resilience layers without pacing, a shape the
+# gates above never write to disk. Golden from its own uninterrupted
+# run. The sentinel goes up once the first checkpoint is published, so
+# the resume reads fault and breaker state from mid-crawl (a pre-created
+# sentinel pauses before the first wave, with every layer still empty);
+# a crawl that finishes first exits 1 and resumes as complete.
+faulty="-mega 8x100 -shards 4 -jobs 4 -stats -faults 10% -fault-seed 7 -quiet"
+rc=0; "$poacher" $faulty > "$ckroot/faulty.out" || rc=$?
+test "$rc" -eq 1
+"$poacher" $faulty -checkpoint-dir "$ckroot/faulty" -checkpoint-every 8 \
+    -stop-file "$ckroot/stop" > /dev/null &
+pid=$!
+while [ ! -e "$ckroot/faulty/manifest.ckpt" ] && kill -0 "$pid" 2>/dev/null; do
+    sleep 0.01
+done
+touch "$ckroot/stop"
+rc=0; wait "$pid" || rc=$?
+test "$rc" -eq 0 -o "$rc" -eq 1
+rm -f "$ckroot/stop"
+rc=0; "$poacher" $faulty -checkpoint-dir "$ckroot/faulty" -checkpoint-every 8 \
+    -resume > "$ckroot/faulty-resumed.out" || rc=$?
+test "$rc" -eq 1
+cmp "$ckroot/faulty-resumed.out" "$ckroot/faulty.out"
+
 # One crawler, any width: without faults the report is a property of the
 # site, so the defaults (-shards 1 -jobs 1) and -shards 4 -jobs 4 must
 # print the same bytes (exit 1: the planted defects and dead links).

@@ -1,7 +1,7 @@
 //! E13: crawling through injected faults — what does resilience cost?
 //!
-//! The chaos decorator injects a seeded fault schedule under the
-//! retrying, breaker-guarded fetcher, and the crawl lints each page on
+//! The stack's fault layer injects a seeded fault schedule under its
+//! retrying, breaker-guarded resilience layer, and the crawl lints each page on
 //! its fetch worker. Two questions: (1) how much crawl throughput does a
 //! realistic fault rate cost once retries and backoff bookkeeping are in
 //! the path; (2) does that cost stay flat as workers (`RobotOptions::jobs`,

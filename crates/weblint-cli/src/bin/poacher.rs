@@ -448,7 +448,7 @@ fn main() -> ExitCode {
 }
 
 /// Compose the fetch stack for one shard: faults + resilience under
-/// `-faults`, pacing under `-adaptive`, a bare tower otherwise.
+/// `-faults`, pacing under `-adaptive`, the bare transport otherwise.
 fn build_stack<F: Fetcher>(options: &Options, fetcher: F, shard: usize) -> FetchStack<F> {
     let seed = shard_seed(options.fault_seed, shard);
     let mut builder = FetchStack::new(fetcher);

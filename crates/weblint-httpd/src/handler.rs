@@ -15,10 +15,10 @@ use crate::http::{Request, Response};
 use crate::metrics::HttpCounters;
 
 /// Shared state behind every connection thread. The `url=` fetch path
-/// always goes through a [`FetchStack`]: a bare tower in normal
-/// operation, fault injection under the retrying breaker-guarded
-/// fetcher when the server was started with `-faults`, and the adaptive
-/// pacer on top under `-adaptive`.
+/// always goes through a [`FetchStack`]: the bare transport in normal
+/// operation, fault injection under retries and per-host breakers when
+/// the server was started with `-faults`, and the adaptive pacer on top
+/// under `-adaptive`.
 pub(crate) struct App {
     pub(crate) service: LintService,
     pub(crate) gateway: Gateway,
@@ -42,7 +42,7 @@ impl App {
     }
 
     /// [`App::new`], with URL fetches routed through seeded fault
-    /// injection and the retrying, breaker-guarded fetcher; `adaptive`
+    /// injection under retries and per-host breakers; `adaptive`
     /// adds the AIMD/hedging pacer so `/metrics` exposes its tables.
     pub(crate) fn with_chaos(
         service: LintService,

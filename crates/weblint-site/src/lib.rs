@@ -57,15 +57,14 @@ pub use checkpoint::{
     LoadedCheckpoint, ShardState,
 };
 pub use fault::{
-    BreakerPolicy, BreakerSnapshot, BreakerState, FaultKind, FaultLayerState, FaultSpec,
-    FaultStats, FaultyWeb, HostFaults, HostResilience, RequestCost, ResilienceHostState,
-    ResilienceLayerState, ResilienceStats, ResilientFetcher, RetryPolicy, VIRTUAL_RTT_US,
+    BreakerSnapshot, BreakerState, FaultKind, FaultLayerState, FaultSpec, FaultStats, HostFaults,
+    HostResilience, RequestCost, ResilienceHostState, ResilienceLayerState, ResilienceStats,
+    VIRTUAL_RTT_US,
 };
 pub use frontier::{shard_of, Candidate, ShardFrontier};
 pub use links::{extract_links, resolve_local, Link, LinkKind};
 pub use pacing::{
-    AimdPolicy, HedgePolicy, HedgeToken, HostPacing, Observation, Pacer, PacerHostState,
-    PacingLayerState, PacingStats,
+    HedgeToken, HostPacing, Observation, Pacer, PacerHostState, PacingLayerState, PacingStats,
 };
 pub use robot::{
     check_url, CheckpointConfig, CrawledPage, DeadLink, FetchError, Fetcher, FnFetcher, Robot,

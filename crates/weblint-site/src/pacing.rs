@@ -17,7 +17,7 @@
 //!   RTO-style estimate `srtt + 4·dev` fed from per-request
 //!   backoff/attempt costs — one speculative retry may be issued and
 //!   the first definite answer taken. Hedges are *budgeted* (never more
-//!   than ~[`HedgePolicy::budget_percent`] of a host's requests) and
+//!   than [`HEDGE_BUDGET_PERCENT`] of a host's requests) and
 //!   suppressed entirely while the host's breaker is anything but
 //!   closed, so hedging can never double load on a host that is already
 //!   in recovery.
@@ -32,52 +32,22 @@ use std::sync::Mutex;
 
 use crate::fault::BreakerState;
 
-/// AIMD knobs for per-host in-flight limits.
-#[derive(Debug, Clone)]
-pub struct AimdPolicy {
-    /// Limit granted to a host never seen before.
-    pub initial_limit: u32,
-    /// Ceiling the additive increase may reach.
-    pub max_limit: u32,
-    /// Clean completions in a row needed for a +1 increase.
-    pub increase_per: u32,
-}
-
-impl Default for AimdPolicy {
-    fn default() -> AimdPolicy {
-        AimdPolicy {
-            initial_limit: 4,
-            max_limit: 16,
-            increase_per: 4,
-        }
-    }
-}
-
-/// Hedged-request knobs.
-#[derive(Debug, Clone)]
-pub struct HedgePolicy {
-    /// Hedges may never exceed this percentage of a host's authorized
-    /// requests (Dean & Barroso use ~5%).
-    pub budget_percent: u8,
-    /// Floor for the slow threshold, in virtual microseconds, so a host
-    /// with a short history is not hedged on noise.
-    pub min_threshold_us: u64,
-    /// Deviation multiplier in the RTO-style threshold
-    /// (`srtt + factor · dev`).
-    pub deviation_factor: u32,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            budget_percent: 5,
-            // Three virtual RTTs: a first retry (2 attempts + backoff)
-            // always clears it, a clean single attempt never does.
-            min_threshold_us: 60_000,
-            deviation_factor: 4,
-        }
-    }
-}
+/// In-flight limit granted to a host never seen before.
+const INITIAL_LIMIT: u32 = 4;
+/// Ceiling the additive increase may reach.
+const MAX_LIMIT: u32 = 16;
+/// Clean completions in a row needed for a +1 increase.
+const INCREASE_PER: u32 = 4;
+/// Hedges may never exceed this percentage of a host's authorized
+/// requests (Dean & Barroso use ~5%).
+const HEDGE_BUDGET_PERCENT: u64 = 5;
+/// Floor for the slow threshold, in virtual microseconds, so a host with
+/// a short history is not hedged on noise. Three virtual RTTs: a first
+/// retry (2 attempts + backoff) always clears it, a clean single attempt
+/// never does.
+const MIN_THRESHOLD_US: u64 = 60_000;
+/// Deviation multiplier in the RTO-style threshold (`srtt + factor · dev`).
+const DEVIATION_FACTOR: i64 = 4;
 
 /// Permission to hedge one request, issued at schedule time so the
 /// decision is deterministic regardless of worker interleaving. The
@@ -139,9 +109,9 @@ impl SlowEstimator {
         self.samples += 1;
     }
 
-    fn threshold_us(&self, policy: &HedgePolicy) -> u64 {
-        let estimate = self.srtt_us + i64::from(policy.deviation_factor) * self.dev_us;
-        (estimate.max(0) as u64).max(policy.min_threshold_us)
+    fn threshold_us(&self) -> u64 {
+        let estimate = self.srtt_us + DEVIATION_FACTOR * self.dev_us;
+        (estimate.max(0) as u64).max(MIN_THRESHOLD_US)
     }
 }
 
@@ -258,29 +228,48 @@ impl fmt::Display for PacingStats {
 /// parallel fetch workers cannot race the budget into nondeterminism.
 #[derive(Debug)]
 pub struct Pacer {
-    aimd: Option<AimdPolicy>,
-    hedge: Option<HedgePolicy>,
+    adaptive: bool,
+    hedging: bool,
+    /// [`MAX_LIMIT`], lowered only by the crate's own tests.
+    max_limit: u32,
     hosts: Mutex<BTreeMap<String, HostState>>,
 }
 
 impl Pacer {
-    /// A pacer with the given policies; `None` disables that half.
-    pub fn new(aimd: Option<AimdPolicy>, hedge: Option<HedgePolicy>) -> Pacer {
+    /// A pacer with AIMD limits on if `adaptive`, hedging on if
+    /// `hedging`; a pacer with both off is inert.
+    pub fn new(adaptive: bool, hedging: bool) -> Pacer {
         Pacer {
-            aimd,
-            hedge,
+            adaptive,
+            hedging,
+            max_limit: MAX_LIMIT,
             hosts: Mutex::new(BTreeMap::new()),
         }
     }
 
+    /// Cap every host's AIMD limit at `limit`: a new host starts there
+    /// and never grows past it.
+    #[cfg(test)]
+    pub(crate) fn cap_limit(&mut self, limit: u32) {
+        self.max_limit = limit;
+    }
+
     /// Whether adaptive limits are active.
     pub fn adaptive(&self) -> bool {
-        self.aimd.is_some()
+        self.adaptive
     }
 
     /// Whether hedging is active.
     pub fn hedging(&self) -> bool {
-        self.hedge.is_some()
+        self.hedging
+    }
+
+    /// The limit a new host starts at (`u32::MAX` without AIMD).
+    fn initial_limit(&self) -> u32 {
+        match self.adaptive {
+            true => INITIAL_LIMIT.min(self.max_limit),
+            false => u32::MAX,
+        }
     }
 
     fn entry<'a>(
@@ -289,22 +278,17 @@ impl Pacer {
         host: &str,
     ) -> &'a mut HostState {
         if !hosts.contains_key(host) {
-            let limit = self
-                .aimd
-                .as_ref()
-                .map(|p| p.initial_limit.max(1))
-                .unwrap_or(u32::MAX);
+            let limit = self.initial_limit();
             hosts.insert(
                 host.to_string(),
                 HostState {
                     limit,
                     stats: HostPacing {
                         limit,
-                        threshold_us: self
-                            .hedge
-                            .as_ref()
-                            .map(|p| p.min_threshold_us)
-                            .unwrap_or(u64::MAX),
+                        threshold_us: match self.hedging {
+                            true => MIN_THRESHOLD_US,
+                            false => u64::MAX,
+                        },
                         ..HostPacing::default()
                     },
                     ..HostState::default()
@@ -317,19 +301,12 @@ impl Pacer {
     /// The host's current in-flight limit (`usize::MAX` when adaptive
     /// limits are disabled).
     pub fn limit(&self, host: &str) -> usize {
-        if self.aimd.is_none() {
+        if !self.adaptive {
             return usize::MAX;
         }
         let hosts = self.hosts.lock().unwrap();
-        hosts
-            .get(host)
-            .map(|s| s.limit as usize)
-            .unwrap_or_else(|| {
-                self.aimd
-                    .as_ref()
-                    .map(|p| p.initial_limit.max(1) as usize)
-                    .unwrap_or(usize::MAX)
-            })
+        let limit = hosts.get(host).map_or(self.initial_limit(), |s| s.limit);
+        limit as usize
     }
 
     /// Authorize one request against `host`, deciding up front whether it
@@ -339,10 +316,10 @@ impl Pacer {
         let mut hosts = self.hosts.lock().unwrap();
         let state = self.entry(&mut hosts, host);
         state.stats.authorized += 1;
-        let Some(hedge) = &self.hedge else {
+        if !self.hedging {
             return HedgeToken::denied();
-        };
-        let threshold_us = state.estimator.threshold_us(hedge);
+        }
+        let threshold_us = state.estimator.threshold_us();
         state.stats.threshold_us = threshold_us;
         // Never hedge a host whose breaker is open or probing: the hedge
         // would either be shed (wasted) or double load on the one probe
@@ -352,11 +329,11 @@ impl Pacer {
             return HedgeToken::denied();
         }
         // Budget: counting this grant, fired hedges must stay within
-        // budget_percent of everything authorized so far. Unfired grants
+        // the budget's share of everything authorized so far. Unfired grants
         // are refunded in `settle_hedge`, so the budget is spent on real
         // hedges, yet can never be exceeded even transiently.
         let outstanding = state.stats.hedges_fired + 1;
-        if outstanding * 100 > u64::from(hedge.budget_percent) * state.stats.authorized {
+        if outstanding * 100 > HEDGE_BUDGET_PERCENT * state.stats.authorized {
             state.stats.suppressed_budget += 1;
             return HedgeToken::denied();
         }
@@ -392,18 +369,18 @@ impl Pacer {
         let state = self.entry(&mut hosts, host);
         if obs.latency_us > 0 {
             state.estimator.observe(obs.latency_us);
-            if let Some(hedge) = &self.hedge {
-                state.stats.threshold_us = state.estimator.threshold_us(hedge);
+            if self.hedging {
+                state.stats.threshold_us = state.estimator.threshold_us();
             }
         }
-        let Some(aimd) = &self.aimd else {
+        if !self.adaptive {
             if obs.bad {
                 state.stats.bad += 1;
             } else if obs.clean {
                 state.stats.clean += 1;
             }
             return;
-        };
+        }
         if obs.bad {
             state.stats.bad += 1;
             state.clean_streak = 0;
@@ -415,7 +392,7 @@ impl Pacer {
         } else if obs.clean {
             state.stats.clean += 1;
             state.clean_streak += 1;
-            if state.clean_streak >= aimd.increase_per.max(1) && state.limit < aimd.max_limit {
+            if state.clean_streak >= INCREASE_PER && state.limit < self.max_limit {
                 state.limit += 1;
                 state.stats.increases += 1;
                 state.clean_streak = 0;
@@ -524,7 +501,7 @@ mod tests {
 
     #[test]
     fn aimd_decreases_multiplicatively_and_floors_at_one() {
-        let pacer = Pacer::new(Some(AimdPolicy::default()), None);
+        let pacer = Pacer::new(true, false);
         assert_eq!(pacer.limit("h"), 4);
         pacer.observe("h", bad(100_000));
         assert_eq!(pacer.limit("h"), 2);
@@ -540,7 +517,7 @@ mod tests {
 
     #[test]
     fn aimd_recovers_additively_after_a_clean_streak() {
-        let pacer = Pacer::new(Some(AimdPolicy::default()), None);
+        let pacer = Pacer::new(true, false);
         for _ in 0..4 {
             pacer.observe("h", bad(100_000));
         }
@@ -554,12 +531,12 @@ mod tests {
         for _ in 0..200 {
             pacer.observe("h", clean(20_000));
         }
-        assert_eq!(pacer.limit("h"), AimdPolicy::default().max_limit as usize);
+        assert_eq!(pacer.limit("h"), MAX_LIMIT as usize);
     }
 
     #[test]
     fn hosts_are_paced_independently() {
-        let pacer = Pacer::new(Some(AimdPolicy::default()), None);
+        let pacer = Pacer::new(true, false);
         for _ in 0..3 {
             pacer.observe("sick", bad(200_000));
             pacer.observe("well", clean(20_000));
@@ -571,7 +548,7 @@ mod tests {
 
     #[test]
     fn hedge_budget_is_enforced_and_refunds_unfired_grants() {
-        let pacer = Pacer::new(None, Some(HedgePolicy::default()));
+        let pacer = Pacer::new(false, true);
         let mut granted = 0;
         for _ in 0..100 {
             let token = pacer.authorize("h", BreakerState::Closed);
@@ -593,7 +570,7 @@ mod tests {
         );
 
         // Refunded grants free budget for later hedges.
-        let pacer = Pacer::new(None, Some(HedgePolicy::default()));
+        let pacer = Pacer::new(false, true);
         let mut fired = 0;
         for i in 0..200 {
             let token = pacer.authorize("h", BreakerState::Closed);
@@ -617,7 +594,7 @@ mod tests {
 
     #[test]
     fn hedges_suppressed_unless_breaker_closed() {
-        let pacer = Pacer::new(None, Some(HedgePolicy::default()));
+        let pacer = Pacer::new(false, true);
         // Warm the budget far past the 20-request threshold.
         for _ in 0..50 {
             let _ = pacer.authorize("h", BreakerState::Closed);
@@ -631,21 +608,18 @@ mod tests {
 
     #[test]
     fn slow_threshold_tracks_latency_and_keeps_its_floor() {
-        let pacer = Pacer::new(None, Some(HedgePolicy::default()));
+        let pacer = Pacer::new(false, true);
         let _ = pacer.authorize("h", BreakerState::Closed);
         assert_eq!(
             pacer.stats().hosts[0].1.threshold_us,
-            HedgePolicy::default().min_threshold_us,
+            MIN_THRESHOLD_US,
             "no observations yet: the floor holds"
         );
         // A steady fast host keeps the floor.
         for _ in 0..50 {
             pacer.observe("h", clean(20_000));
         }
-        assert_eq!(
-            pacer.stats().hosts[0].1.threshold_us,
-            HedgePolicy::default().min_threshold_us
-        );
+        assert_eq!(pacer.stats().hosts[0].1.threshold_us, MIN_THRESHOLD_US);
         // A slow host raises it above the floor.
         for _ in 0..50 {
             pacer.observe("slow", clean(400_000));
@@ -665,7 +639,7 @@ mod tests {
 
     #[test]
     fn disabled_halves_behave_inertly() {
-        let pacer = Pacer::new(None, None);
+        let pacer = Pacer::new(false, false);
         assert_eq!(pacer.limit("h"), usize::MAX);
         let token = pacer.authorize("h", BreakerState::Closed);
         assert!(!token.granted);
@@ -677,7 +651,7 @@ mod tests {
 
     #[test]
     fn stats_render_per_host_in_order() {
-        let pacer = Pacer::new(Some(AimdPolicy::default()), Some(HedgePolicy::default()));
+        let pacer = Pacer::new(true, true);
         pacer.observe("zebra", bad(100_000));
         pacer.observe("aardvark", clean(20_000));
         let stats = pacer.stats();

@@ -570,7 +570,8 @@ fn batch_len(jobs: usize, pacer: &Pacer, pending: &[&Candidate]) -> usize {
     len
 }
 
-/// Fetch one URL on a worker: follow redirects through the stack,
+/// Fetch one URL on a worker: follow redirects through the stack (a
+/// hop to a host whose frozen breaker is open is shed there),
 /// recording per-hop resilience outcomes for deferred settling, fire the
 /// hedge if the token allows and the primary attempt came back
 /// transiently failed *and* slow, and lint the page it lands on — so the
@@ -587,11 +588,6 @@ fn run_task<F: Fetcher>(
     let mut fired = false;
     let mut won = false;
     let (outcome, redirects) = follow_redirects(options, url, |current| {
-        if !stack.frozen_allows(&current.host) {
-            hops.push((current.host.clone(), HopRecord::Shed));
-            bad = true;
-            return (Status::ServerError, String::new(), String::new());
-        }
         let (mut result, cost) = stack.attempt_get(current);
         cost_us += cost.virtual_us();
         let mut failed = transient(&result.0);
@@ -610,8 +606,7 @@ fn run_task<F: Fetcher>(
                 (result, failed) = (hedge, false);
             }
         }
-        let retries = cost.retries;
-        hops.push((current.host.clone(), HopRecord::Done { failed, retries }));
+        hops.push((current.host.clone(), HopRecord::of(&result.0, &cost)));
         result
     });
     Fetched {
@@ -626,32 +621,10 @@ fn run_task<F: Fetcher>(
     }
 }
 
-/// HEAD `url` on a worker: shed it if the frozen breaker snapshot is
-/// open, otherwise run the retry loop, leaving the breaker bookkeeping
-/// to [`settle_head`].
-fn run_head<F: Fetcher>(stack: &FetchStack<F>, url: &Url) -> ((Status, String), RequestCost) {
-    if !stack.frozen_allows(&url.host) {
-        let shed = RequestCost {
-            shed: true,
-            ..RequestCost::default()
-        };
-        return ((Status::ServerError, String::new()), shed);
-    }
-    stack.attempt_head(url)
-}
-
 /// Settle one HEAD in issue order: the resilience bookkeeping its worker
 /// skipped, then one pacer observation.
 fn settle_head<F: Fetcher>(stack: &FetchStack<F>, url: &Url, status: &Status, cost: RequestCost) {
-    let hop = if cost.shed {
-        HopRecord::Shed
-    } else {
-        HopRecord::Done {
-            failed: transient(status),
-            retries: cost.retries,
-        }
-    };
-    stack.settle_hop(&url.host, &hop);
+    stack.settle_hop(&url.host, &HopRecord::of(status, &cost));
     let bad = cost.shed || cost.retries > 0 || transient(status);
     stack.pacer().observe(
         &url.host,
@@ -978,7 +951,7 @@ fn shard_wave<'env, F: Fetcher + Sync>(
     let mut pending = &heads[..];
     while !pending.is_empty() {
         let (batch, rest) = pending.split_at(batch_len(options.jobs, stack.pacer(), pending));
-        let requests = batch.iter().map(|&c| move || run_head(stack, &c.url));
+        let requests = batch.iter().map(|&c| move || stack.attempt_head(&c.url));
         for (candidate, (answer, cost)) in batch.iter().zip(pool.run(requests)) {
             settle_head(stack, &candidate.url, &answer.0, cost);
             answers.push(answer);
@@ -1484,7 +1457,6 @@ impl Robot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pacing::AimdPolicy;
     use crate::web::SharedWeb;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
@@ -1972,15 +1944,15 @@ mod tests {
     #[test]
     fn head_checks_go_out_jobs_wide_on_one_pool_per_wave() {
         // The host's AIMD limit is pinned at 3, below the width of 4.
-        let aimd = AimdPolicy {
-            initial_limit: 3,
-            max_limit: 3,
-            increase_per: 4,
-        };
         let crawl = |jobs: usize| {
             let gauge = Gauge::new(wide_site());
             let robot = Robot::new(RobotOptions::builder().jobs(jobs).build());
-            let make_stack = |_| FetchStack::new(&gauge).adaptive(aimd.clone()).build();
+            let make_stack = |_| {
+                FetchStack::new(&gauge)
+                    .adaptive_defaults()
+                    .build()
+                    .cap_limit(3)
+            };
             let run = robot
                 .crawl_sharded(&[start()], make_stack, &ShardedOptions::default())
                 .unwrap();

@@ -1,10 +1,6 @@
-//! [`FetchStack`]: one place to compose the fetch decorator tower.
-//!
-//! Before this module, every consumer that wanted chaos plus resilience
-//! hand-nested the decorators — `ResilientFetcher::with_defaults(
-//! FaultyWeb::new(web, spec, seed), seed)` — and then had to remember
-//! which layer exposes which stats and in what order to print them. The
-//! builder centralizes that wiring:
+//! [`FetchStack`]: the one fetch decorator. Fault injection, retries
+//! with per-host circuit breakers, and the adaptive pacer are optional
+//! layers held beside the transport:
 //!
 //! ```
 //! use weblint_site::{FaultSpec, FetchStack, SharedWeb, SimulatedWeb};
@@ -18,42 +14,36 @@
 //! assert!(stack.telemetry().to_string().contains("pacing:"));
 //! ```
 //!
-//! Each layer is optional and independently toggled; a stack with no
-//! layers is the plain transport that [`crate::Robot::crawl_sharded`]
-//! builds per shard, and [`FetchStack`] itself implements [`Fetcher`],
-//! so it drops into any other consumer unchanged. [`FetchStack::telemetry`] returns the one
-//! unified snapshot ([`StackTelemetry`]) whose `Display` is the single
-//! render path shared by poacher `-stats` and the httpd `/metrics`
-//! endpoint — the two can no longer drift.
+//! Each layer is independently toggled; a stack with no layers is the
+//! plain transport that [`crate::Robot::crawl_sharded`] builds per shard,
+//! and [`FetchStack`] itself implements [`Fetcher`], so it drops into any
+//! other consumer unchanged. Every request takes one path: the breaker
+//! gate, then the retry loop over the (faulted) transport, then the
+//! breaker bookkeeping. The robot's workers run the first two and its
+//! shard thread settles the third in issue order;
+//! [`FetchStack::get_cost`] and [`FetchStack::head_cost`] run all three
+//! in a row. [`FetchStack::telemetry`] returns the one unified snapshot
+//! ([`StackTelemetry`]) whose `Display` is the single render path shared
+//! by poacher `-stats` and the httpd `/metrics` endpoint.
 
 use std::fmt;
 
 use crate::fault::{
-    BreakerPolicy, BreakerState, FaultLayerState, FaultSpec, FaultStats, FaultyWeb, RequestCost,
-    ResilienceLayerState, ResilienceStats, ResilientFetcher, RetryPolicy,
+    transient, BreakerState, FaultLayer, FaultLayerState, FaultSpec, FaultStats, HopRecord,
+    RequestCost, ResilienceLayer, ResilienceLayerState, ResilienceStats,
 };
-use crate::pacing::{AimdPolicy, HedgePolicy, Pacer, PacingLayerState, PacingStats};
+use crate::pacing::{Pacer, PacingLayerState, PacingStats};
 use crate::robot::Fetcher;
 use crate::url::Url;
 use crate::web::Status;
-
-/// The four shapes the optional fault/resilience layers can compose
-/// into. An enum rather than nested generics so `FetchStack<F>` has one
-/// concrete type regardless of which layers are enabled.
-enum Tower<F> {
-    Plain(F),
-    Faulty(FaultyWeb<F>),
-    Resilient(ResilientFetcher<F>),
-    ResilientFaulty(ResilientFetcher<FaultyWeb<F>>),
-}
 
 /// Builder for [`FetchStack`]; see the module docs for the idiom.
 pub struct FetchStackBuilder<F> {
     base: F,
     faults: Option<(FaultSpec, u64)>,
-    resilience: Option<(RetryPolicy, BreakerPolicy)>,
-    aimd: Option<AimdPolicy>,
-    hedge: Option<HedgePolicy>,
+    resilience: bool,
+    adaptive: bool,
+    hedging: bool,
 }
 
 impl<F> FetchStackBuilder<F> {
@@ -63,129 +53,146 @@ impl<F> FetchStackBuilder<F> {
         self
     }
 
-    /// Wrap the transport in retries + per-host circuit breakers. The
-    /// backoff jitter reuses the fault seed so one seed fixes the whole
-    /// stack's schedule.
-    pub fn resilience(mut self, retry: RetryPolicy, breaker: BreakerPolicy) -> Self {
-        self.resilience = Some((retry, breaker));
+    /// Retry transient failures and guard each host with a circuit
+    /// breaker. The backoff jitter reuses the fault seed so one seed
+    /// fixes the whole stack's schedule.
+    pub fn resilience_defaults(mut self) -> Self {
+        self.resilience = true;
         self
-    }
-
-    /// [`Self::resilience`] with default policies.
-    pub fn resilience_defaults(self) -> Self {
-        self.resilience(RetryPolicy::default(), BreakerPolicy::default())
     }
 
     /// Enable per-host AIMD in-flight limits for crawl scheduling.
-    pub fn adaptive(mut self, aimd: AimdPolicy) -> Self {
-        self.aimd = Some(aimd);
+    pub fn adaptive_defaults(mut self) -> Self {
+        self.adaptive = true;
         self
-    }
-
-    /// [`Self::adaptive`] with the default policy.
-    pub fn adaptive_defaults(self) -> Self {
-        self.adaptive(AimdPolicy::default())
     }
 
     /// Enable budget-capped hedged fetches for crawl scheduling.
-    pub fn hedging(mut self, policy: HedgePolicy) -> Self {
-        self.hedge = Some(policy);
+    pub fn hedging_defaults(mut self) -> Self {
+        self.hedging = true;
         self
-    }
-
-    /// [`Self::hedging`] with the default policy.
-    pub fn hedging_defaults(self) -> Self {
-        self.hedging(HedgePolicy::default())
     }
 
     /// Compose the configured layers into a [`FetchStack`].
     pub fn build(self) -> FetchStack<F> {
-        let seed = self.faults.as_ref().map(|(_, seed)| *seed).unwrap_or(0);
-        let tower = match (self.faults, self.resilience) {
-            (None, None) => Tower::Plain(self.base),
-            (Some((spec, seed)), None) => Tower::Faulty(FaultyWeb::new(self.base, spec, seed)),
-            (None, Some((retry, breaker))) => {
-                Tower::Resilient(ResilientFetcher::new(self.base, retry, breaker, seed))
-            }
-            (Some((spec, fault_seed)), Some((retry, breaker))) => {
-                Tower::ResilientFaulty(ResilientFetcher::new(
-                    FaultyWeb::new(self.base, spec, fault_seed),
-                    retry,
-                    breaker,
-                    fault_seed,
-                ))
-            }
-        };
+        let seed = self.faults.as_ref().map_or(0, |(_, seed)| *seed);
         FetchStack {
-            tower,
-            pacer: Pacer::new(self.aimd, self.hedge),
+            base: self.base,
+            layers: Layers {
+                faults: self.faults.map(|(spec, seed)| FaultLayer::new(spec, seed)),
+                resilience: self.resilience.then(|| ResilienceLayer::new(seed)),
+                pacer: Pacer::new(self.adaptive, self.hedging),
+            },
         }
     }
 }
 
-/// A composed fetch stack: optional fault injection, optional
-/// resilience, plus the adaptive pacer the crawl scheduler consults.
+/// A composed fetch stack: the transport, plus optional fault
+/// injection, optional resilience, and the adaptive pacer the crawl
+/// scheduler consults.
 pub struct FetchStack<F> {
-    tower: Tower<F>,
+    base: F,
+    layers: Layers,
+}
+
+/// The layers of a [`FetchStack`], held beside its transport. Nothing
+/// here is generic: each request is handed the transport as a
+/// `&dyn Fetcher`, so the stack's logic compiles once, in this crate,
+/// whatever transport a caller builds it over.
+struct Layers {
+    faults: Option<FaultLayer>,
+    resilience: Option<ResilienceLayer>,
     pacer: Pacer,
+}
+
+impl Layers {
+    /// One raw HEAD: the transport, through the fault layer if any.
+    fn raw_head(&self, base: &dyn Fetcher, url: &Url) -> (Status, String) {
+        match &self.faults {
+            Some(faults) => faults.head(base, url),
+            None => base.head(url),
+        }
+    }
+
+    /// One raw GET: the transport, through the fault layer if any.
+    fn raw_get(&self, base: &dyn Fetcher, url: &Url) -> (Status, String, String) {
+        match &self.faults {
+            Some(faults) => faults.get(base, url),
+            None => base.get(url),
+        }
+    }
+
+    fn attempt_head(&self, base: &dyn Fetcher, url: &Url) -> ((Status, String), RequestCost) {
+        let op = || self.raw_head(base, url);
+        let shed = (Status::ServerError, String::new());
+        match &self.resilience {
+            Some(r) => r.attempt(url, shed, op, |answer| transient(&answer.0)),
+            None => (op(), RequestCost::default()),
+        }
+    }
+
+    fn attempt_get(
+        &self,
+        base: &dyn Fetcher,
+        url: &Url,
+    ) -> ((Status, String, String), RequestCost) {
+        let op = || self.raw_get(base, url);
+        let shed = (Status::ServerError, String::new(), String::new());
+        match &self.resilience {
+            Some(r) => r.attempt(url, shed, op, |answer| transient(&answer.0)),
+            None => (op(), RequestCost::default()),
+        }
+    }
 }
 
 impl<F> FetchStack<F> {
     /// Start building a stack over `base` (the transport: a
     /// [`crate::SharedWeb`], a live fetcher, a test double).
     ///
-    /// `new` deliberately returns the builder, not the stack — the whole
-    /// point of the API is that the tower is only ever composed in one
-    /// place, through `FetchStack::new(web)…build()`.
+    /// `new` deliberately returns the builder, not the stack — the
+    /// layers are only ever composed in one place, through
+    /// `FetchStack::new(web)…build()`.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(base: F) -> FetchStackBuilder<F> {
         FetchStackBuilder {
             base,
             faults: None,
-            resilience: None,
-            aimd: None,
-            hedge: None,
+            resilience: false,
+            adaptive: false,
+            hedging: false,
         }
     }
 
     /// The adaptive pacer (inert when neither `adaptive` nor `hedging`
     /// was configured).
     pub fn pacer(&self) -> &Pacer {
-        &self.pacer
+        &self.layers.pacer
+    }
+
+    /// Cap the pacer's per-host AIMD limit at `limit`.
+    #[cfg(test)]
+    pub(crate) fn cap_limit(mut self, limit: u32) -> Self {
+        self.layers.pacer.cap_limit(limit);
+        self
     }
 
     /// The host's breaker state, [`BreakerState::Closed`] when no
     /// resilience layer is present.
     pub fn breaker_state(&self, host: &str) -> BreakerState {
-        match &self.tower {
-            Tower::Plain(_) | Tower::Faulty(_) => BreakerState::Closed,
-            Tower::Resilient(r) => r.breaker_state(host),
-            Tower::ResilientFaulty(r) => r.breaker_state(host),
-        }
+        self.layers
+            .resilience
+            .as_ref()
+            .map_or(BreakerState::Closed, |r| r.breaker_state(host))
     }
 
     /// The unified telemetry snapshot: every enabled layer's stats, each
     /// pre-sorted by host, behind one `Display`.
     pub fn telemetry(&self) -> StackTelemetry {
-        let faults = match &self.tower {
-            Tower::Faulty(f) => Some(f.stats()),
-            Tower::ResilientFaulty(r) => Some(r.inner().stats()),
-            _ => None,
-        };
-        let resilience = match &self.tower {
-            Tower::Resilient(r) => Some(r.stats()),
-            Tower::ResilientFaulty(r) => Some(r.stats()),
-            _ => None,
-        };
-        let pacing = if self.pacer.adaptive() || self.pacer.hedging() {
-            Some(self.pacer.stats())
-        } else {
-            None
-        };
+        let pacer = &self.layers.pacer;
         StackTelemetry {
-            faults,
-            resilience,
-            pacing,
+            faults: self.layers.faults.as_ref().map(FaultLayer::stats),
+            resilience: self.layers.resilience.as_ref().map(ResilienceLayer::stats),
+            pacing: (pacer.adaptive() || pacer.hedging()).then(|| pacer.stats()),
         }
     }
 
@@ -195,115 +202,70 @@ impl<F> FetchStack<F> {
     /// original's — attempt counters, breakers, AIMD limits and latency
     /// estimators all carry over.
     pub fn export_state(&self) -> StackState {
-        let faults = match &self.tower {
-            Tower::Faulty(f) => Some(f.export_state()),
-            Tower::ResilientFaulty(r) => Some(r.inner().export_state()),
-            _ => None,
-        };
-        let resilience = match &self.tower {
-            Tower::Resilient(r) => Some(r.export_state()),
-            Tower::ResilientFaulty(r) => Some(r.export_state()),
-            _ => None,
-        };
         StackState {
-            faults,
-            resilience,
-            pacing: self.pacer.export_state(),
+            faults: self.layers.faults.as_ref().map(FaultLayer::export_state),
+            resilience: self
+                .layers
+                .resilience
+                .as_ref()
+                .map(ResilienceLayer::export_state),
+            pacing: self.layers.pacer.export_state(),
         }
     }
 
     /// Overwrite every enabled layer's mutable state from a checkpoint
     /// snapshot. Layers absent from either side are left untouched.
     pub fn restore_state(&self, snapshot: &StackState) {
-        if let Some(faults) = &snapshot.faults {
-            match &self.tower {
-                Tower::Faulty(f) => f.restore_state(faults),
-                Tower::ResilientFaulty(r) => r.inner().restore_state(faults),
-                _ => {}
-            }
+        if let (Some(layer), Some(state)) = (&self.layers.faults, &snapshot.faults) {
+            layer.restore_state(state);
         }
-        if let Some(resilience) = &snapshot.resilience {
-            match &self.tower {
-                Tower::Resilient(r) => r.restore_state(resilience),
-                Tower::ResilientFaulty(r) => r.restore_state(resilience),
-                _ => {}
-            }
+        if let (Some(layer), Some(state)) = (&self.layers.resilience, &snapshot.resilience) {
+            layer.restore_state(state);
         }
-        self.pacer.restore_state(&snapshot.pacing);
+        self.layers.pacer.restore_state(&snapshot.pacing);
+    }
+
+    /// Settling half of a request: book one hop's outcome on the
+    /// resilience layer, in issue order. No-op without one.
+    pub(crate) fn settle_hop(&self, host: &str, record: &HopRecord) {
+        if let Some(r) = &self.layers.resilience {
+            r.settle_hop(host, record);
+        }
     }
 }
 
 impl<F: Fetcher> FetchStack<F> {
-    /// Whether a worker may touch the transport for `host` under the
-    /// breaker snapshot frozen for the current batch (an open breaker
-    /// sheds; closed and half-open — the probe — proceed). Towers
-    /// without a resilience layer always admit.
-    pub(crate) fn frozen_allows(&self, host: &str) -> bool {
-        self.breaker_state(host) != BreakerState::Open
-    }
-
-    /// Worker half of a scheduler-issued GET: retries without breaker
-    /// bookkeeping (see [`ResilientFetcher::attempt_get`]).
+    /// Worker half of a GET: shed it if the host's breaker is open (the
+    /// batch's frozen snapshot — a shed never touches the transport),
+    /// else run the retry loop. Settle it with [`Self::settle_hop`].
     pub(crate) fn attempt_get(&self, url: &Url) -> ((Status, String, String), RequestCost) {
-        match &self.tower {
-            Tower::Plain(f) => (f.get(url), RequestCost::default()),
-            Tower::Faulty(f) => (f.get(url), RequestCost::default()),
-            Tower::Resilient(r) => r.attempt_get(url),
-            Tower::ResilientFaulty(r) => r.attempt_get(url),
-        }
+        self.layers.attempt_get(&self.base, url)
     }
 
-    /// Worker half of a scheduler-issued HEAD: retries without breaker
-    /// bookkeeping (see [`ResilientFetcher::attempt_head`]).
+    /// Worker half of a HEAD, the link check's twin of
+    /// [`Self::attempt_get`].
     pub(crate) fn attempt_head(&self, url: &Url) -> ((Status, String), RequestCost) {
-        match &self.tower {
-            Tower::Plain(f) => (f.head(url), RequestCost::default()),
-            Tower::Faulty(f) => (f.head(url), RequestCost::default()),
-            Tower::Resilient(r) => r.attempt_head(url),
-            Tower::ResilientFaulty(r) => r.attempt_head(url),
-        }
+        self.layers.attempt_head(&self.base, url)
     }
 
     /// One raw attempt below the resilience layer — the hedge: a single
     /// speculative fetch, never a second retry loop.
     pub(crate) fn raw_get(&self, url: &Url) -> (Status, String, String) {
-        match &self.tower {
-            Tower::Plain(f) => f.get(url),
-            Tower::Faulty(f) => f.get(url),
-            Tower::Resilient(r) => r.inner().get(url),
-            Tower::ResilientFaulty(r) => r.inner().get(url),
-        }
+        self.layers.raw_get(&self.base, url)
     }
 
-    /// Scheduler half: settle one recorded hop in issue order (see
-    /// [`ResilientFetcher::settle_hop`]). No-op for towers without a
-    /// resilience layer.
-    pub(crate) fn settle_hop(&self, host: &str, record: &crate::fault::HopRecord) {
-        match &self.tower {
-            Tower::Plain(_) | Tower::Faulty(_) => {}
-            Tower::Resilient(r) => r.settle_hop(host, record),
-            Tower::ResilientFaulty(r) => r.settle_hop(host, record),
-        }
-    }
-
-    /// HEAD through the tower, reporting the request's virtual cost.
+    /// HEAD through every layer, reporting the request's virtual cost.
     pub fn head_cost(&self, url: &Url) -> ((Status, String), RequestCost) {
-        match &self.tower {
-            Tower::Plain(f) => (f.head(url), RequestCost::default()),
-            Tower::Faulty(f) => (f.head(url), RequestCost::default()),
-            Tower::Resilient(r) => r.head_cost(url),
-            Tower::ResilientFaulty(r) => r.head_cost(url),
-        }
+        let (answer, cost) = self.attempt_head(url);
+        self.settle_hop(&url.host, &HopRecord::of(&answer.0, &cost));
+        (answer, cost)
     }
 
-    /// GET through the tower, reporting the request's virtual cost.
+    /// GET through every layer, reporting the request's virtual cost.
     pub fn get_cost(&self, url: &Url) -> ((Status, String, String), RequestCost) {
-        match &self.tower {
-            Tower::Plain(f) => (f.get(url), RequestCost::default()),
-            Tower::Faulty(f) => (f.get(url), RequestCost::default()),
-            Tower::Resilient(r) => r.get_cost(url),
-            Tower::ResilientFaulty(r) => r.get_cost(url),
-        }
+        let (answer, cost) = self.attempt_get(url);
+        self.settle_hop(&url.host, &HopRecord::of(&answer.0, &cost));
+        (answer, cost)
     }
 }
 
@@ -441,31 +403,5 @@ mod tests {
         let t = adaptive_only.telemetry();
         assert!(t.faults.is_none() && t.resilience.is_none() && t.pacing.is_some());
         assert_eq!(adaptive_only.pacer().limit("s"), 4);
-    }
-
-    #[test]
-    fn stack_matches_hand_nested_construction() {
-        // The builder must reproduce the legacy hand-nested tower
-        // byte-for-byte: same seed, same schedule, same stats.
-        let url = Url::parse("http://s/x.html").unwrap();
-        let stack = FetchStack::new(web())
-            .faults(FaultSpec::all(30), 11)
-            .resilience_defaults()
-            .build();
-        let legacy =
-            ResilientFetcher::with_defaults(FaultyWeb::new(web(), FaultSpec::all(30), 11), 11);
-        for _ in 0..12 {
-            assert_eq!(stack.get(&url), legacy.get(&url));
-            assert_eq!(stack.head(&url), legacy.head(&url));
-        }
-        let telemetry = stack.telemetry();
-        assert_eq!(
-            telemetry.faults.as_ref().unwrap().to_string(),
-            legacy.inner().stats().to_string()
-        );
-        assert_eq!(
-            telemetry.resilience.as_ref().unwrap().to_string(),
-            legacy.stats().to_string()
-        );
     }
 }

@@ -25,7 +25,7 @@ pub enum Status {
     NotFound,
     /// 5xx.
     ServerError,
-    /// No response before the deadline (injected by fault decorators; the
+    /// No response before the deadline (injected by the fault layer; the
     /// simulated web itself never stalls).
     TimedOut,
     /// Connection reset mid-request (likewise injected).

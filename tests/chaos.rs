@@ -22,10 +22,9 @@ use weblint_gateway::Gateway;
 use weblint_httpd::{client, HttpServer, ServerConfig};
 use weblint_service::{ServiceConfig, PANIC_MARKER};
 use weblint_site::{
-    AimdPolicy, BreakerState, CheckpointConfig, CheckpointError, FaultSpec, FaultyWeb, FetchStack,
-    Fetcher, FnFetcher, HedgePolicy, Observation, Pacer, ResilientFetcher, Robot, RobotOptions,
-    ShardChaos, ShardedOptions, ShardedOutcome, ShardedReport, SharedWeb, SimulatedWeb, Status,
-    Url,
+    BreakerState, CheckpointConfig, CheckpointError, FaultSpec, FetchStack, Fetcher, FnFetcher,
+    Observation, Pacer, Robot, RobotOptions, ShardChaos, ShardedOptions, ShardedOutcome,
+    ShardedReport, SharedWeb, SimulatedWeb, Status, Url,
 };
 
 const PAGES: usize = 24;
@@ -131,14 +130,18 @@ fn chaotic_crawls_are_deterministic_for_a_fixed_seed() {
 
 #[test]
 fn every_injected_fault_is_accounted_in_per_host_stats() {
-    let fetcher = ResilientFetcher::with_defaults(FaultyWeb::new(site(), FaultSpec::all(20), 7), 7);
+    let stack = FetchStack::new(site())
+        .faults(FaultSpec::all(20), 7)
+        .resilience_defaults()
+        .build();
     for i in 0..PAGES {
         let url = Url::parse(&format!("http://chaos/p{i}.html")).unwrap();
-        let _ = fetcher.get(&url);
-        let _ = fetcher.head(&url);
+        let _ = stack.get(&url);
+        let _ = stack.head(&url);
     }
-    let faults = fetcher.inner().stats();
-    let resilience = fetcher.stats();
+    let telemetry = stack.telemetry();
+    let faults = telemetry.faults.expect("fault layer");
+    let resilience = telemetry.resilience.expect("resilience layer");
     assert!(
         faults.injected_total() > 0,
         "20% over {} attempts injected nothing",
@@ -376,7 +379,7 @@ fn adaptive_limit_decays_on_the_flaky_host_before_its_breaker_opens() {
 
 #[test]
 fn hedges_respect_the_breaker_and_the_budget() {
-    let pacer = Pacer::new(Some(AimdPolicy::default()), Some(HedgePolicy::default()));
+    let pacer = Pacer::new(true, true);
     // A hedge is never authorized while the breaker is anything but
     // closed — half-open probes and open windows are off limits.
     for state in [BreakerState::Open, BreakerState::HalfOpen] {
@@ -398,8 +401,7 @@ fn hedges_respect_the_breaker_and_the_budget() {
     assert_eq!(host.suppressed_breaker, 2, "{stats}");
     assert_eq!(host.hedges_fired, granted, "{stats}");
     assert!(
-        host.hedges_fired * 100
-            <= u64::from(HedgePolicy::default().budget_percent) * host.authorized,
+        host.hedges_fired * 100 <= 5 * host.authorized,
         "budget overrun: {stats}"
     );
     assert!(host.suppressed_budget > 0, "{stats}");

@@ -4,14 +4,29 @@
 //! state that was encoded (round-trip to the byte), and a checkpoint
 //! that was torn, truncated or bit-flipped is *refused* — cleanly, with
 //! a diagnosable error, never a panic, never silently-wrong state.
+//!
+//! Two goldens pin the fetch stack itself: the request-by-request
+//! transcript of a breaker cycle (`tests/golden/fetch_stack_requests.txt`)
+//! and the checkpoint bytes of the state it leaves behind
+//! (`tests/golden/fetch_stack_checkpoint.hex`). Regenerate after an
+//! intentional change to the stack's bookkeeping or the wire format:
+//!
+//! WEBLINT_GOLDEN_REGEN=1 cargo test -q --test checkpoint_torture
+
+use std::fmt::Write as _;
 
 use proptest::prelude::*;
 
 use weblint::site::{
-    decode_shard, encode_shard, Candidate, CheckpointMeta, FaultSpec, FetchStack, ShardFrontier,
-    ShardState, SharedWeb, SimulatedWeb, Url,
+    decode_shard, encode_shard, Candidate, CheckpointMeta, FaultSpec, FetchStack, Resource,
+    ShardFrontier, ShardState, SharedWeb, SimulatedWeb, Status, Url,
 };
 use weblint::LintSession;
+
+const REQUESTS_GOLDEN: &str = "tests/golden/fetch_stack_requests.txt";
+const CHECKPOINT_GOLDEN: &str = "tests/golden/fetch_stack_checkpoint.hex";
+
+const PAGE: &str = "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>";
 
 fn meta() -> CheckpointMeta {
     CheckpointMeta {
@@ -25,27 +40,75 @@ fn meta() -> CheckpointMeta {
     }
 }
 
-/// A shard state exercising every record type: candidates with odd
-/// strings, crawled pages with real diagnostics, dead links, and a
-/// fetch-stack snapshot with fault, resilience and pacing layers.
-fn rich_state() -> ShardState {
+/// Every layer on, over two hosts at 60% faults, each host serving two
+/// pages and one URL that always answers 5xx. Each host's request
+/// script hits the dead URL six times in a row twice per 20 requests:
+/// five failures open its breaker, the rest of the cooldown is shed,
+/// and the next request — a live page — is the probe that closes it.
+/// Returns the stack and the transcript: one line per request (status,
+/// body size, [`RequestCost`](weblint::site::RequestCost)), then the
+/// telemetry.
+fn breaker_cycle() -> (FetchStack<SharedWeb>, String) {
+    let hosts = ["frail", "torn"];
     let mut web = SimulatedWeb::new();
-    web.add_page(
-        "http://torn/p.html",
-        "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>",
-    );
+    for host in hosts {
+        web.add_page(&format!("http://{host}/p.html"), PAGE);
+        web.add_page(&format!("http://{host}/q.html"), "<P>q</P>");
+        web.add(
+            &format!("http://{host}/down.html"),
+            Resource {
+                status: Status::ServerError,
+                content_type: "text/html".to_string(),
+                body: String::new(),
+            },
+        );
+    }
     let stack = FetchStack::new(SharedWeb::new(web))
-        .faults(FaultSpec::all(40), 3)
+        .faults(FaultSpec::all(60), 3)
         .resilience_defaults()
         .adaptive_defaults()
         .hedging_defaults()
         .build();
+    let mut transcript = String::new();
+    for i in 0..40 {
+        for host in hosts {
+            let path = match i {
+                _ if i % 20 < 6 => "down",
+                _ if i % 2 == 0 => "p",
+                _ => "q",
+            };
+            let url = Url::parse(&format!("http://{host}/{path}.html")).unwrap();
+            let (method, status, bytes, cost) = if i % 3 == 0 {
+                let ((status, _), cost) = stack.head_cost(&url);
+                ("HEAD", status, 0, cost)
+            } else {
+                let ((status, _, body), cost) = stack.get_cost(&url);
+                ("GET", status, body.len(), cost)
+            };
+            writeln!(
+                transcript,
+                "{method} {url} {status:?} {bytes}B retries={} backoff_us={} shed={}",
+                cost.retries, cost.backoff_us, cost.shed
+            )
+            .unwrap();
+        }
+    }
+    transcript.push_str(&stack.telemetry().to_string());
+    transcript.push('\n');
+    (stack, transcript)
+}
+
+/// A shard state exercising every record type: candidates with odd
+/// strings, crawled pages with real diagnostics, dead links, and the
+/// [`breaker_cycle`] stack's snapshot with fault, resilience and pacing
+/// layers.
+fn rich_state() -> ShardState {
+    let (stack, _) = breaker_cycle();
     let url = Url::parse("http://torn/p.html").unwrap();
-    let ((_, _, body), _cost) = stack.get_cost(&url);
     let mut weblint = LintSession::new();
     let page = weblint::site::CrawledPage {
         url: url.clone(),
-        diagnostics: weblint.check_string(&body),
+        diagnostics: weblint.check_string(PAGE),
         link_count: 2,
         depth: 1,
     };
@@ -77,6 +140,45 @@ fn rich_state() -> ShardState {
         redirects: 4,
         stack: stack.export_state(),
     }
+}
+
+/// Compare `actual` with the golden at `path`, or rewrite the golden
+/// under `WEBLINT_GOLDEN_REGEN`.
+fn assert_golden(path: &str, actual: &str) {
+    if std::env::var_os("WEBLINT_GOLDEN_REGEN").is_some() {
+        std::fs::write(path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(path)
+        .expect("golden missing — run with WEBLINT_GOLDEN_REGEN=1 to create it");
+    assert!(expected == actual, "{path} differs:\n{actual}");
+}
+
+#[test]
+fn breaker_cycle_requests_match_their_golden() {
+    let (stack, transcript) = breaker_cycle();
+    let resilience = stack.telemetry().resilience.unwrap();
+    assert_eq!(resilience.hosts.len(), 2);
+    for (host, h) in &resilience.hosts {
+        assert!(h.breaker_opens > 0, "{host}: {h:?}");
+        assert!(h.fast_failures > 0, "{host}: {h:?}");
+        assert!(h.probes > 0, "{host}: {h:?}");
+        assert!(h.successes > 0, "{host}: {h:?}");
+    }
+    assert_golden(REQUESTS_GOLDEN, &transcript);
+}
+
+#[test]
+fn rich_state_checkpoint_bytes_match_their_golden() {
+    let bytes = encode_shard(&meta(), &rich_state());
+    let mut hex = String::new();
+    for line in bytes.chunks(32) {
+        for byte in line {
+            write!(hex, "{byte:02x}").unwrap();
+        }
+        hex.push('\n');
+    }
+    assert_golden(CHECKPOINT_GOLDEN, &hex);
 }
 
 #[test]
