@@ -175,6 +175,12 @@ rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 -shards 4 -jobs 4 \
     > "$ckroot/wide.out" || rc=$?
 test "$rc" -eq 1
 cmp "$ckroot/narrow.out" "$ckroot/wide.out"
+# More shards than hosts: the shards no host hashes to never get work,
+# so their threads are never spawned, and the report must not notice.
+rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 -shards 16 -jobs 3 \
+    > "$ckroot/sparse.out" || rc=$?
+test "$rc" -eq 1
+cmp "$ckroot/narrow.out" "$ckroot/sparse.out"
 rm -rf "$ckroot"
 
 # C10k serving gates (E19). The wire transcript first: a 19-request

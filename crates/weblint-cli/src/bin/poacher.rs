@@ -221,7 +221,8 @@ fn parse(argv: &[String]) -> Result<Options, String> {
 }
 
 /// Per-shard fault/jitter seed: a stable function of the crawl seed and
-/// the shard index, so resumes and respawns replay the same schedule.
+/// the shard index, so resumes and shard-death replays see the same
+/// schedule.
 fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

@@ -147,7 +147,7 @@ impl ShardFrontier {
                 Some(c)
             })
             .collect();
-        out.sort_by_key(|a| (a.depth, a.url.to_string()));
+        out.sort_by_cached_key(|a| (a.depth, a.url.to_string()));
         out
     }
 

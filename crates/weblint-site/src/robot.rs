@@ -25,14 +25,17 @@
 //! assert_eq!(run.report.dead_links[0].href, "gone.html");
 //! ```
 //!
-//! Each shard runs a wave in two phases: HEAD every link check and every
-//! crawl candidate, then GET and lint the pages among them. Both phases
-//! issue in batches of up to [`RobotOptions::jobs`] requests, clamped per
-//! host by the frozen AIMD limit, on one set of fetch workers per
-//! shard-wave: `jobs − 1` scoped threads plus the shard thread. Workers
-//! only run requests and read a frozen breaker snapshot; every breaker
-//! transition and pacer observation is settled on the shard thread in
-//! issue order before the next batch forms.
+//! Each shard is one thread for the whole crawl, spawned the first time
+//! the shard gets work. It builds its [`FetchStack`] once and keeps one
+//! set of fetch workers: `jobs − 1` scoped threads plus the shard thread.
+//! The coordinator hands it one wave at a time over a channel. The shard
+//! runs a wave in two phases: HEAD every link check and every crawl
+//! candidate, then GET and lint the pages among them, extracting their
+//! links on the worker. Both phases issue in batches of up to
+//! [`RobotOptions::jobs`] requests, clamped per host by the frozen AIMD
+//! limit. Workers only run requests and read a frozen breaker snapshot;
+//! every breaker transition and pacer observation is settled on the
+//! shard thread in issue order before the next batch forms.
 //!
 //! More shards, a wider [`RobotOptions::jobs`], checkpoints, and fault or
 //! pacing layers in the stack change how the crawl runs, not what a
@@ -44,7 +47,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 
 use weblint_core::{Diagnostic, LintConfig, LintSession};
 
@@ -53,7 +56,7 @@ use crate::checkpoint::{
 };
 use crate::fault::{transient, HopRecord, RequestCost, VIRTUAL_RTT_US};
 use crate::frontier::{shard_of, Candidate, ShardFrontier};
-use crate::links::{extract_links, LinkKind};
+use crate::links::{extract_links, Link, LinkKind};
 use crate::pacing::{HedgeToken, Observation, Pacer};
 use crate::stack::{FetchStack, StackState, StackTelemetry};
 use crate::url::Url;
@@ -226,8 +229,10 @@ pub struct RobotOptions {
     /// still validated, but not crawled. `None` crawls without bound.
     pub max_depth: Option<usize>,
     /// Requests each shard has in flight: HEAD link checks and page GETs
-    /// (the adaptive per-host limit clamps each batch further). `1`
-    /// crawls sequentially, on the shard thread alone.
+    /// (the adaptive per-host limit clamps each batch further). A shard
+    /// spawns its `jobs − 1` fetch workers once and keeps them for the
+    /// whole crawl, so a crawl runs at most `shards × jobs` fetching
+    /// threads. `1` crawls sequentially, on the shard thread alone.
     pub jobs: usize,
     /// HEAD-validate links that leave the start URLs' hosts.
     pub check_external: bool,
@@ -391,10 +396,11 @@ impl Default for Robot {
 /// What following one frontier URL produced, computed on a fetch worker
 /// and folded into the report by the shard in issue order.
 enum FetchOutcome {
-    /// An HTML page at its post-redirect URL, linted on the worker.
+    /// An HTML page at its post-redirect URL, linted and its links
+    /// extracted on the worker.
     Page {
         url: Url,
-        body: String,
+        links: Vec<Link>,
         diagnostics: Vec<Diagnostic>,
     },
     /// The chain ended somewhere dead; `href` is the final URL tried.
@@ -404,8 +410,8 @@ enum FetchOutcome {
 }
 
 /// GET `url` following redirects up to the hop limit, classifying the
-/// result and linting the page it lands on. Returns the outcome plus the
-/// redirect hops taken.
+/// result, and linting and extracting the links of the page it lands on.
+/// Returns the outcome plus the redirect hops taken.
 fn follow_redirects(
     options: &RobotOptions,
     url: &Url,
@@ -416,13 +422,13 @@ fn follow_redirects(
     for _ in 0..=options.max_redirects {
         match get(&current) {
             (Status::Ok, ct, body) if ct.starts_with("text/html") => {
-                // Contain an engine panic: a shard that panicked would be
-                // respawned into the same page, and the same panic, forever.
+                // Contain an engine panic: a shard wave that panicked would
+                // be replayed into the same page, and the same panic, forever.
                 let lint = || LintSession::with_config(options.lint.clone()).check_string(&body);
                 let diagnostics = catch_unwind(AssertUnwindSafe(lint)).unwrap_or_default();
                 let page = FetchOutcome::Page {
                     url: current,
-                    body,
+                    links: extract_links(&body),
                     diagnostics,
                 };
                 return (page, redirects);
@@ -472,38 +478,52 @@ type Answer = Box<dyn Any + Send>;
 /// What a worker runs: a request that sends its own answer back.
 type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-/// One shard's fetch workers for one wave: `jobs − 1` scoped threads
-/// that serve every HEAD and GET batch of the wave, plus the shard thread
-/// itself, which runs the first request of each batch. `jobs = 1` spawns
-/// none.
-struct FetchPool<'env> {
+/// One shard's fetch workers for the whole crawl: `jobs − 1` scoped
+/// threads that serve every HEAD and GET batch of every wave, plus the
+/// shard thread itself, which runs the first request of each batch.
+/// `jobs = 1` spawns none.
+struct FetchPool<'scope, 'env> {
     queue: mpsc::Sender<Job<'env>>,
+    workers: Vec<ScopedJoinHandle<'scope, ()>>,
 }
 
-impl<'env> FetchPool<'env> {
-    /// Spawn `workers` threads on `scope`, serving one queue until the
-    /// pool is dropped — when the shard returns or panics.
-    fn spawn<'scope>(scope: &'scope Scope<'scope, 'env>, workers: usize) -> FetchPool<'env> {
+impl<'scope, 'env> FetchPool<'scope, 'env> {
+    /// Spawn `workers` threads on `scope`, serving one queue until
+    /// [`Self::join`] closes it.
+    fn spawn(scope: &'scope Scope<'scope, 'env>, workers: usize) -> FetchPool<'scope, 'env> {
         let (queue, inbox) = mpsc::channel::<Job<'env>>();
         let inbox = Arc::new(Mutex::new(inbox));
-        for _ in 0..workers {
-            let inbox = Arc::clone(&inbox);
-            scope.spawn(move || loop {
-                // The guard drops at the `;`: one worker waits on the
-                // queue at a time, none holds it while fetching.
-                let job = inbox.lock().expect("queue lock").recv();
-                match job {
-                    Ok(job) => job(),
-                    Err(_) => break,
-                }
-            });
+        let workers = (0..workers)
+            .map(|_| {
+                let inbox = Arc::clone(&inbox);
+                scope.spawn(move || loop {
+                    // The guard drops at the `;`: one worker waits on the
+                    // queue at a time, none holds it while fetching.
+                    let job = inbox.lock().expect("queue lock").recv();
+                    match job {
+                        Ok(job) => job(),
+                        Err(_) => break,
+                    }
+                })
+            })
+            .collect();
+        FetchPool { queue, workers }
+    }
+
+    /// Close the queue and wait until every worker has exited, so the
+    /// next crawl's threads can reuse their stacks and allocator arenas.
+    fn join(self) {
+        drop(self.queue);
+        for worker in self.workers {
+            // A worker catches every request's panic; it cannot die.
+            let _ = worker.join();
         }
-        FetchPool { queue }
     }
 
     /// Run `batch` — the first request here, the rest on the workers —
     /// and return the answers in batch order. A request that panicked
-    /// re-raises its panic on the shard thread.
+    /// re-raises its panic on the shard thread, once every request of
+    /// the batch has finished.
     fn run<T: Send + 'static>(
         &self,
         batch: impl Iterator<Item = impl FnOnce() -> T + Send + 'env>,
@@ -534,19 +554,26 @@ impl<'env> FetchPool<'env> {
             });
             self.queue
                 .send(job)
-                .expect("fetch workers outlive the wave");
+                .expect("fetch workers outlive the shard");
         }
         drop(tx);
-        let mut answers: Vec<Option<Answer>> = (0..len).map(|_| None).collect();
+        let mut answers: Vec<Option<std::thread::Result<Answer>>> =
+            (0..len).map(|_| None).collect();
         if let Some(first) = first {
-            answers[0] = Some(first());
+            answers[0] = Some(catch_unwind(AssertUnwindSafe(first)));
         }
         for (i, answer) in rx.iter() {
-            answers[i] = Some(answer.unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            answers[i] = Some(answer);
         }
+        // Nothing is in flight any more, so a panic leaving here cannot
+        // race the restore of the stack the shard replays the wave on.
         answers
             .into_iter()
-            .map(|answer| answer.expect("every request answers"))
+            .map(|answer| {
+                answer
+                    .expect("every request answers")
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            })
             .collect()
     }
 }
@@ -747,8 +774,8 @@ pub struct CheckpointConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardChaos {
     /// Panic shard `.0` midway through wave `.1` — once; the coordinator
-    /// must detect the death, respawn the shard from its pre-wave state,
-    /// and finish with a byte-identical report.
+    /// must detect the death, hand the shard the wave again on its
+    /// pre-wave stack state, and finish with a byte-identical report.
     pub panic_shard: Option<(usize, usize)>,
     /// Abort the crawl (no final checkpoint flush — a simulated
     /// `SIGKILL`) right after the Nth periodic checkpoint is written.
@@ -801,7 +828,7 @@ pub struct ShardedReport {
     pub shards: usize,
     /// Waves executed (including waves replayed from a checkpoint).
     pub waves: usize,
-    /// Shard threads that died and were respawned.
+    /// Shard waves that panicked and were replayed.
     pub shard_deaths: usize,
     /// The wave a resumed crawl picked up from, if it resumed.
     pub resumed_from_wave: Option<usize>,
@@ -858,6 +885,9 @@ struct WaveAssignment {
     cut: bool,
     /// Chaos: panic midway through this wave.
     inject_panic: bool,
+    /// Restore the shard's stack to this state before the wave: set on
+    /// the shard's first wave and on the replay of a wave it died in.
+    restore: Option<StackState>,
 }
 
 impl WaveAssignment {
@@ -915,30 +945,72 @@ fn dead_reason(status: &Status, external: bool) -> Option<String> {
     })
 }
 
-/// Run one shard's wave on its own thread: HEAD-validate probes and
-/// classify candidates, then GET + lint pages, every request in bounded
-/// batches on one [`FetchPool`] and settled in issue order.
-/// Everything order-sensitive happens in `(depth, url)` order, so the
-/// delta is a pure function of (assignment, restored stack state).
-fn run_shard_wave<F: Fetcher + Sync>(
-    options: &RobotOptions,
-    federation: &BTreeSet<String>,
-    stack: &FetchStack<F>,
-    assignment: &WaveAssignment,
-) -> WaveDelta {
-    std::thread::scope(|scope| {
-        let pool = FetchPool::spawn(scope, options.jobs - 1);
-        shard_wave(options, federation, stack, assignment, &pool)
-    })
+/// A shard thread's answer to one wave: its delta, or — when the wave
+/// panicked — the assignment itself, for the coordinator to re-send.
+type WaveReply = Result<WaveDelta, WaveAssignment>;
+
+/// The coordinator's end of one shard thread.
+struct ShardLink<'scope> {
+    inbox: mpsc::Sender<WaveAssignment>,
+    replies: mpsc::Receiver<WaveReply>,
+    thread: ScopedJoinHandle<'scope, ()>,
 }
 
-/// The body of [`run_shard_wave`], issuing on `pool`.
+/// One shard thread for the whole crawl: spawn the fetch workers once
+/// and run every wave the inbox delivers on `stack`, until the
+/// coordinator closes the inbox.
+fn shard_thread<F: Fetcher + Sync>(
+    options: &RobotOptions,
+    federation: &BTreeSet<String>,
+    stack: FetchStack<F>,
+    inbox: mpsc::Receiver<WaveAssignment>,
+    replies: mpsc::Sender<WaveReply>,
+) {
+    std::thread::scope(|scope| {
+        let pool = FetchPool::spawn(scope, options.jobs - 1);
+        serve_waves(
+            inbox,
+            replies,
+            &|state| stack.restore_state(state),
+            &|assignment| shard_wave(options, federation, &stack, assignment, &pool),
+        );
+        pool.join();
+    });
+}
+
+/// The shard's wave loop, compiled once whatever the transport: restore
+/// the stack when the assignment says so, run the wave, and answer. A
+/// wave that panics answers with its assignment; the stack is left for
+/// the replay's restore to reset.
+fn serve_waves(
+    inbox: mpsc::Receiver<WaveAssignment>,
+    replies: mpsc::Sender<WaveReply>,
+    restore: &dyn Fn(&StackState),
+    run_wave: &dyn Fn(&WaveAssignment) -> WaveDelta,
+) {
+    for mut assignment in inbox {
+        if let Some(state) = assignment.restore.take() {
+            restore(&state);
+        }
+        let reply =
+            catch_unwind(AssertUnwindSafe(|| run_wave(&assignment))).map_err(|_| assignment);
+        if replies.send(reply).is_err() {
+            break;
+        }
+    }
+}
+
+/// Run one shard's wave on its thread: HEAD-validate probes and classify
+/// candidates, then GET + lint pages, every request in bounded batches
+/// on the shard's [`FetchPool`] and settled in issue order. Everything
+/// order-sensitive happens in `(depth, url)` order, so the delta is a
+/// pure function of (assignment, stack state before the wave).
 fn shard_wave<'env, F: Fetcher + Sync>(
     options: &'env RobotOptions,
     federation: &BTreeSet<String>,
     stack: &'env FetchStack<F>,
-    assignment: &'env WaveAssignment,
-    pool: &FetchPool<'env>,
+    assignment: &WaveAssignment,
+    pool: &FetchPool<'_, 'env>,
 ) -> WaveDelta {
     let mut delta = WaveDelta::default();
     // HEAD the probes, then the candidates, as one queue.
@@ -951,7 +1023,10 @@ fn shard_wave<'env, F: Fetcher + Sync>(
     let mut pending = &heads[..];
     while !pending.is_empty() {
         let (batch, rest) = pending.split_at(batch_len(options.jobs, stack.pacer(), pending));
-        let requests = batch.iter().map(|&c| move || stack.attempt_head(&c.url));
+        let requests = batch.iter().map(|c| {
+            let url = c.url.clone();
+            move || stack.attempt_head(&url)
+        });
         for (candidate, (answer, cost)) in batch.iter().zip(pool.run(requests)) {
             settle_head(stack, &candidate.url, &answer.0, cost);
             answers.push(answer);
@@ -992,10 +1067,11 @@ fn shard_wave<'env, F: Fetcher + Sync>(
     let mut pending = &gets[..];
     while !pending.is_empty() {
         let (batch, rest) = pending.split_at(batch_len(options.jobs, stack.pacer(), pending));
-        let requests = batch.iter().map(|&c| {
+        let requests = batch.iter().map(|c| {
             let host = c.url.host.as_str();
             let token = stack.pacer().authorize(host, stack.breaker_state(host));
-            move || run_task(options, stack, &c.url, token)
+            let url = c.url.clone();
+            move || run_task(options, stack, &url, token)
         });
         for (candidate, fetched) in batch.iter().zip(pool.run(requests)) {
             settle_sharded_task(options, federation, stack, candidate, fetched, &mut delta);
@@ -1047,10 +1123,9 @@ fn settle_sharded_task<F: Fetcher>(
         }),
         FetchOutcome::Page {
             url: final_url,
-            body,
+            links,
             diagnostics,
         } => {
-            let links = extract_links(&body);
             delta.pages.push(CrawledPage {
                 url: final_url.clone(),
                 diagnostics,
@@ -1070,7 +1145,7 @@ fn settle_sharded_task<F: Fetcher>(
                     url: target,
                     depth: candidate.depth + 1,
                     via: final_url.to_string(),
-                    href: link.href.clone(),
+                    href: link.href,
                 };
                 if federation.contains(&next.url.host) {
                     if within_depth {
@@ -1181,176 +1256,212 @@ impl Robot {
         let mut outcome = ShardedOutcome::Complete;
         let mut killed = false;
 
-        loop {
-            if resumed_complete {
-                break;
-            }
-            if opts
-                .stop
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::SeqCst))
-            {
-                outcome = ShardedOutcome::Paused;
-                break;
-            }
-            let pages_total: usize = work.iter().map(|w| w.pages.len()).sum();
-            let pending_pages: usize = work.iter().map(|w| w.frontier.pending()).sum();
-            let pending_probes: usize = work.iter().map(|w| w.probes.pending()).sum();
-            if pending_pages == 0 && pending_probes == 0 {
-                outcome = ShardedOutcome::Complete;
-                break;
-            }
-            let remaining = self.options.max_pages.saturating_sub(pages_total);
-            // Budget cut: no fetch is left, but the links crawled pages
-            // found still get their HEAD check in one last wave.
-            let cut = remaining == 0 && pending_pages > 0;
-            if cut && truncated {
-                // Resumed from the checkpoint this cut wrote: its pending
-                // links were validated before it was saved.
-                outcome = ShardedOutcome::Paused;
-                break;
-            }
-            truncated = cut;
-
-            // Global budget cut: the first `remaining` pending
-            // candidates in (depth, url) order run this wave; the rest
-            // stay in their frontiers (and survive a pause).
-            let mut keys: Vec<(usize, String, usize)> = Vec::new();
-            for (i, w) in work.iter().enumerate() {
-                for (depth, url) in w.frontier.pending_keys() {
-                    keys.push((depth, url.to_string(), i));
+        std::thread::scope(|scope| -> Result<ShardedReport, CheckpointError> {
+            // One thread per shard for the whole crawl, spawned the first
+            // time the shard gets work.
+            let mut links: Vec<Option<ShardLink<'_>>> = (0..shards).map(|_| None).collect();
+            loop {
+                if resumed_complete {
+                    break;
                 }
-            }
-            keys.sort();
-            keys.truncate(remaining);
-            let mut assigned: Vec<Vec<String>> = (0..shards).map(|_| Vec::new()).collect();
-            for (_, url, i) in keys {
-                assigned[i].push(url);
-            }
-            let mut assignments: Vec<WaveAssignment> = Vec::with_capacity(shards);
-            for (i, w) in work.iter_mut().enumerate() {
-                let candidates = if cut {
-                    // Seeds no crawled page linked to are not checked.
-                    let mut found: Vec<Candidate> = w
-                        .frontier
-                        .pending_candidates()
-                        .into_iter()
-                        .filter(|c| !c.via.is_empty())
-                        .collect();
-                    found.sort_by_key(|c| (c.depth, c.url.to_string()));
-                    found
-                } else {
-                    w.frontier.extract(&assigned[i])
-                };
-                let probe_urls: Vec<String> = w
-                    .probes
-                    .pending_candidates()
-                    .iter()
-                    .map(|c| c.url.to_string())
-                    .collect();
-                let probes = w.probes.extract(&probe_urls);
-                assignments.push(WaveAssignment {
-                    candidates,
-                    probes,
-                    cut,
-                    inject_panic: chaos_panic == Some((i, wave)),
-                });
-            }
-
-            // Run the wave: one scoped thread per shard with work,
-            // deltas returning over a bounded reply channel. A shard
-            // that panics is respawned from its pre-wave state (which
-            // the coordinator still owns) until the wave completes.
-            let mut deltas: Vec<Option<WaveDelta>> = (0..shards).map(|_| None).collect();
-            let mut to_run: Vec<usize> = (0..shards)
-                .filter(|&i| !assignments[i].is_empty())
-                .collect();
-            while !to_run.is_empty() {
-                let (tx, rx) = mpsc::sync_channel::<(usize, WaveDelta)>(to_run.len());
-                let options = &self.options;
-                let federation_ref = &federation;
-                let make_stack_ref = &make_stack;
-                let work_ref = &work;
-                let assignments_ref = &assignments;
-                let panicked: Vec<usize> = std::thread::scope(|scope| {
-                    let handles: Vec<(usize, std::thread::ScopedJoinHandle<'_, ()>)> = to_run
-                        .iter()
-                        .map(|&i| {
-                            let tx = tx.clone();
-                            let handle = scope.spawn(move || {
-                                let stack = make_stack_ref(i);
-                                stack.restore_state(&work_ref[i].stack);
-                                let delta = run_shard_wave(
-                                    options,
-                                    federation_ref,
-                                    &stack,
-                                    &assignments_ref[i],
-                                );
-                                let _ = tx.send((i, delta));
-                            });
-                            (i, handle)
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .filter_map(|(i, handle)| handle.join().is_err().then_some(i))
-                        .collect()
-                });
-                drop(tx);
-                for (i, delta) in rx.try_iter() {
-                    deltas[i] = Some(delta);
+                if opts
+                    .stop
+                    .as_ref()
+                    .is_some_and(|flag| flag.load(Ordering::SeqCst))
+                {
+                    outcome = ShardedOutcome::Paused;
+                    break;
                 }
-                shard_deaths += panicked.len();
-                for &i in &panicked {
-                    // Respawn without the injected fault: the retry is
-                    // the recovery, and it must reproduce the wave.
-                    assignments[i].inject_panic = false;
-                    if chaos_panic.is_some_and(|(shard, w)| shard == i && w == wave) {
-                        chaos_panic = None;
+                let pages_total: usize = work.iter().map(|w| w.pages.len()).sum();
+                let pending_pages: usize = work.iter().map(|w| w.frontier.pending()).sum();
+                let pending_probes: usize = work.iter().map(|w| w.probes.pending()).sum();
+                if pending_pages == 0 && pending_probes == 0 {
+                    outcome = ShardedOutcome::Complete;
+                    break;
+                }
+                let remaining = self.options.max_pages.saturating_sub(pages_total);
+                // Budget cut: no fetch is left, but the links crawled pages
+                // found still get their HEAD check in one last wave.
+                let cut = remaining == 0 && pending_pages > 0;
+                if cut && truncated {
+                    // Resumed from the checkpoint this cut wrote: its pending
+                    // links were validated before it was saved.
+                    outcome = ShardedOutcome::Paused;
+                    break;
+                }
+                truncated = cut;
+
+                // Global budget cut: the first `remaining` pending
+                // candidates in (depth, url) order run this wave; the rest
+                // stay in their frontiers (and survive a pause).
+                let mut keys: Vec<(usize, String, usize)> = Vec::new();
+                for (i, w) in work.iter().enumerate() {
+                    for (depth, url) in w.frontier.pending_keys() {
+                        keys.push((depth, url.to_string(), i));
                     }
                 }
-                to_run = panicked;
-            }
-
-            // Merge in shard order; route discoveries to their owners.
-            let mut discovered_all: Vec<Candidate> = Vec::new();
-            let mut probes_all: Vec<Candidate> = Vec::new();
-            for (i, slot) in deltas.iter_mut().enumerate() {
-                let Some(delta) = slot.take() else { continue };
-                let w = &mut work[i];
-                w.pages.extend(delta.pages);
-                w.dead_links.extend(delta.dead_links);
-                w.redirects += delta.redirects;
-                w.stack = delta.stack;
-                w.frontier.extract(&delta.dead_pending);
-                discovered_all.extend(delta.discovered);
-                probes_all.extend(delta.probe_requests);
-            }
-            for candidate in discovered_all {
-                let owner = shard_of(&candidate.url.host, shards);
-                // A URL queued as a probe that turns out crawlable is
-                // promoted to a full candidate.
-                work[owner]
-                    .probes
-                    .remove_pending(&candidate.url.to_string());
-                work[owner].frontier.admit(candidate);
-            }
-            for candidate in probes_all {
-                let owner = shard_of(&candidate.url.host, shards);
-                if work[owner].frontier.has_seen(&candidate.url.to_string()) {
-                    continue;
+                keys.sort();
+                keys.truncate(remaining);
+                let mut assigned: Vec<Vec<String>> = (0..shards).map(|_| Vec::new()).collect();
+                for (_, url, i) in keys {
+                    assigned[i].push(url);
                 }
-                work[owner].probes.admit(candidate);
+                let mut assignments: Vec<WaveAssignment> = Vec::with_capacity(shards);
+                for (i, w) in work.iter_mut().enumerate() {
+                    let candidates = if cut {
+                        // Seeds no crawled page linked to are not checked.
+                        let mut found: Vec<Candidate> = w
+                            .frontier
+                            .pending_candidates()
+                            .into_iter()
+                            .filter(|c| !c.via.is_empty())
+                            .collect();
+                        found.sort_by_cached_key(|c| (c.depth, c.url.to_string()));
+                        found
+                    } else {
+                        w.frontier.extract(&assigned[i])
+                    };
+                    let probe_urls: Vec<String> = w
+                        .probes
+                        .pending_candidates()
+                        .iter()
+                        .map(|c| c.url.to_string())
+                        .collect();
+                    let probes = w.probes.extract(&probe_urls);
+                    assignments.push(WaveAssignment {
+                        candidates,
+                        probes,
+                        cut,
+                        inject_panic: chaos_panic == Some((i, wave)),
+                        restore: None,
+                    });
+                }
+
+                // Hand each shard with work its wave, spawning its thread
+                // (which restores the shard's stack state) on first use.
+                let mut active: Vec<usize> = Vec::with_capacity(shards);
+                for (i, mut assignment) in assignments.into_iter().enumerate() {
+                    if assignment.is_empty() {
+                        continue;
+                    }
+                    let link = links[i].get_or_insert_with(|| {
+                        assignment.restore = Some(work[i].stack.clone());
+                        let (inbox, shard_inbox) = mpsc::channel();
+                        let (shard_replies, replies) = mpsc::channel();
+                        let (options, federation, make_stack) =
+                            (&self.options, &federation, &make_stack);
+                        let thread = scope.spawn(move || {
+                            let stack = make_stack(i);
+                            shard_thread(options, federation, stack, shard_inbox, shard_replies)
+                        });
+                        ShardLink {
+                            inbox,
+                            replies,
+                            thread,
+                        }
+                    });
+                    link.inbox
+                        .send(assignment)
+                        .expect("a shard thread lives until its inbox closes");
+                    active.push(i);
+                }
+                // Merge the deltas in shard order, then route discoveries
+                // to their owners. A shard whose wave panicked gets the
+                // wave back with its stack reset to the pre-wave state
+                // (which the coordinator still owns) until the wave
+                // completes.
+                let mut discovered_all: Vec<Candidate> = Vec::new();
+                let mut probes_all: Vec<Candidate> = Vec::new();
+                for i in active {
+                    let link = links[i].as_ref().expect("an active shard has a thread");
+                    let delta = loop {
+                        let reply = link
+                            .replies
+                            .recv()
+                            .expect("a shard thread answers every wave");
+                        match reply {
+                            Ok(delta) => break delta,
+                            Err(mut assignment) => {
+                                // Replay without the injected fault: the
+                                // retry is the recovery, and it must
+                                // reproduce the wave.
+                                shard_deaths += 1;
+                                assignment.inject_panic = false;
+                                assignment.restore = Some(work[i].stack.clone());
+                                if chaos_panic.is_some_and(|(shard, w)| shard == i && w == wave) {
+                                    chaos_panic = None;
+                                }
+                                link.inbox
+                                    .send(assignment)
+                                    .expect("a shard thread lives until its inbox closes");
+                            }
+                        }
+                    };
+                    let w = &mut work[i];
+                    w.pages.extend(delta.pages);
+                    w.dead_links.extend(delta.dead_links);
+                    w.redirects += delta.redirects;
+                    w.stack = delta.stack;
+                    w.frontier.extract(&delta.dead_pending);
+                    discovered_all.extend(delta.discovered);
+                    probes_all.extend(delta.probe_requests);
+                }
+                for candidate in discovered_all {
+                    let owner = shard_of(&candidate.url.host, shards);
+                    // A URL queued as a probe that turns out crawlable is
+                    // promoted to a full candidate.
+                    work[owner]
+                        .probes
+                        .remove_pending(&candidate.url.to_string());
+                    work[owner].frontier.admit(candidate);
+                }
+                for candidate in probes_all {
+                    let owner = shard_of(&candidate.url.host, shards);
+                    if work[owner].frontier.has_seen(&candidate.url.to_string()) {
+                        continue;
+                    }
+                    work[owner].probes.admit(candidate);
+                }
+                wave += 1;
+                if cut {
+                    outcome = ShardedOutcome::Paused;
+                    break;
+                }
+
+                if let Some(cfg) = &opts.checkpoint {
+                    let pages_now: usize = work.iter().map(|w| w.pages.len()).sum();
+                    if pages_now.saturating_sub(last_checkpoint_pages) >= cfg.every_pages.max(1) {
+                        self.save_sharded(
+                            cfg,
+                            &work,
+                            shards,
+                            wave,
+                            opts.seed,
+                            fingerprint,
+                            false,
+                            false,
+                        )?;
+                        last_checkpoint_pages = pages_now;
+                        checkpoints_written += 1;
+                        if opts
+                            .chaos
+                            .kill_after_checkpoints
+                            .is_some_and(|n| checkpoints_written >= n)
+                        {
+                            outcome = ShardedOutcome::Killed;
+                            killed = true;
+                            break;
+                        }
+                    }
+                }
             }
-            wave += 1;
-            if cut {
-                outcome = ShardedOutcome::Paused;
-                break;
-            }
+            // Close the inboxes now: the shard threads wind down while the
+            // final checkpoint and merge run.
+            let threads: Vec<_> = links.into_iter().flatten().map(|l| l.thread).collect();
 
             if let Some(cfg) = &opts.checkpoint {
-                let pages_now: usize = work.iter().map(|w| w.pages.len()).sum();
-                if pages_now.saturating_sub(last_checkpoint_pages) >= cfg.every_pages.max(1) {
+                if !killed {
+                    let complete = outcome == ShardedOutcome::Complete;
                     self.save_sharded(
                         cfg,
                         &work,
@@ -1358,67 +1469,49 @@ impl Robot {
                         wave,
                         opts.seed,
                         fingerprint,
-                        false,
-                        false,
+                        truncated,
+                        complete,
                     )?;
-                    last_checkpoint_pages = pages_now;
-                    checkpoints_written += 1;
-                    if opts
-                        .chaos
-                        .kill_after_checkpoints
-                        .is_some_and(|n| checkpoints_written >= n)
-                    {
-                        outcome = ShardedOutcome::Killed;
-                        killed = true;
-                        break;
-                    }
                 }
             }
-        }
 
-        if let Some(cfg) = &opts.checkpoint {
-            if !killed {
-                let complete = outcome == ShardedOutcome::Complete;
-                self.save_sharded(
-                    cfg,
-                    &work,
-                    shards,
-                    wave,
-                    opts.seed,
-                    fingerprint,
-                    truncated,
-                    complete,
-                )?;
+            // Canonical merge: sorted, so the report is independent of
+            // shard count and thread timing.
+            let mut report = RobotReport {
+                truncated,
+                ..RobotReport::default()
+            };
+            let mut telemetry = Vec::with_capacity(shards);
+            for (i, w) in work.iter().enumerate() {
+                report.pages.extend(w.pages.iter().cloned());
+                report.dead_links.extend(w.dead_links.iter().cloned());
+                report.redirects_followed += w.redirects as usize;
+                let stack = make_stack(i);
+                stack.restore_state(&w.stack);
+                telemetry.push((i, stack.telemetry()));
             }
-        }
-
-        // Canonical merge: sorted, so the report is independent of
-        // shard count and thread timing.
-        let mut report = RobotReport {
-            truncated,
-            ..RobotReport::default()
-        };
-        let mut telemetry = Vec::with_capacity(shards);
-        for (i, w) in work.iter().enumerate() {
-            report.pages.extend(w.pages.iter().cloned());
-            report.dead_links.extend(w.dead_links.iter().cloned());
-            report.redirects_followed += w.redirects as usize;
-            let stack = make_stack(i);
-            stack.restore_state(&w.stack);
-            telemetry.push((i, stack.telemetry()));
-        }
-        report.pages.sort_by_key(|a| (a.depth, a.url.to_string()));
-        report.dead_links.sort_by(|a, b| {
-            (a.page.to_string(), &a.href, &a.reason).cmp(&(b.page.to_string(), &b.href, &b.reason))
-        });
-        Ok(ShardedReport {
-            report,
-            telemetry,
-            shards,
-            waves: wave,
-            shard_deaths,
-            resumed_from_wave,
-            outcome,
+            report
+                .pages
+                .sort_by_cached_key(|p| (p.depth, p.url.to_string()));
+            report
+                .dead_links
+                .sort_by_cached_key(|d| (d.page.to_string(), d.href.clone(), d.reason.clone()));
+            // Join before returning, so that the next crawl's threads can
+            // reuse these threads' stacks and allocator arenas.
+            for thread in threads {
+                if let Err(panic) = thread.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            Ok(ShardedReport {
+                report,
+                telemetry,
+                shards,
+                waves: wave,
+                shard_deaths,
+                resumed_from_wave,
+                outcome,
+            })
         })
     }
 
@@ -1928,21 +2021,35 @@ mod tests {
         }
     }
 
-    /// One host whose index links ten pages.
+    /// One host whose index links ten pages; the last of them starts a
+    /// chain of four more, one page a wave.
     fn wide_site() -> SharedWeb {
         let mut web = SimulatedWeb::new();
         let links: String = (1..=10)
             .map(|i| format!("<A HREF=\"p{i}.html\">{i}</A> "))
             .collect();
         web.add_page("http://site/index.html", page(&format!("<P>{links}</P>")));
-        for i in 1..=10 {
+        for i in 1..=9 {
             web.add_page(&format!("http://site/p{i}.html"), page("<P>leaf</P>"));
+        }
+        web.add_page(
+            "http://site/p10.html",
+            page("<P><A HREF=\"c1.html\">on</A></P>"),
+        );
+        for i in 1..=4 {
+            let next = format!("<P><A HREF=\"c{}.html\">on</A></P>", i + 1);
+            let body = if i < 4 {
+                page(&next)
+            } else {
+                page("<P>end</P>")
+            };
+            web.add_page(&format!("http://site/c{i}.html"), body);
         }
         SharedWeb::new(web)
     }
 
     #[test]
-    fn head_checks_go_out_jobs_wide_on_one_pool_per_wave() {
+    fn head_checks_go_out_jobs_wide_on_one_pool_per_crawl() {
         // The host's AIMD limit is pinned at 3, below the width of 4.
         let crawl = |jobs: usize| {
             let gauge = Gauge::new(wide_site());
@@ -1956,23 +2063,50 @@ mod tests {
             let run = robot
                 .crawl_sharded(&[start()], make_stack, &ShardedOptions::default())
                 .unwrap();
-            assert_eq!(run.report.pages.len(), 11);
-            assert_eq!(gauge.heads.lock().unwrap().len(), 11, "one HEAD per page");
+            assert_eq!(run.report.pages.len(), 15);
+            assert_eq!(gauge.heads.lock().unwrap().len(), 15, "one HEAD per page");
+            // More waves than the widest pool has threads: a crawl that
+            // spawned its fetching threads per wave would show more.
+            assert!(run.waves > 4, "{} waves", run.waves);
             let peak = gauge.peak.load(Ordering::SeqCst);
-            (peak, gauge.threads(), run.waves)
+            (peak, gauge.threads())
         };
 
-        // One wide: one HEAD at a time, every fetch of a wave on its
-        // shard thread.
-        let (peak, threads, waves) = crawl(1);
+        // One wide: one HEAD at a time, every fetch of the crawl on the
+        // one shard thread.
+        let (peak, threads) = crawl(1);
         assert_eq!(peak, 1);
-        assert!(threads <= waves, "{threads} threads over {waves} waves");
+        assert_eq!(threads, 1, "{threads} fetching threads at jobs 1");
 
         // Four wide: HEADs overlap, but never past the host's limit, and
-        // each wave's batches share one set of workers.
-        let (peak, threads, waves) = crawl(4);
+        // every batch of every wave shares the shard's one set of workers.
+        let (peak, threads) = crawl(4);
         assert!((2..=3).contains(&peak), "peak {peak} HEADs in flight");
-        assert!(threads <= waves * 4, "{threads} threads over {waves} waves");
+        assert!(threads <= 4, "{threads} fetching threads at jobs 4");
+    }
+
+    #[test]
+    fn a_panicking_batch_finishes_every_request_before_it_unwinds() {
+        // The shard replays a panicked wave on the same stack, so no
+        // request of the batch may still be running when the panic
+        // reaches the shard's wave loop.
+        let finished = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let pool = FetchPool::spawn(scope, 3);
+            let finished = &finished;
+            let batch = (0..4).map(|i| {
+                move || {
+                    if i == 0 {
+                        panic!("request died");
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            let died = catch_unwind(AssertUnwindSafe(|| pool.run(batch)));
+            assert!(died.is_err());
+            assert_eq!(finished.load(Ordering::SeqCst), 3);
+        });
     }
 
     #[test]

@@ -214,13 +214,15 @@ impl<F> FetchStack<F> {
     }
 
     /// Overwrite every enabled layer's mutable state from a checkpoint
-    /// snapshot. Layers absent from either side are left untouched.
+    /// snapshot. An enabled layer the snapshot has no state for is reset
+    /// to its freshly built state, so restoring onto a used stack gives
+    /// the same stack as restoring onto a new one.
     pub fn restore_state(&self, snapshot: &StackState) {
-        if let (Some(layer), Some(state)) = (&self.layers.faults, &snapshot.faults) {
-            layer.restore_state(state);
+        if let Some(layer) = &self.layers.faults {
+            layer.restore_state(snapshot.faults.as_ref().unwrap_or(&Default::default()));
         }
-        if let (Some(layer), Some(state)) = (&self.layers.resilience, &snapshot.resilience) {
-            layer.restore_state(state);
+        if let Some(layer) = &self.layers.resilience {
+            layer.restore_state(snapshot.resilience.as_ref().unwrap_or(&Default::default()));
         }
         self.layers.pacer.restore_state(&snapshot.pacing);
     }
@@ -403,5 +405,60 @@ mod tests {
         let t = adaptive_only.telemetry();
         assert!(t.faults.is_none() && t.resilience.is_none() && t.pacing.is_some());
         assert_eq!(adaptive_only.pacer().limit("s"), 4);
+    }
+
+    #[test]
+    fn restoring_onto_a_used_stack_equals_restoring_onto_a_fresh_one() {
+        let full = || {
+            FetchStack::new(web())
+                .faults(FaultSpec::all(40), 3)
+                .resilience_defaults()
+                .adaptive_defaults()
+                .hedging_defaults()
+                .build()
+        };
+        let urls: Vec<Url> = ["http://s/x.html", "http://s/gone.html", "http://t/y.html"]
+            .iter()
+            .map(|u| Url::parse(u).unwrap())
+            .collect();
+        let drive = |stack: &FetchStack<SharedWeb>, rounds: usize| {
+            for _ in 0..rounds {
+                for url in &urls {
+                    let (_, cost) = stack.get_cost(url);
+                    let _ = stack.head_cost(url);
+                    stack.pacer().observe(
+                        &url.host,
+                        crate::pacing::Observation {
+                            clean: cost.retries == 0,
+                            bad: cost.retries > 0,
+                            latency_us: cost.virtual_us(),
+                        },
+                    );
+                }
+            }
+        };
+        let rich = full();
+        drive(&rich, 5);
+        let rich = rich.export_state();
+        assert!(rich.faults.as_ref().is_some_and(|f| !f.attempts.is_empty()));
+
+        for state in [StackState::default(), rich] {
+            let fresh = full();
+            fresh.restore_state(&state);
+            let used = full();
+            drive(&used, 3);
+            assert_ne!(used.export_state(), fresh.export_state());
+            used.restore_state(&state);
+            assert_eq!(used.export_state(), fresh.export_state());
+            assert_eq!(
+                format!("{:?}", used.telemetry()),
+                format!("{:?}", fresh.telemetry())
+            );
+            for url in urls.iter().cycle().take(12) {
+                assert_eq!(used.head_cost(url), fresh.head_cost(url), "HEAD {url}");
+                assert_eq!(used.get_cost(url), fresh.get_cost(url), "GET {url}");
+            }
+            assert_eq!(used.export_state(), fresh.export_state());
+        }
     }
 }

@@ -662,10 +662,12 @@ fn merged_report_is_invariant_across_shard_counts() {
 #[test]
 fn shard_death_is_survived_byte_identically() {
     let clean = sharded_fingerprint(&fed_crawl(2, 15, |_| {}).unwrap());
-    // Panic shard 0 mid-wave, then shard 1 in a later wave: the
-    // coordinator detects each death, respawns the shard from its
-    // pre-wave state, and the final crawl is indistinguishable.
-    for (shard, wave) in [(0usize, 0usize), (1, 1)] {
+    // Panic shard 0 mid-wave, then shard 1 in a later wave, then shard
+    // 1 again at wave 4 — after its thread has run waves 0 to 3 (every
+    // host's pages chain, so each shard has work every wave): the
+    // coordinator detects each death, hands the shard the wave again on
+    // its pre-wave stack state, and the final crawl is indistinguishable.
+    for (shard, wave) in [(0usize, 0usize), (1, 1), (1, 4)] {
         let run = fed_crawl(2, 15, |o| {
             o.chaos = ShardChaos {
                 panic_shard: Some((shard, wave)),
