@@ -262,6 +262,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Requests the `-smoke` self-check sends on its one connection.
+const SMOKE_REQUESTS: u64 = 9;
+
 /// The `-smoke` self-check: bind an ephemeral port, drive every route
 /// over a real socket, verify the answers, shut down gracefully.
 fn smoke(options: &Options) -> Result<String, String> {
@@ -299,15 +302,29 @@ fn smoke(options: &Options) -> Result<String, String> {
         if second.body != first.body {
             return Err("repeated POST /lint was not byte-identical".to_string());
         }
-        let demo = ask("GET", "/lint?url=http://demo/index.html", b"")?;
-        if options.faults.is_some() {
-            // Under injected faults the fetch may legitimately fail after
-            // retries; what matters is a definite answer, not a wedge.
-            if demo.status != 200 && demo.status != 502 {
-                return Err(format!("chaotic GET /lint?url= answered {}", demo.status));
+        // The URL flow at both ends: a page with problems, a redirect
+        // reported under the page it lands on, and a missing page.
+        for (url, status, needle) in [
+            ("http://demo/index.html", 200, "malformed heading"),
+            ("http://demo/old.html", 200, "http://demo/clean.html"),
+            ("http://demo/missing.html", 404, "404 Not Found"),
+        ] {
+            let answer = ask("GET", &format!("/lint?url={url}"), b"")?;
+            if options.faults.is_some() {
+                // Under injected faults the fetch may legitimately fail after
+                // retries; what matters is a definite answer, not a wedge.
+                if answer.status != status && answer.status != 502 {
+                    return Err(format!(
+                        "chaotic GET /lint?url={url} answered {}",
+                        answer.status
+                    ));
+                }
+            } else if answer.status != status || !answer.body_text().contains(needle) {
+                return Err(format!(
+                    "GET /lint?url={url} answered {}, expected {status} naming {needle:?}",
+                    answer.status
+                ));
             }
-        } else if demo.status != 200 || !demo.body_text().contains("malformed heading") {
-            return Err("GET /lint?url= missed the demo page's problems".to_string());
         }
         // POST /fix must hand back a repaired document and say how much
         // it repaired in the X-Weblint-Fixed-Count header.
@@ -338,7 +355,7 @@ fn smoke(options: &Options) -> Result<String, String> {
         if options.faults.is_some() && !metrics.body_text().contains("fault injection:") {
             return Err("chaotic GET /metrics lacks fault injection counters".to_string());
         }
-        Ok(format!("{} request(s) on one connection", 7))
+        Ok(format!("{SMOKE_REQUESTS} request(s) on one connection"))
     };
     let outcome = run();
 
@@ -350,9 +367,9 @@ fn smoke(options: &Options) -> Result<String, String> {
             service.cache.hits
         ));
     }
-    if http.requests_served < 7 {
+    if http.requests_served < SMOKE_REQUESTS {
         return Err(format!(
-            "expected 7 requests served, counted {}",
+            "expected {SMOKE_REQUESTS} requests served, counted {}",
             http.requests_served
         ));
     }

@@ -34,6 +34,6 @@ mod meta;
 mod render;
 
 pub use escape::escape_html;
-pub use gateway::{Gateway, GatewayError};
+pub use gateway::Gateway;
 pub use meta::render_meta_report;
 pub use render::{render_form, render_report, render_report_into, ReportOptions};

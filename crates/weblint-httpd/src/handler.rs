@@ -7,9 +7,9 @@
 use std::sync::Arc;
 
 use weblint_core::{format_report, Diagnostic, LintSession, OutputFormat};
-use weblint_gateway::{render_form, Gateway, GatewayError};
+use weblint_gateway::{render_form, Gateway};
 use weblint_service::{JobError, LintService, SubmitError};
-use weblint_site::{FaultSpec, FetchStack, SharedWeb};
+use weblint_site::{resolve, FaultSpec, FetchError, FetchStack, SharedWeb};
 
 use crate::http::{Request, Response};
 use crate::metrics::HttpCounters;
@@ -400,16 +400,16 @@ fn handle_get_lint(app: &App, req: &Request) -> Response {
         Ok(style) => style,
         Err(response) => return response,
     };
-    let (resolved, body) = match app.gateway.resolve(&app.stack, url) {
+    let (resolved, body) = match resolve(&app.stack, url) {
         Ok(hit) => hit,
         Err(err) => {
             let status = match err {
-                GatewayError::BadUrl(_) => 400,
-                GatewayError::NotFound(_) => 404,
-                GatewayError::NotHtml(_) => 415,
-                GatewayError::ServerError(_)
-                | GatewayError::TooManyRedirects(_)
-                | GatewayError::Unreachable(_) => 502,
+                FetchError::BadUrl(_) => 400,
+                FetchError::NotFound(_) => 404,
+                FetchError::NotHtml(_) => 415,
+                FetchError::ServerError(_)
+                | FetchError::TooManyRedirects(_)
+                | FetchError::Unreachable(_) => 502,
             };
             return Response::text(status, format!("{err}\n"));
         }
@@ -448,11 +448,14 @@ mod tests {
     use weblint_core::LintConfig;
     use weblint_gateway::ReportOptions;
     use weblint_service::ServiceConfig;
-    use weblint_site::SimulatedWeb;
+    use weblint_site::{Resource, SimulatedWeb};
 
     fn app() -> App {
         let mut web = SimulatedWeb::new();
         web.add_page("http://h/p.html", "<H1>x</H2>");
+        web.add("http://h/pic.gif", Resource::asset("image/gif"));
+        web.add_redirect("http://h/loop.html", "http://h/loop.html");
+        web.add_redirect("http://h/old.html", "/p.html");
         App::new(
             LintService::new(ServiceConfig {
                 workers: 1,
@@ -567,7 +570,27 @@ mod tests {
         let page = String::from_utf8(ok.body).unwrap();
         assert!(page.contains("malformed heading"), "{page}");
 
-        for (url, status) in [("not a url", 400), ("http://h/gone.html", 404)] {
+        // A followed redirect reports under the URL it landed on.
+        let moved = handle(
+            &app,
+            &request(
+                "GET",
+                "/lint",
+                &[("url", "http://h/old.html"), ("format", "lint")],
+                b"",
+            ),
+        );
+        assert_eq!(moved.status, 200);
+        let report = String::from_utf8(moved.body).unwrap();
+        assert!(report.starts_with("http://h/p.html("), "{report}");
+        assert!(!report.contains("old.html"), "{report}");
+
+        for (url, status) in [
+            ("not a url", 400),
+            ("http://h/gone.html", 404),
+            ("http://h/pic.gif", 415),
+            ("http://h/loop.html", 502),
+        ] {
             let response = handle(&app, &request("GET", "/lint", &[("url", url)], b""));
             assert_eq!(response.status, status, "{url}");
         }

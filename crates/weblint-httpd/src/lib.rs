@@ -11,8 +11,8 @@
 //! * `POST /lint` — the body is the document; `?format=` or the `Accept`
 //!   header picks traditional lint, short, terse, explain, JSON, or the
 //!   full gateway HTML report.
-//! * `GET /lint?url=…` — resolve through the simulated web
-//!   ([`weblint_site`]) and lint the fetched page.
+//! * `GET /lint?url=…` — fetch through the simulated web with
+//!   [`weblint_site::resolve`] and lint the page it lands on.
 //! * `GET /health` — liveness.
 //! * `GET /metrics` — the pool's [`ServiceMetrics`] plus the server's
 //!   own [`HttpMetrics`]: connections, requests, parse errors, timeouts,

@@ -217,7 +217,7 @@ impl LintService {
     }
 
     /// Submit one document, optionally overriding the configuration (the
-    /// CLI, gateway and server use this for pages carrying pragmas).
+    /// CLI and the server use this for pages carrying pragmas).
     pub fn submit_with<'a>(
         &self,
         source: impl Into<Cow<'a, str>>,

@@ -67,9 +67,9 @@ pub use pacing::{
     HedgeToken, HostPacing, Observation, Pacer, PacerHostState, PacingLayerState, PacingStats,
 };
 pub use robot::{
-    check_url, CheckpointConfig, CrawledPage, DeadLink, FetchError, Fetcher, FnFetcher, Robot,
-    RobotOptions, RobotOptionsBuilder, RobotReport, ShardChaos, ShardedOptions, ShardedOutcome,
-    ShardedReport, StoreFetcher, WebFetcher,
+    check_url, resolve, CheckpointConfig, CrawledPage, DeadLink, FetchError, Fetcher, FnFetcher,
+    Robot, RobotOptions, RobotOptionsBuilder, RobotReport, ShardChaos, ShardedOptions,
+    ShardedOutcome, ShardedReport, StoreFetcher, WebFetcher,
 };
 pub use stack::{FetchStack, FetchStackBuilder, StackState, StackTelemetry};
 pub use store::{DirStore, MemStore, PageStore};

@@ -62,30 +62,18 @@ use crate::stack::{FetchStack, StackState, StackTelemetry};
 use crate::url::Url;
 use crate::web::{SimulatedWeb, Status};
 
-/// Bytes per transport delivery when a buffered body is replayed as a
-/// stream — the packet size the default [`Fetcher::get_streamed`]
-/// simulates.
-const FETCH_CHUNK: usize = 4096;
+/// Redirect hops a URL flow follows before giving up: [`resolve`]'s
+/// limit and the default of [`RobotOptions::max_redirects`].
+const MAX_REDIRECTS: usize = 5;
 
 /// Transport abstraction so the robot can crawl the simulated web today
-/// and a real HTTP client if one is ever wired in.
+/// and a real HTTP client if one is ever wired in. A transport
+/// implements exactly `head` and `get`.
 pub trait Fetcher {
     /// HEAD: status and content type.
     fn head(&self, url: &Url) -> (Status, String);
     /// GET: status, content type, body.
     fn get(&self, url: &Url) -> (Status, String, String);
-    /// GET, delivering the body through `sink` as it arrives; returns
-    /// status and content type. This is what lets the robot lint a page
-    /// *during* its fetch. The default buffers via [`Fetcher::get`] and
-    /// replays the body in 4 KiB pieces; a transport with
-    /// a real wire overrides it to call `sink` as bytes land.
-    fn get_streamed(&self, url: &Url, sink: &mut dyn FnMut(&[u8])) -> (Status, String) {
-        let (status, content_type, body) = self.get(url);
-        for chunk in body.as_bytes().chunks(FETCH_CHUNK) {
-            sink(chunk);
-        }
-        (status, content_type)
-    }
 }
 
 /// [`SimulatedWeb`] as a [`Fetcher`].
@@ -244,7 +232,7 @@ impl Default for RobotOptions {
     fn default() -> RobotOptions {
         RobotOptions {
             max_pages: 1_000,
-            max_redirects: 5,
+            max_redirects: MAX_REDIRECTS,
             max_depth: None,
             jobs: 1,
             check_external: true,
@@ -409,49 +397,70 @@ enum FetchOutcome {
     Skip,
 }
 
+/// Where a redirect chain ended.
+enum Landing {
+    /// A 200, with its content type and body.
+    Page { content_type: String, body: String },
+    /// A status that is neither a 200 nor a redirect.
+    Failed(Status),
+    /// The hop limit ran out.
+    TooManyRedirects,
+}
+
+/// GET `url` through `get`, following up to `max_redirects` redirects.
+/// Returns the URL the chain stopped at, how it ended, and the redirect
+/// hops taken. The one redirect loop: the crawl and every URL flow
+/// ([`resolve`], [`check_url`]) follow chains through it.
+fn redirect_chain(
+    url: &Url,
+    max_redirects: usize,
+    mut get: impl FnMut(&Url) -> (Status, String, String),
+) -> (Url, Landing, usize) {
+    let mut current = url.clone();
+    for redirects in 0..=max_redirects {
+        match get(&current) {
+            (Status::Redirect(location), _, _) => current = current.join(&location),
+            (Status::Ok, content_type, body) => {
+                return (current, Landing::Page { content_type, body }, redirects)
+            }
+            (status, _, _) => return (current, Landing::Failed(status), redirects),
+        }
+    }
+    (current, Landing::TooManyRedirects, max_redirects + 1)
+}
+
 /// GET `url` following redirects up to the hop limit, classifying the
 /// result, and linting and extracting the links of the page it lands on.
 /// Returns the outcome plus the redirect hops taken.
 fn follow_redirects(
     options: &RobotOptions,
     url: &Url,
-    mut get: impl FnMut(&Url) -> (Status, String, String),
+    get: impl FnMut(&Url) -> (Status, String, String),
 ) -> (FetchOutcome, usize) {
-    let mut redirects = 0usize;
-    let mut current = url.clone();
-    for _ in 0..=options.max_redirects {
-        match get(&current) {
-            (Status::Ok, ct, body) if ct.starts_with("text/html") => {
-                // Contain an engine panic: a shard wave that panicked would
-                // be replayed into the same page, and the same panic, forever.
-                let lint = || LintSession::with_config(options.lint.clone()).check_string(&body);
-                let diagnostics = catch_unwind(AssertUnwindSafe(lint)).unwrap_or_default();
-                let page = FetchOutcome::Page {
-                    url: current,
-                    links: extract_links(&body),
-                    diagnostics,
-                };
-                return (page, redirects);
-            }
-            (Status::Ok, _, _) => return (FetchOutcome::Skip, redirects),
-            (Status::Redirect(location), _, _) => {
-                redirects += 1;
-                current = current.join(&location);
-            }
-            (status, _, _) => {
-                let dead = FetchOutcome::Dead {
-                    href: current.to_string(),
-                    reason: dead_reason(&status, false).expect("a failed status"),
-                };
-                return (dead, redirects);
+    let (url, landing, redirects) = redirect_chain(url, options.max_redirects, get);
+    let outcome = match landing {
+        Landing::Page { content_type, body } if content_type.starts_with("text/html") => {
+            // Contain an engine panic: a shard wave that panicked would
+            // be replayed into the same page, and the same panic, forever.
+            let lint = || LintSession::with_config(options.lint.clone()).check_string(&body);
+            let diagnostics = catch_unwind(AssertUnwindSafe(lint)).unwrap_or_default();
+            FetchOutcome::Page {
+                url,
+                links: extract_links(&body),
+                diagnostics,
             }
         }
-    }
-    let dead = FetchOutcome::Dead {
-        href: current.to_string(),
-        reason: "too many redirects".to_string(),
+        Landing::Page { .. } => FetchOutcome::Skip,
+        Landing::Failed(status) => FetchOutcome::Dead {
+            href: url.to_string(),
+            reason: dead_reason(&status, false).expect("a failed status"),
+        },
+        Landing::TooManyRedirects => FetchOutcome::Dead {
+            href: url.to_string(),
+            reason: "too many redirects".to_string(),
+        },
     };
-    (dead, redirects)
+    (outcome, redirects)
 }
 
 /// One GET as a fetch worker ran it, with everything the shard needs
@@ -696,11 +705,49 @@ impl std::fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
+/// Fetch a URL down to its final HTML page, following up to five
+/// redirects: the fetch half of [`check_url`], of the gateway's URL flow
+/// and of the HTTP front end's `GET /lint?url=`. Returns the URL the
+/// chain landed on and the page body.
+///
+/// # Examples
+///
+/// ```
+/// use weblint_site::{resolve, FetchError, SimulatedWeb, WebFetcher};
+///
+/// let mut web = SimulatedWeb::new();
+/// web.add_redirect("http://h/old.html", "/new.html");
+/// web.add_page("http://h/new.html", "<P>moved");
+/// let fetcher = WebFetcher::new(&web);
+/// let (url, body) = resolve(&fetcher, "http://h/old.html").unwrap();
+/// assert_eq!(url.to_string(), "http://h/new.html");
+/// assert_eq!(body, "<P>moved");
+/// assert_eq!(
+///     resolve(&fetcher, "http://h/gone.html"),
+///     Err(FetchError::NotFound("http://h/gone.html".to_string()))
+/// );
+/// ```
+pub fn resolve(fetcher: &dyn Fetcher, url: &str) -> Result<(Url, String), FetchError> {
+    let start = Url::parse(url).ok_or_else(|| FetchError::BadUrl(url.to_string()))?;
+    let (url, landing, _) = redirect_chain(&start, MAX_REDIRECTS, |hop| fetcher.get(hop));
+    match landing {
+        Landing::Page { content_type, body } if content_type.starts_with("text/html") => {
+            Ok((url, body))
+        }
+        Landing::Page { .. } => Err(FetchError::NotHtml(url.to_string())),
+        Landing::Failed(Status::NotFound) => Err(FetchError::NotFound(url.to_string())),
+        Landing::Failed(Status::ServerError) => Err(FetchError::ServerError(url.to_string())),
+        // Timed out or reset: the chain ends on no other status.
+        Landing::Failed(_) => Err(FetchError::Unreachable(url.to_string())),
+        Landing::TooManyRedirects => Err(FetchError::TooManyRedirects(url.to_string())),
+    }
+}
+
 /// Fetch one URL (following up to five redirects) and lint it — the
 /// paper's `check_url` method (§5.4): "The latter requires the LWP
 /// modules… If you don't have LWP installed, you can still use weblint,
 /// but the check_url method won't be available." Here the transport is a
-/// [`Fetcher`] rather than LWP.
+/// [`Fetcher`] rather than LWP, and the fetch is [`resolve`].
 ///
 /// # Examples
 ///
@@ -722,34 +769,8 @@ pub fn check_url(
     url: &str,
     config: &LintConfig,
 ) -> Result<Vec<Diagnostic>, FetchError> {
-    let parsed = Url::parse(url).ok_or_else(|| FetchError::BadUrl(url.to_string()))?;
-    let mut current = parsed;
-    // Lint while the body arrives: each hop's bytes stream into the
-    // session as the transport delivers them, so the final hop's
-    // diagnostics are ready the moment the fetch completes.
-    let mut session = LintSession::with_config(config.clone());
-    for _ in 0..=5 {
-        let mut diags: Vec<Diagnostic> = Vec::new();
-        let (status, ct) =
-            fetcher.get_streamed(&current, &mut |chunk| diags.extend(session.feed(chunk)));
-        match status {
-            Status::Ok if ct.starts_with("text/html") => {
-                diags.extend(session.finish());
-                return Ok(diags);
-            }
-            Status::Ok => return Err(FetchError::NotHtml(current.to_string())),
-            Status::Redirect(location) => {
-                session.abort();
-                current = current.join(&location);
-            }
-            Status::NotFound => return Err(FetchError::NotFound(current.to_string())),
-            Status::ServerError => return Err(FetchError::ServerError(current.to_string())),
-            Status::TimedOut | Status::Reset => {
-                return Err(FetchError::Unreachable(current.to_string()))
-            }
-        }
-    }
-    Err(FetchError::TooManyRedirects(current.to_string()))
+    let (_, body) = resolve(fetcher, url)?;
+    Ok(LintSession::with_config(config.clone()).check_string(&body))
 }
 
 // ---------------------------------------------------------------------
@@ -1780,6 +1801,7 @@ mod tests {
         web.add_redirect("http://h/old.html", "/new.html");
         web.add_page("http://h/new.html", page("<H2>wrong</H3>"));
         web.add("http://h/pic.gif", crate::web::Resource::asset("image/gif"));
+        web.add_redirect("http://h/loop.html", "http://h/loop.html");
         let f = WebFetcher::new(&web);
         let config = LintConfig::default();
         let diags = check_url(&f, "http://h/old.html", &config).unwrap();
@@ -1796,26 +1818,32 @@ mod tests {
             check_url(&f, "::", &config),
             Err(FetchError::BadUrl(_))
         ));
+        assert_eq!(
+            check_url(&f, "http://h/loop.html", &config),
+            Err(FetchError::TooManyRedirects(
+                "http://h/loop.html".to_string()
+            ))
+        );
     }
 
     #[test]
-    fn check_url_streams_across_chunk_boundaries() {
-        // A body several FETCH_CHUNK windows wide, with findings in the
-        // middle and at the end, so tags straddle feed boundaries. The
-        // streamed result must be byte-identical to the one-shot check.
+    fn check_url_equals_one_shot_lint_on_a_multi_kib_page() {
+        // A multi-KiB body with findings at the top and at the end: the
+        // URL flow's report must be byte-identical to linting the page
+        // directly.
         let mut body = String::from("<H1>top</H2>");
         for i in 0..600 {
             body.push_str(&format!("<P>paragraph number {i} for padding</P>\n"));
         }
         body.push_str("<IMG SRC=\"x.gif\"><B>tail");
-        assert!(body.len() > 2 * FETCH_CHUNK, "body must span chunks");
+        assert!(body.len() > 16 * 1024, "a multi-KiB page");
         let mut web = SimulatedWeb::new();
         web.add_page("http://h/big.html", body.clone());
         let config = LintConfig::default();
-        let streamed = check_url(&WebFetcher::new(&web), "http://h/big.html", &config).unwrap();
+        let via_url = check_url(&WebFetcher::new(&web), "http://h/big.html", &config).unwrap();
         let one_shot = LintSession::with_config(config).check_string(&body);
-        assert_eq!(streamed, one_shot);
-        assert!(streamed.iter().any(|d| d.id == "img-alt"));
+        assert_eq!(via_url, one_shot);
+        assert!(via_url.iter().any(|d| d.id == "img-alt"));
     }
 
     #[test]

@@ -11,8 +11,8 @@ pub struct Url {
     /// Host, lower-case. Empty for relative references and schemes without
     /// authority (mailto).
     pub host: String,
-    /// Path, always beginning with `/` for absolute URLs. Query and
-    /// fragment are stripped.
+    /// Path, always beginning with `/` for absolute URLs, with `.` and
+    /// `..` segments collapsed. Query and fragment are stripped.
     pub path: String,
 }
 
@@ -21,14 +21,12 @@ impl Url {
     pub fn parse(s: &str) -> Option<Url> {
         let (scheme, rest) = split_scheme(s)?;
         if let Some(rest) = rest.strip_prefix("//") {
-            let (host, path) = match rest.find('/') {
-                Some(i) => (&rest[..i], &rest[i..]),
-                None => (rest, "/"),
-            };
+            // The authority ends where the path, query or fragment begins.
+            let (host, path) = rest.split_at(rest.find(['/', '?', '#']).unwrap_or(rest.len()));
             Some(Url {
                 scheme: scheme.to_ascii_lowercase(),
                 host: host.to_ascii_lowercase(),
-                path: strip_suffixes(path).to_string(),
+                path: normalize_path(strip_suffixes(path)),
             })
         } else {
             // mailto:user@host and friends: no authority.
@@ -152,6 +150,24 @@ mod tests {
     }
 
     #[test]
+    fn parse_ends_the_host_at_a_query_or_fragment() {
+        for s in ["http://demo?x=1", "http://demo#top", "http://demo?x=/y#z"] {
+            let u = Url::parse(s).unwrap();
+            assert_eq!((u.host.as_str(), u.path.as_str()), ("demo", "/"), "{s}");
+            assert_eq!(u.to_string(), "http://demo/", "{s}");
+        }
+    }
+
+    #[test]
+    fn parse_collapses_dot_segments_as_join_does() {
+        let u = Url::parse("http://h/a/../b.html").unwrap();
+        assert_eq!(u.path, "/b.html");
+        assert_eq!(Url::parse("http://h/a/./c/../d/").unwrap().path, "/a/d/");
+        let base = Url::parse("http://h/a/x.html").unwrap();
+        assert_eq!(base.join("../b.html"), u);
+    }
+
+    #[test]
     fn parse_mailto() {
         let u = Url::parse("mailto:neilb@cre.canon.co.uk").unwrap();
         assert_eq!(u.scheme, "mailto");
@@ -207,5 +223,64 @@ mod tests {
         assert_eq!(normalize_path("/a/./b"), "/a/b");
         assert_eq!(normalize_path("/a/../../b"), "/b");
         assert_eq!(normalize_path("/a/b/"), "/a/b/");
+    }
+
+    use proptest::prelude::*;
+
+    /// Path-ish text: separators, dot segments, names, and the characters
+    /// that start a query, a fragment or a port.
+    fn pieces() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                3 => Just("/".to_string()),
+                1 => Just(".".to_string()),
+                1 => Just("..".to_string()),
+                3 => "[a-z]{1,3}",
+                1 => "[?#:@%=]",
+            ],
+            0..12,
+        )
+        .prop_map(|pieces| pieces.concat())
+    }
+
+    /// Strings shaped like the hrefs and `url=` values the crawl and the
+    /// HTTP front end take in, mixed with arbitrary text.
+    fn url_like() -> impl Strategy<Value = String> {
+        prop_oneof![
+            any::<String>(),
+            pieces(),
+            pieces().prop_map(|p| format!("http://{p}")),
+            pieces().prop_map(|p| format!("HTTP://Demo.Org{p}")),
+            pieces().prop_map(|p| format!("mailto:{p}")),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parsed_urls_keep_host_and_path_canonical(s in url_like()) {
+            let Some(url) = Url::parse(&s) else { return Ok(()) };
+            let base = Url::parse("http://base/dir/page.html").unwrap();
+            prop_assert_eq!(base.join(&s), url.clone());
+            if url.host.is_empty() {
+                return Ok(());
+            }
+            prop_assert!(!url.host.contains(['/', '?', '#']), "{url:?}");
+            prop_assert!(
+                url.path.split('/').all(|seg| seg != "." && seg != ".."),
+                "{url:?}"
+            );
+        }
+
+        #[test]
+        fn rooted_and_absolute_spellings_agree(
+            host in "[a-z0-9.]{1,8}",
+            path in pieces().prop_map(|p| format!("/{p}")),
+        ) {
+            let absolute = Url::parse(&format!("http://{host}{path}")).unwrap();
+            let base = Url::parse(&format!("http://{host}/a/b/c.html")).unwrap();
+            prop_assert_eq!(base.join(&path), absolute);
+        }
     }
 }

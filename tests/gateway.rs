@@ -1,8 +1,8 @@
 //! Experiment E9 (correctness side): the gateway end-to-end.
 
 use weblint::corpus::{generate_document, DefectClass};
-use weblint::gateway::{render_form, Gateway, GatewayError, ReportOptions};
-use weblint::site::{SimulatedWeb, WebFetcher};
+use weblint::gateway::{render_form, Gateway, ReportOptions};
+use weblint::site::{FetchError, SimulatedWeb, WebFetcher};
 use weblint::{LintConfig, LintSession};
 
 #[test]
@@ -55,7 +55,7 @@ fn url_flow_propagates_transport_failures() {
     let web = SimulatedWeb::new();
     let gateway = Gateway::default();
     match gateway.check_url(&WebFetcher::new(&web), "http://h/gone.html") {
-        Err(GatewayError::NotFound(url)) => assert!(url.contains("gone.html")),
+        Err(FetchError::NotFound(url)) => assert!(url.contains("gone.html")),
         other => panic!("expected NotFound, got {other:?}"),
     }
 }
