@@ -108,6 +108,14 @@ timeout 120 cargo test -q --release --test checkpoint_torture
 
 poacher=target/release/poacher
 ckroot="$(mktemp -d)"
+# Wait until the crawl with pid $2 publishes its first checkpoint in $1
+# (or exits first): the gates below interrupt a crawl from there, in
+# mid-crawl, rather than on a timer a fast crawl outruns.
+first_checkpoint() {
+    while [ ! -e "$1/manifest.ckpt" ] && kill -0 "$2" 2>/dev/null; do
+        sleep 0.01
+    done
+}
 crawl="-mega 8x100 -shards 4 -jobs 4 -stats -faults 10% -fault-seed 7 -adaptive -quiet"
 
 # Golden uninterrupted run: exit 1 because the mega-site plants lint
@@ -115,12 +123,17 @@ crawl="-mega 8x100 -shards 4 -jobs 4 -stats -faults 10% -fault-seed 7 -adaptive 
 rc=0; "$poacher" $crawl > "$ckroot/golden.out" || rc=$?
 test "$rc" -eq 1
 
-# Graceful pause + resume: raise the stop sentinel so the crawl flushes
-# a checkpoint and exits 0 almost immediately; clear it and resume —
-# the completed run's stdout must equal the golden bytes.
+# Graceful pause + resume: raise the stop sentinel once the first
+# checkpoint is published, so the crawl flushes a checkpoint from
+# mid-crawl and exits 0 (a crawl that finishes first exits 1 and resumes
+# as complete); clear it and resume — the completed run's stdout must
+# equal the golden bytes.
+"$poacher" $crawl -checkpoint-dir "$ckroot/pause" -checkpoint-every 8 \
+    -stop-file "$ckroot/stop" > /dev/null &
+pid=$!
+first_checkpoint "$ckroot/pause" "$pid"
 touch "$ckroot/stop"
-rc=0; "$poacher" $crawl -checkpoint-dir "$ckroot/pause" -checkpoint-every 8 \
-    -stop-file "$ckroot/stop" > /dev/null || rc=$?
+rc=0; wait "$pid" || rc=$?
 test "$rc" -eq 0 -o "$rc" -eq 1
 rm -f "$ckroot/stop"
 rc=0; "$poacher" $crawl -checkpoint-dir "$ckroot/pause" -checkpoint-every 8 \
@@ -128,11 +141,16 @@ rc=0; "$poacher" $crawl -checkpoint-dir "$ckroot/pause" -checkpoint-every 8 \
 test "$rc" -eq 1
 cmp "$ckroot/resumed.out" "$ckroot/golden.out"
 
-# Hard kill + resume: SIGKILL the crawl mid-flight (137) — or, on a
-# fast box, let it finish (1); either way resuming at the same flags
-# must reproduce the golden stdout byte for byte.
-rc=0; timeout -s KILL 0.08 "$poacher" $crawl -checkpoint-dir "$ckroot/kill" \
-    -checkpoint-every 8 > /dev/null 2>&1 || rc=$?
+# Hard kill + resume: SIGKILL the crawl (137) once the first checkpoint
+# is published, so it dies mid-crawl rather than before or after it —
+# or, if it outruns the kill, let it finish (1); either way resuming at
+# the same flags must reproduce the golden stdout byte for byte.
+"$poacher" $crawl -checkpoint-dir "$ckroot/kill" -checkpoint-every 8 \
+    > /dev/null 2>&1 &
+pid=$!
+first_checkpoint "$ckroot/kill" "$pid"
+kill -KILL "$pid" 2>/dev/null || true
+rc=0; wait "$pid" || rc=$?
 test "$rc" -eq 137 -o "$rc" -eq 1
 rc=0; "$poacher" $crawl -checkpoint-dir "$ckroot/kill" -checkpoint-every 8 \
     -resume > "$ckroot/killed.out" || rc=$?
@@ -143,18 +161,14 @@ cmp "$ckroot/killed.out" "$ckroot/golden.out"
 # holds the fault and resilience layers without pacing, a shape the
 # gates above never write to disk. Golden from its own uninterrupted
 # run. The sentinel goes up once the first checkpoint is published, so
-# the resume reads fault and breaker state from mid-crawl (a pre-created
-# sentinel pauses before the first wave, with every layer still empty);
-# a crawl that finishes first exits 1 and resumes as complete.
+# the resume reads fault and breaker state from mid-crawl, as above.
 faulty="-mega 8x100 -shards 4 -jobs 4 -stats -faults 10% -fault-seed 7 -quiet"
 rc=0; "$poacher" $faulty > "$ckroot/faulty.out" || rc=$?
 test "$rc" -eq 1
 "$poacher" $faulty -checkpoint-dir "$ckroot/faulty" -checkpoint-every 8 \
     -stop-file "$ckroot/stop" > /dev/null &
 pid=$!
-while [ ! -e "$ckroot/faulty/manifest.ckpt" ] && kill -0 "$pid" 2>/dev/null; do
-    sleep 0.01
-done
+first_checkpoint "$ckroot/faulty" "$pid"
 touch "$ckroot/stop"
 rc=0; wait "$pid" || rc=$?
 test "$rc" -eq 0 -o "$rc" -eq 1
@@ -168,7 +182,7 @@ cmp "$ckroot/faulty-resumed.out" "$ckroot/faulty.out"
 # site, so the defaults (-shards 1 -jobs 1) and -shards 4 -jobs 4 must
 # print the same bytes (exit 1: the planted defects and dead links).
 # -jobs covers the HEAD link checks as well as the page GETs, so this
-# compares one-at-a-time HEADs with four-wide HEAD batches too.
+# compares one-at-a-time requests with four-wide batches too.
 rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 > "$ckroot/narrow.out" || rc=$?
 test "$rc" -eq 1
 rc=0; "$poacher" -mega 8x100 -quiet -fault-seed 7 -shards 4 -jobs 4 \

@@ -200,6 +200,29 @@ fn poacher_crawls_and_reports() {
 }
 
 #[test]
+fn poacher_links_to_directories_are_not_dead() {
+    // `sub/`, `sub` and `/` name real directories of the tree. Their
+    // GET must answer as their HEAD does (alive, not HTML), not 404.
+    let index = format!(
+        "{PAGE_HEAD}<P><A HREF=\"sub/\">s</A> <A HREF=\"sub\">s</A> \
+         <A HREF=\"/\">r</A> <A HREF=\"sub/a.html\">a</A></P></BODY></HTML>\n"
+    );
+    let page = format!("{PAGE_HEAD}<P>a</P></BODY></HTML>\n");
+    let dir = site_dir(
+        "poacher-dir-links",
+        &[("index.html", &index), ("sub/a.html", &page)],
+    );
+    let out = poacher(&["-s", dir.to_str().unwrap()]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("2 page(s) crawled, 0 message(s), 0 dead link(s)"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn poacher_fix_converges_site_to_exit_0() {
     // The batch contract: a crawl where every page lints clean after -fix
     // exits 0, even though the pre-fix pages were full of messages.
@@ -351,27 +374,53 @@ fn poacher_report_is_invariant_across_jobs_and_shards() {
 }
 
 /// The faulty, adaptive, four-shard, four-wide `-mega` crawl ci.sh also
-/// replays, recorded before HEAD link checks were batched: widening the
-/// HEADs changes when requests overlap, never what the crawl reports.
+/// replays. Its report lines are the fault-free crawl's (see
+/// `poacher_faults_change_the_stats_never_the_report`); its `-stats`
+/// block pins the fault schedule, retries and pacing of a crawl that
+/// GETs each page once and HEADs nothing else.
 const FAULTY_WIDE_GOLDEN: &str = include_str!("../../../tests/golden/poacher_faulty_wide.txt");
+
+/// The faulty golden crawl's flags, less `-stats` and `-faults`.
+const MEGA_WIDE: [&str; 10] = [
+    "-mega",
+    "8x100",
+    "-shards",
+    "4",
+    "-jobs",
+    "4",
+    "-fault-seed",
+    "7",
+    "-adaptive",
+    "-quiet",
+];
+
+#[test]
+fn poacher_faults_change_the_stats_never_the_report() {
+    // Every faulted request of the golden crawl is retried to an answer,
+    // so everything above its -stats block must be the fault-free report.
+    let clean = poacher(&MEGA_WIDE);
+    let faulty = poacher(&[&MEGA_WIDE[..], &["-stats", "-faults", "10%"]].concat());
+    assert_eq!(
+        clean.status.code(),
+        Some(1),
+        "planted defects and dead links"
+    );
+    assert_eq!(faulty.status.code(), Some(1));
+    let faulty = String::from_utf8(faulty.stdout).unwrap();
+    assert_eq!(
+        faulty
+            .matches(", 0 request(s) failed after retries")
+            .count(),
+        4,
+        "every shard recovered from every fault"
+    );
+    let report = &faulty[..faulty.find("poacher lint statistics:\n").expect("-stats")];
+    assert_eq!(report, String::from_utf8(clean.stdout).unwrap());
+}
 
 #[test]
 fn poacher_faulty_wide_crawl_matches_its_golden() {
-    let out = poacher(&[
-        "-mega",
-        "8x100",
-        "-shards",
-        "4",
-        "-jobs",
-        "4",
-        "-stats",
-        "-faults",
-        "10%",
-        "-fault-seed",
-        "7",
-        "-adaptive",
-        "-quiet",
-    ]);
+    let out = poacher(&[&MEGA_WIDE[..], &["-stats", "-faults", "10%"]].concat());
     assert_eq!(out.status.code(), Some(1), "planted defects and dead links");
     let stdout = String::from_utf8(out.stdout).unwrap();
     let first_diff = stdout

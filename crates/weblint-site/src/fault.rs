@@ -43,7 +43,7 @@ pub enum FaultKind {
     ServerError,
     /// The connection is reset mid-request: [`Status::Reset`].
     Reset,
-    /// A GET succeeds but the body arrives cut off halfway.
+    /// A GET's body arrives cut off halfway: [`Status::Truncated`].
     Truncate,
 }
 
@@ -211,10 +211,10 @@ impl HostFaults {
         self.latency + self.timeouts + self.server_errors + self.resets + self.truncated
     }
 
-    /// Injected faults that present as request failures (a success-path
-    /// fault — latency, truncation — is not one).
+    /// Injected faults that present as request failures: every kind but
+    /// latency, which only slows a request that succeeds.
     pub fn transient_failures(&self) -> u64 {
-        self.timeouts + self.server_errors + self.resets
+        self.timeouts + self.server_errors + self.resets + self.truncated
     }
 }
 
@@ -420,7 +420,7 @@ impl FaultLayer {
                 let (status, ct, body) = transport.get(url);
                 if status == Status::Ok && !body.is_empty() {
                     self.count_truncated(&url.host);
-                    (status, ct, truncate_body(&body))
+                    (Status::Truncated, ct, truncate_body(&body))
                 } else {
                     (status, ct, body)
                 }
@@ -642,12 +642,13 @@ pub struct ResilienceHostState {
     pub breaker: BreakerSnapshot,
 }
 
-/// Whether a status is worth retrying: the host itself misbehaved, as
-/// opposed to answering definitively (2xx/3xx/404 are answers).
+/// Whether a status is worth retrying: the host or the wire misbehaved
+/// (a 5xx, a timeout, a reset, a short body), as opposed to answering
+/// definitively (2xx/3xx/404 are answers).
 pub(crate) fn transient(status: &Status) -> bool {
     matches!(
         status,
-        Status::ServerError | Status::TimedOut | Status::Reset
+        Status::ServerError | Status::TimedOut | Status::Reset | Status::Truncated
     )
 }
 
@@ -1142,7 +1143,8 @@ mod tests {
         let transport = WebFetcher::new(&web);
         let faults = FaultLayer::new(spec, 1);
         let (status, _, body) = faults.get(&transport, &url("http://h/p.html"));
-        assert_eq!(status, Status::Ok);
+        assert_eq!(status, Status::Truncated);
+        assert!(transient(&status), "a short body is retried");
         assert_eq!(body.len(), "<P>0123456789</P>".len() / 2);
         assert_eq!(faults.stats().hosts[0].1.truncated, 1);
         // A HEAD cannot be truncated: it passes clean and counts nothing.

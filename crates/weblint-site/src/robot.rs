@@ -6,7 +6,10 @@
 //! HEAD request, and reporting all URLs which result in a 404 response
 //! code. Smarter robots will handle redirects" (§4.5, §3.5). This robot
 //! does both: it follows redirects (bounded), GETs and lints same-site HTML
-//! pages breadth-first, and HEAD-validates everything else.
+//! pages breadth-first, and HEAD-validates everything else. A page it is
+//! about to GET is not HEADed first: the GET is its link check, and a
+//! GET that fails on its first hop is reported as the HEAD would have
+//! been.
 //!
 //! [`Robot::crawl_sharded`] is the one crawl. A plain crawl is one shard
 //! over a default [`FetchStack`]:
@@ -29,11 +32,17 @@
 //! the shard gets work. It builds its [`FetchStack`] once and keeps one
 //! set of fetch workers: `jobs − 1` scoped threads plus the shard thread.
 //! The coordinator hands it one wave at a time over a channel. The shard
-//! runs a wave in two phases: HEAD every link check and every crawl
-//! candidate, then GET and lint the pages among them, extracting their
-//! links on the worker. Both phases issue in batches of up to
-//! [`RobotOptions::jobs`] requests, clamped per host by the frozen AIMD
-//! limit. Workers only run requests and read a frozen breaker snapshot;
+//! runs a wave in two phases. First it HEADs the link checks and the crawl
+//! candidates whose paths do not name HTML (a budget cut, which fetches
+//! nothing, HEADs all its candidates). Then it GETs and lints the pages:
+//! the candidates named as pages (`.html`, `.htm`, `.shtml`, a directory,
+//! no extension) and the HEADed ones that answered HTML or a redirect,
+//! extracting their links on the worker. So a crawled page costs one
+//! request, and an asset whose name is not page-like is never
+//! downloaded; an HTML-named or extensionless resource is fetched by GET
+//! whatever its type. Both phases issue in
+//! batches of up to [`RobotOptions::jobs`] requests, clamped per host by
+//! the frozen AIMD limit. Workers only run requests and read a frozen breaker snapshot;
 //! every breaker transition and pacer observation is settled on the
 //! shard thread in issue order before the next batch forms.
 //!
@@ -136,12 +145,17 @@ impl Fetcher for StoreFetcher<'_> {
         }
     }
 
+    /// A directory answers `Ok` with an empty body, as its HEAD does; a
+    /// file that cannot be read answers `NotFound`.
     fn get(&self, url: &Url) -> (Status, String, String) {
-        match self
-            .path_of(url)
-            .and_then(|p| self.store.read(p).map(|body| (content_type_of(p), body)))
-        {
-            Some((ct, body)) => (Status::Ok, ct, body),
+        match self.path_of(url) {
+            Some(path) if self.store.is_dir(path) => {
+                (Status::Ok, content_type_of(path), String::new())
+            }
+            Some(path) => match self.store.read(path) {
+                Some(body) => (Status::Ok, content_type_of(path), body),
+                None => (Status::NotFound, String::new(), String::new()),
+            },
             None => (Status::NotFound, String::new(), String::new()),
         }
     }
@@ -150,7 +164,7 @@ impl Fetcher for StoreFetcher<'_> {
 /// MIME type by file extension, 1998 edition.
 fn content_type_of(path: &str) -> String {
     let lower = path.to_ascii_lowercase();
-    let ct = if lower.ends_with(".html") || lower.ends_with(".htm") || lower.ends_with(".shtml") {
+    let ct = if crate::store::is_html_path(&lower) {
         "text/html"
     } else if lower.ends_with(".gif") {
         "image/gif"
@@ -216,11 +230,13 @@ pub struct RobotOptions {
     /// Bound on click depth: links found on pages at this depth are
     /// still validated, but not crawled. `None` crawls without bound.
     pub max_depth: Option<usize>,
-    /// Requests each shard has in flight: HEAD link checks and page GETs
-    /// (the adaptive per-host limit clamps each batch further). A shard
-    /// spawns its `jobs − 1` fetch workers once and keeps them for the
-    /// whole crawl, so a crawl runs at most `shards × jobs` fetching
-    /// threads. `1` crawls sequentially, on the shard thread alone.
+    /// Requests each shard has in flight, HEADs and GETs alike: the HEAD
+    /// link checks of a wave, then its page GETs, each the page's only
+    /// request (the adaptive per-host limit clamps each batch further).
+    /// A shard spawns its `jobs − 1` fetch workers once and keeps them
+    /// for the whole crawl, so a crawl runs at most `shards × jobs`
+    /// fetching threads. `1` crawls sequentially, on the shard thread
+    /// alone.
     pub jobs: usize,
     /// HEAD-validate links that leave the start URLs' hosts.
     pub check_external: bool,
@@ -737,7 +753,7 @@ pub fn resolve(fetcher: &dyn Fetcher, url: &str) -> Result<(Url, String), FetchE
         Landing::Page { .. } => Err(FetchError::NotHtml(url.to_string())),
         Landing::Failed(Status::NotFound) => Err(FetchError::NotFound(url.to_string())),
         Landing::Failed(Status::ServerError) => Err(FetchError::ServerError(url.to_string())),
-        // Timed out or reset: the chain ends on no other status.
+        // Timed out, reset or cut short: the chain ends on no other status.
         Landing::Failed(_) => Err(FetchError::Unreachable(url.to_string())),
         Landing::TooManyRedirects => Err(FetchError::TooManyRedirects(url.to_string())),
     }
@@ -949,14 +965,34 @@ fn attribution(candidate: &Candidate) -> (Url, String) {
     }
 }
 
-/// The dead-link reason for a probe answer, `None` when the target is
-/// alive (or redirecting — good enough for a HEAD check).
+/// Report a candidate whose own URL answered dead, to a HEAD or on the
+/// first hop of its GET: attributed like any dead link, and dropped from
+/// the frontier if a cut left it pending.
+fn candidate_dead(candidate: &Candidate, reason: String, delta: &mut WaveDelta) {
+    let (page, href) = attribution(candidate);
+    delta.dead_links.push(DeadLink { page, href, reason });
+    delta.dead_pending.push(candidate.url.to_string());
+}
+
+/// Whether a path names an HTML page: `.html`, `.htm`, `.shtml`, a
+/// directory, or no extension. The crawl GETs such a candidate without
+/// HEADing it first, whatever it turns out to be; any other name is
+/// HEADed, so an asset so named is never downloaded.
+fn names_html(path: &str) -> bool {
+    let name = path.rsplit('/').next().unwrap_or_default();
+    !name.contains('.') || crate::store::is_html_path(name)
+}
+
+/// The dead-link reason for a failed answer to a HEAD or to a GET's
+/// first hop, `None` when the target is alive (or redirecting — a HEAD
+/// check does not follow it).
 fn dead_reason(status: &Status, external: bool) -> Option<String> {
     let base = match status {
         Status::NotFound => "404 Not Found",
         Status::ServerError => "server error",
         Status::TimedOut => "timed out",
         Status::Reset => "connection reset",
+        Status::Truncated => "truncated body",
         Status::Ok | Status::Redirect(_) => return None,
     };
     Some(if external {
@@ -1022,8 +1058,9 @@ fn serve_waves(
 }
 
 /// Run one shard's wave on its thread: HEAD-validate probes and classify
-/// candidates, then GET + lint pages, every request in bounded batches
-/// on the shard's [`FetchPool`] and settled in issue order. Everything
+/// the candidates not named as pages, then GET + lint pages (a page's GET
+/// is its link check), every request in bounded batches on the shard's
+/// [`FetchPool`] and settled in issue order. Everything
 /// order-sensitive happens in `(depth, url)` order, so the delta is a
 /// pure function of (assignment, stack state before the wave).
 fn shard_wave<'env, F: Fetcher + Sync>(
@@ -1034,11 +1071,14 @@ fn shard_wave<'env, F: Fetcher + Sync>(
     pool: &FetchPool<'_, 'env>,
 ) -> WaveDelta {
     let mut delta = WaveDelta::default();
-    // HEAD the probes, then the candidates, as one queue.
+    // A page's GET is its own link check, so only the probes and the
+    // candidates not named as pages are HEADed first, as one queue. A cut
+    // fetches nothing: it HEADs every candidate.
+    let get_first = |c: &Candidate| !assignment.cut && names_html(&c.url.path);
     let heads: Vec<&Candidate> = assignment
         .probes
         .iter()
-        .chain(&assignment.candidates)
+        .chain(assignment.candidates.iter().filter(|c| !get_first(c)))
         .collect();
     let mut answers: Vec<(Status, String)> = Vec::with_capacity(heads.len());
     let mut pending = &heads[..];
@@ -1062,20 +1102,25 @@ fn shard_wave<'env, F: Fetcher + Sync>(
             delta.dead_links.push(DeadLink { page, href, reason });
         }
     }
-    // Classify candidates: pages and redirects go on to the GET phase,
-    // assets are done, the dead are reported.
+    // Classify candidates: pages, and HEADed pages and redirects, go on to
+    // the GET phase; assets are done; the dead are reported.
+    let mut candidate_answers = candidate_answers.iter();
     let mut gets: Vec<&Candidate> = Vec::new();
-    for (candidate, answer) in assignment.candidates.iter().zip(candidate_answers) {
-        match answer {
+    for candidate in &assignment.candidates {
+        if get_first(candidate) {
+            gets.push(candidate);
+            continue;
+        }
+        match candidate_answers
+            .next()
+            .expect("a HEADed candidate has an answer")
+        {
             (Status::Ok, ct) if ct.starts_with("text/html") => gets.push(candidate),
             (Status::Ok, _) => {}
             (Status::Redirect(_), _) => gets.push(candidate),
             (status, _) => {
-                if let Some(reason) = dead_reason(status, false) {
-                    let (page, href) = attribution(candidate);
-                    delta.dead_links.push(DeadLink { page, href, reason });
-                    delta.dead_pending.push(candidate.url.to_string());
-                }
+                let reason = dead_reason(status, false).expect("a failed status");
+                candidate_dead(candidate, reason, &mut delta);
             }
         }
     }
@@ -1137,6 +1182,10 @@ fn settle_sharded_task<F: Fetcher>(
     delta.redirects += fetched.redirects as u64;
     match fetched.outcome {
         FetchOutcome::Skip => {}
+        // Dead on its first hop: the GET was the candidate's link check.
+        FetchOutcome::Dead { reason, .. } if fetched.redirects == 0 => {
+            candidate_dead(candidate, reason, delta)
+        }
         FetchOutcome::Dead { href, reason } => delta.dead_links.push(DeadLink {
             page: candidate.url.clone(),
             href,
@@ -1929,8 +1978,143 @@ mod tests {
         let report = crawl_site(&Robot::default(), &web);
         assert_eq!(report.pages.len(), 1);
         assert!(report.dead_links.is_empty());
-        // The seed's own HEAD plus the image's.
-        assert_eq!(web.stats().heads, 2);
+        // The image's HEAD, and the seed's GET with no HEAD before it.
+        let stats = web.stats();
+        assert_eq!((stats.heads, stats.gets), (1, 1));
+    }
+
+    #[test]
+    fn a_candidate_is_fetched_by_the_plan_its_name_picks() {
+        // index links a page, a missing page, a redirect, a directory, an
+        // `.html` path serving a picture, an extensionless asset and a
+        // `.gif` path serving HTML. The second seed is missing.
+        let mut web = SimulatedWeb::new();
+        web.add_page(
+            "http://site/index.html",
+            page(
+                "<P><A HREF=\"a.html\">a</A> <A HREF=\"gone.html\">x</A> \
+                 <A HREF=\"moved.html\">m</A> <A HREF=\"dir/\">d</A> \
+                 <A HREF=\"pic.html\">p</A> <A HREF=\"feed\">f</A> \
+                 <A HREF=\"page.gif\">g</A></P>",
+            ),
+        );
+        web.add_page("http://site/a.html", page("<P>leaf</P>"));
+        web.add_redirect("http://site/moved.html", "http://site/new.html");
+        web.add_page("http://site/new.html", page("<P>landed</P>"));
+        web.add_page("http://site/dir/", page("<P>listing</P>"));
+        let asset = crate::web::Resource::asset;
+        web.add("http://site/pic.html", asset("image/gif"));
+        web.add("http://site/feed", asset("application/octet-stream"));
+        web.add_page("http://site/page.gif", page("<P>not a picture</P>"));
+        let gauge = Gauge::new(SharedWeb::new(web));
+        let lost = Url::parse("http://site/lost.html").unwrap();
+        let run = Robot::default()
+            .crawl_sharded(
+                &[start(), lost],
+                |_| FetchStack::new(&gauge).build(),
+                &ShardedOptions::default(),
+            )
+            .unwrap();
+
+        let pages: Vec<&str> = run
+            .report
+            .pages
+            .iter()
+            .map(|p| p.url.path.as_str())
+            .collect();
+        assert_eq!(
+            pages,
+            ["/index.html", "/a.html", "/dir/", "/new.html", "/page.gif"]
+        );
+        assert_eq!(run.report.redirects_followed, 1);
+        // A dead GET on its first hop is attributed as a dead HEAD was:
+        // to the page and the href as written, or to a seed itself.
+        let dead: Vec<(String, &str, &str)> = run
+            .report
+            .dead_links
+            .iter()
+            .map(|d| (d.page.to_string(), d.href.as_str(), d.reason.as_str()))
+            .collect();
+        assert_eq!(
+            dead,
+            [
+                (
+                    "http://site/index.html".to_string(),
+                    "gone.html",
+                    "404 Not Found"
+                ),
+                (
+                    "http://site/lost.html".to_string(),
+                    "http://site/lost.html",
+                    "404 Not Found"
+                ),
+            ]
+        );
+
+        // Pages, directories and extensionless names are one GET and no
+        // HEAD, whatever they turn out to be; a redirect's GET lands on
+        // its target. Another name is HEADed, and GET only if it
+        // answers HTML.
+        for path in [
+            "index.html",
+            "lost.html",
+            "a.html",
+            "gone.html",
+            "moved.html",
+            "new.html",
+            "dir/",
+            "pic.html",
+            "feed",
+        ] {
+            assert_eq!(gauge.requests(path), (0, 1), "{path}");
+        }
+        assert_eq!(gauge.requests("page.gif"), (1, 1));
+        assert_eq!((gauge.heads.urls(), gauge.gets.urls()), (1, 10));
+    }
+
+    #[test]
+    fn a_body_cut_short_on_every_attempt_is_dead_not_a_page() {
+        let mut web = SimulatedWeb::new();
+        web.add_page(
+            "http://site/index.html",
+            page("<P><A HREF=\"a.html\">a</A></P>"),
+        );
+        let web = SharedWeb::new(web);
+        let stack = || {
+            let truncate = crate::fault::FaultSpec {
+                kinds: vec![crate::fault::FaultKind::Truncate],
+                ..crate::fault::FaultSpec::all(100)
+            };
+            FetchStack::new(web.clone())
+                .faults(truncate, 1)
+                .resilience_defaults()
+                .build()
+        };
+        // Every retry comes up short too: no half page is linted or
+        // followed, and the seed is reported dead.
+        let run = Robot::default()
+            .crawl_sharded(&[start()], |_| stack(), &ShardedOptions::default())
+            .unwrap();
+        assert!(run.report.pages.is_empty());
+        let dead: Vec<(&str, &str)> = run
+            .report
+            .dead_links
+            .iter()
+            .map(|d| (d.href.as_str(), d.reason.as_str()))
+            .collect();
+        assert_eq!(dead, [("http://site/index.html", "truncated body")]);
+        let resilience = run.telemetry[0].1.resilience.as_ref().unwrap();
+        assert_eq!(
+            (resilience.retries_total(), resilience.failures_total()),
+            (3, 1)
+        );
+        // A URL flow cannot get the page either.
+        assert_eq!(
+            resolve(&stack(), "http://site/index.html"),
+            Err(FetchError::Unreachable(
+                "http://site/index.html".to_string()
+            ))
+        );
     }
 
     /// `index` links `a` and `b`; `a` links `c` and the missing `gone`.
@@ -1988,15 +2172,37 @@ mod tests {
         assert_eq!(resumed.report.dead_links.len(), 1);
     }
 
-    /// A transport that counts what the robot asks of it: HEADs per URL,
-    /// the most HEADs ever in flight at once, and every thread a fetch
-    /// ran on. Each HEAD lingers a moment so that HEADs issued together
-    /// overlap; nothing asserted reads a clock.
-    struct Gauge {
-        web: SharedWeb,
-        heads: Mutex<BTreeMap<String, usize>>,
+    /// One kind of request as a [`Gauge`] saw it: how many per URL, and
+    /// the most ever in flight at once.
+    #[derive(Default)]
+    struct Tally {
+        per_url: Mutex<BTreeMap<String, usize>>,
         in_flight: AtomicUsize,
         peak: AtomicUsize,
+    }
+
+    impl Tally {
+        fn of(&self, url: &str) -> usize {
+            self.per_url.lock().unwrap().get(url).copied().unwrap_or(0)
+        }
+
+        fn urls(&self) -> usize {
+            self.per_url.lock().unwrap().len()
+        }
+
+        fn peak(&self) -> usize {
+            self.peak.load(Ordering::SeqCst)
+        }
+    }
+
+    /// A transport that counts what the robot asks of it: a [`Tally`] of
+    /// HEADs and one of GETs, and every thread a request ran on. Each
+    /// request lingers a moment so that requests issued together overlap;
+    /// nothing asserted reads a clock.
+    struct Gauge {
+        web: SharedWeb,
+        heads: Tally,
+        gets: Tally,
         threads: Mutex<HashSet<ThreadId>>,
     }
 
@@ -2004,61 +2210,70 @@ mod tests {
         fn new(web: SharedWeb) -> Gauge {
             Gauge {
                 web,
-                heads: Mutex::new(BTreeMap::new()),
-                in_flight: AtomicUsize::new(0),
-                peak: AtomicUsize::new(0),
+                heads: Tally::default(),
+                gets: Tally::default(),
                 threads: Mutex::new(HashSet::new()),
             }
-        }
-
-        fn heads_of(&self, url: &str) -> usize {
-            self.heads.lock().unwrap().get(url).copied().unwrap_or(0)
         }
 
         fn threads(&self) -> usize {
             self.threads.lock().unwrap().len()
         }
-    }
 
-    impl Fetcher for &Gauge {
-        fn head(&self, url: &Url) -> (Status, String) {
+        /// `(HEADs, GETs)` of `http://site/{path}`.
+        fn requests(&self, path: &str) -> (usize, usize) {
+            let url = format!("http://site/{path}");
+            (self.heads.of(&url), self.gets.of(&url))
+        }
+
+        /// Count one request of `url` in `tally` and answer it.
+        fn track<T>(&self, tally: &Tally, url: &Url, answer: impl FnOnce() -> T) -> T {
             self.threads
                 .lock()
                 .unwrap()
                 .insert(std::thread::current().id());
-            *self
-                .heads
+            *tally
+                .per_url
                 .lock()
                 .unwrap()
                 .entry(url.to_string())
                 .or_insert(0) += 1;
-            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-            self.peak.fetch_max(now, Ordering::SeqCst);
+            let now = tally.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            tally.peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(Duration::from_millis(5));
-            let answer = self.web.head(url);
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            let answer = answer();
+            tally.in_flight.fetch_sub(1, Ordering::SeqCst);
             answer
-        }
-
-        fn get(&self, url: &Url) -> (Status, String, String) {
-            self.threads
-                .lock()
-                .unwrap()
-                .insert(std::thread::current().id());
-            self.web.get(url)
         }
     }
 
-    /// One host whose index links ten pages; the last of them starts a
-    /// chain of four more, one page a wave.
+    impl Fetcher for &Gauge {
+        fn head(&self, url: &Url) -> (Status, String) {
+            self.track(&self.heads, url, || self.web.head(url))
+        }
+
+        fn get(&self, url: &Url) -> (Status, String, String) {
+            self.track(&self.gets, url, || self.web.get(url))
+        }
+    }
+
+    /// One host whose index links ten pages and six pictures; the last
+    /// page starts a chain of four more, one page a wave.
     fn wide_site() -> SharedWeb {
         let mut web = SimulatedWeb::new();
         let links: String = (1..=10)
             .map(|i| format!("<A HREF=\"p{i}.html\">{i}</A> "))
+            .chain((1..=6).map(|i| format!("<A HREF=\"i{i}.gif\">{i}</A> ")))
             .collect();
         web.add_page("http://site/index.html", page(&format!("<P>{links}</P>")));
         for i in 1..=9 {
             web.add_page(&format!("http://site/p{i}.html"), page("<P>leaf</P>"));
+        }
+        for i in 1..=6 {
+            web.add(
+                &format!("http://site/i{i}.gif"),
+                crate::web::Resource::asset("image/gif"),
+            );
         }
         web.add_page(
             "http://site/p10.html",
@@ -2092,24 +2307,31 @@ mod tests {
                 .crawl_sharded(&[start()], make_stack, &ShardedOptions::default())
                 .unwrap();
             assert_eq!(run.report.pages.len(), 15);
-            assert_eq!(gauge.heads.lock().unwrap().len(), 15, "one HEAD per page");
+            // A page's GET is its link check; only the pictures are HEADed.
+            assert_eq!(gauge.gets.urls(), 15, "one GET per page");
+            assert_eq!(gauge.heads.urls(), 6, "one HEAD per picture");
+            assert_eq!(
+                (gauge.requests("p1.html"), gauge.requests("i1.gif")),
+                ((0, 1), (1, 0))
+            );
             // More waves than the widest pool has threads: a crawl that
             // spawned its fetching threads per wave would show more.
             assert!(run.waves > 4, "{} waves", run.waves);
-            let peak = gauge.peak.load(Ordering::SeqCst);
-            (peak, gauge.threads())
+            (gauge.heads.peak(), gauge.gets.peak(), gauge.threads())
         };
 
-        // One wide: one HEAD at a time, every fetch of the crawl on the
-        // one shard thread.
-        let (peak, threads) = crawl(1);
-        assert_eq!(peak, 1);
+        // One wide: one request at a time, every fetch of the crawl on
+        // the one shard thread.
+        let (heads, gets, threads) = crawl(1);
+        assert_eq!((heads, gets), (1, 1));
         assert_eq!(threads, 1, "{threads} fetching threads at jobs 1");
 
-        // Four wide: HEADs overlap, but never past the host's limit, and
-        // every batch of every wave shares the shard's one set of workers.
-        let (peak, threads) = crawl(4);
-        assert!((2..=3).contains(&peak), "peak {peak} HEADs in flight");
+        // Four wide: HEADs overlap and GETs overlap, but never past the
+        // host's limit, and every batch of every wave shares the shard's
+        // one set of workers.
+        let (heads, gets, threads) = crawl(4);
+        assert!((2..=3).contains(&heads), "peak {heads} HEADs in flight");
+        assert!((2..=3).contains(&gets), "peak {gets} GETs in flight");
         assert!(threads <= 4, "{threads} fetching threads at jobs 4");
     }
 
@@ -2171,7 +2393,7 @@ mod tests {
             let make_stack = |_| FetchStack::new(&gauge).build();
             robot.crawl_sharded(&[start()], make_stack, &opts).unwrap()
         };
-        let heads = |path: &str| gauge.heads_of(&format!("http://site/{path}"));
+        let heads = |path: &str| gauge.requests(path).0;
 
         // Cut after index and a: the cut HEADs b, c and gone; gone is
         // reported and leaves the frontier, b and c stay pending.
@@ -2182,23 +2404,28 @@ mod tests {
             (1, 1, 1)
         );
 
-        // Resume one page wider: b is HEADed again to classify it, then
-        // crawled; the second cut HEADs c again, and gone2 once.
+        // Resume one page wider: b is crawled, its GET its own check; the
+        // second cut HEADs c again, and gone2 once.
         let second = crawl(3);
         assert_eq!(second.outcome, ShardedOutcome::Paused);
         assert!(second.report.truncated);
-        assert_eq!((heads("b.html"), heads("c.html")), (2, 2));
+        assert_eq!((heads("b.html"), heads("c.html")), (1, 2));
         assert_eq!(heads("gone2.html"), 1);
 
-        // Resume to completion: c, pending through both cuts, is HEADed
-        // a third time and crawled. Nothing dead is ever re-checked.
+        // Resume to completion: c, HEADed once by each cut, is crawled
+        // with no third HEAD. Nothing dead is ever re-checked, and every
+        // page is one GET.
         let last = crawl(10);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(last.outcome, ShardedOutcome::Complete);
         assert!(!last.report.truncated);
-        assert_eq!((heads("b.html"), heads("c.html")), (2, 3));
+        assert_eq!((heads("b.html"), heads("c.html")), (1, 2));
         assert_eq!((heads("gone.html"), heads("gone2.html")), (1, 1));
-        assert_eq!((heads("index.html"), heads("a.html")), (1, 1));
+        assert_eq!((heads("index.html"), heads("a.html")), (0, 0));
+        for path in ["index.html", "a.html", "b.html", "c.html"] {
+            assert_eq!(gauge.requests(path).1, 1, "GETs of {path}");
+        }
+        assert_eq!(gauge.gets.urls(), 4, "nothing dead is fetched");
 
         // Every page and every dead link appears exactly once.
         let pages: Vec<&str> = last

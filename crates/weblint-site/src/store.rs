@@ -15,8 +15,12 @@ pub trait PageStore {
     fn pages(&self) -> Vec<String>;
     /// Read one page's HTML.
     fn read(&self, path: &str) -> Option<String>;
-    /// Whether any file (page or asset) exists at `path`.
+    /// Whether any file (page or asset) or directory exists at `path`.
     fn exists(&self, path: &str) -> bool;
+    /// Whether `path` names a directory. A store of files alone has none.
+    fn is_dir(&self, _path: &str) -> bool {
+        false
+    }
     /// All directories containing at least one page, sorted; `""` is the
     /// root.
     fn directories(&self) -> Vec<String> {
@@ -148,6 +152,10 @@ impl PageStore for DirStore {
     fn exists(&self, path: &str) -> bool {
         self.root.join(path).exists()
     }
+
+    fn is_dir(&self, path: &str) -> bool {
+        self.root.join(path).is_dir()
+    }
 }
 
 /// Is this path an HTML page (by extension)?
@@ -205,6 +213,8 @@ mod tests {
         assert!(store.exists("sub/pic.gif"));
         assert_eq!(store.read("sub/page.html").unwrap(), "<P>sub");
         assert!(store.read("nope.html").is_none());
+        assert!(store.is_dir("sub/") && store.is_dir("sub") && store.is_dir(""));
+        assert!(!store.is_dir("sub/page.html") && !store.is_dir("nope"));
         fs::remove_dir_all(&root).ok();
     }
 

@@ -30,6 +30,9 @@ pub enum Status {
     TimedOut,
     /// Connection reset mid-request (likewise injected).
     Reset,
+    /// The body arrived shorter than the response declared (likewise
+    /// injected): a failed fetch, never a page.
+    Truncated,
 }
 
 /// One hosted resource.

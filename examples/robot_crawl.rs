@@ -2,8 +2,9 @@
 //!
 //! Builds a small simulated web — two hosts, a redirect, a dead internal
 //! link, a dead external link — and lets the robot crawl it: every
-//! reachable page is fetched and linted, every link validated with HEAD
-//! requests, redirects followed (§4.5, §3.5).
+//! reachable page is fetched and linted, every link validated (a page by
+//! the GET that crawls it, anything else with a HEAD request), redirects
+//! followed (§4.5, §3.5).
 //!
 //! Run with:
 //!

@@ -158,16 +158,19 @@ fn every_injected_fault_is_accounted_in_per_host_stats() {
         assert!(h.injected() <= h.requests, "{host}");
         assert_eq!(
             h.transient_failures(),
-            h.timeouts + h.server_errors + h.resets,
+            h.timeouts + h.server_errors + h.resets + h.truncated,
             "{host}"
         );
     }
     // And the two layers reconcile: the transport saw exactly the
-    // admitted requests plus the retries, minus the breaker's fast-fails.
+    // admitted requests plus the retries, minus the breaker's fast-fails,
+    // and every transient fault, a cut-off body included, either burned a
+    // retry or became a final failure.
     let (_, f) = faults.hosts.iter().find(|(h, _)| h == "chaos").unwrap();
     let (_, r) = resilience.hosts.iter().find(|(h, _)| h == "chaos").unwrap();
     assert_eq!(f.requests, r.requests - r.fast_failures + r.retries);
     assert_eq!(r.successes + r.failures + r.fast_failures, r.requests);
+    assert_eq!(f.transient_failures(), r.retries + r.failures);
 }
 
 /// The E15 grid: every crawl discipline at every fault rate, over the
@@ -326,7 +329,7 @@ fn adaptive_limit_decays_on_the_flaky_host_before_its_breaker_opens() {
             let ((status, _, _), cost) = stack.get_cost(&url);
             let failed = matches!(
                 status,
-                Status::ServerError | Status::TimedOut | Status::Reset
+                Status::ServerError | Status::TimedOut | Status::Reset | Status::Truncated
             );
             pacer.observe(
                 host,
@@ -591,6 +594,106 @@ fn sharded_crawls_are_deterministic_for_a_fixed_seed() {
         let again = sharded_fingerprint(&fed_crawl(2, 15, |_| {}).unwrap());
         assert_eq!(again, golden, "run {run} diverged");
     }
+}
+
+/// Crawl `starts` `jobs` wide over `shards` shards of paced, hedged
+/// stacks over `transport`, each shard's stack faulted at `rate`% (every
+/// kind) on the schedule `seed` fixes, and retrying; `rate` 0 injects
+/// nothing.
+fn faulted_crawl<F: Fetcher + Sync>(
+    starts: &[Url],
+    transport: impl Fn() -> F + Sync,
+    (shards, jobs): (usize, usize),
+    rate: u8,
+    seed: u64,
+) -> ShardedReport {
+    let robot = Robot::new(
+        RobotOptions::builder()
+            .max_pages(500)
+            .jobs(jobs)
+            .check_external(false)
+            .build(),
+    );
+    let make_stack = |i: usize| {
+        FetchStack::new(transport())
+            .faults(FaultSpec::all(rate), seed * 64 + i as u64)
+            .resilience_defaults()
+            .adaptive_defaults()
+            .hedging_defaults()
+            .build()
+    };
+    let options = ShardedOptions {
+        shards,
+        seed,
+        ..ShardedOptions::default()
+    };
+    robot.crawl_sharded(starts, make_stack, &options).unwrap()
+}
+
+#[test]
+fn faults_change_the_telemetry_never_the_report() {
+    // Fault transparency: a faulted crawl whose every request finally got
+    // an answer (0 failed after retries) reports byte for byte what the
+    // fault-free crawl reports, at every seed, rate and width. A body cut
+    // off mid-transfer is a failed fetch, retried, never a page to lint.
+    let fed = federation_site();
+    let fed_starts: Vec<Url> = (0..FED_HOSTS)
+        .map(|h| Url::parse(&format!("http://fed{h}/index.html")).unwrap())
+        .collect();
+    let mega = MegaSite::new(
+        22,
+        &MegaSiteOptions {
+            hosts: 4,
+            pages_per_host: 40,
+            ..MegaSiteOptions::default()
+        },
+    );
+    let mega_starts: Vec<Url> = mega
+        .start_urls()
+        .iter()
+        .map(|u| Url::parse(u).unwrap())
+        .collect();
+    let mega_fetcher = || FnFetcher::new(|url: &Url| mega.resolve(&url.host, &url.path));
+    let (mut transparent, mut truncations) = (0usize, 0u64);
+    let mut check = |site: &str, run: ShardedReport, clean: &str| {
+        let telemetry = run.telemetry.iter().map(|(_, t)| t);
+        let failed: u64 = telemetry
+            .clone()
+            .map(|t| t.resilience.as_ref().unwrap().failures_total())
+            .sum();
+        if failed > 0 {
+            return;
+        }
+        truncations += telemetry
+            .flat_map(|t| {
+                t.faults
+                    .as_ref()
+                    .unwrap()
+                    .hosts
+                    .iter()
+                    .map(|(_, h)| h.truncated)
+            })
+            .sum::<u64>();
+        assert_eq!(report_fingerprint(&run), clean, "{site}");
+        transparent += 1;
+    };
+    let clean_fed = report_fingerprint(&faulted_crawl(&fed_starts, || fed.clone(), (1, 1), 0, 0));
+    let clean_mega = report_fingerprint(&faulted_crawl(&mega_starts, mega_fetcher, (1, 1), 0, 0));
+    for width in [(1, 1), (2, 4), (4, 3)] {
+        for rate in [5u8, 10, 20] {
+            for seed in 1..=3u64 {
+                let at = format!("{width:?} at {rate}% seed {seed}");
+                let run = faulted_crawl(&fed_starts, || fed.clone(), width, rate, seed);
+                check(&format!("federation {at}"), run, &clean_fed);
+                let run = faulted_crawl(&mega_starts, mega_fetcher, width, rate, seed);
+                check(&format!("mega-site {at}"), run, &clean_mega);
+            }
+        }
+    }
+    // Not vacuous: most crawls recovered from every fault (all 54 do
+    // today), and bodies were cut off along the way.
+    assert!(transparent >= 40, "{transparent} of 54 crawls recovered");
+    assert!(truncations > 0, "no body was cut off");
 }
 
 /// One sharded crawl of a generated MegaSite federation (8 hosts × 12
