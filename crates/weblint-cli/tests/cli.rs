@@ -143,6 +143,71 @@ fn latin1_stdin_is_fixed() {
 }
 
 #[test]
+fn fix_diff_previews_then_fix_repairs_in_place_behind_a_backup() {
+    // -diff prints the repair without writing, -fix repairs in place
+    // behind a .orig backup, and the repaired page lints clean.
+    let dir = site_dir("weblint-fix-round-trip", &[]);
+    std::fs::create_dir_all(&dir).unwrap();
+    let page = dir.join("page.html");
+    let before =
+        "<HTML><HEAD><TITLE>t</TITLE></HEAD>\n<BODY>\n<H1>My Example</H2>\n</BODY></HTML>\n";
+    std::fs::write(&page, before).unwrap();
+    let page = page.to_str().unwrap();
+
+    let diff = weblint(&["-fix", "-diff", page]);
+    let diff = String::from_utf8(diff.stdout).unwrap();
+    assert!(
+        diff.lines().any(|line| line == "+<H1>My Example</H1>"),
+        "{diff}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(page).unwrap(),
+        before,
+        "-diff wrote"
+    );
+
+    let fix = weblint(&["-fix", page]);
+    assert_eq!(
+        fix.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&fix.stderr)
+    );
+    let backup = std::fs::read_to_string(format!("{page}.orig")).expect("a .orig backup");
+    assert_eq!(backup, before);
+
+    let relint = weblint(&[page]);
+    assert_eq!(
+        relint.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&relint.stdout)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_listed_id_explains() {
+    // Every identifier the registry knows, plus the example pack's
+    // custom rules, renders an -explain entry; the registry dump and the
+    // id listing exit clean.
+    let pack = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/bootstrap.weblintrc"
+    );
+    let list = weblint(&["-noglobals", "-f", pack, "-list"]);
+    assert_eq!(list.status.code(), Some(0));
+    let ids = weblint(&["-noglobals", "-f", pack, "-ids"]);
+    assert_eq!(ids.status.code(), Some(0));
+    let ids = String::from_utf8(ids.stdout).unwrap();
+    assert!(ids.split_whitespace().count() > 50, "{ids}");
+    for id in ids.split_whitespace() {
+        let out = weblint(&["-noglobals", "-f", pack, "-explain", id]);
+        assert_eq!(out.status.code(), Some(0), "-explain {id}");
+    }
+}
+
+#[test]
 fn usage_error_exits_2() {
     let out = weblint(&["-bogus-flag"]);
     assert_eq!(out.status.code(), Some(2));

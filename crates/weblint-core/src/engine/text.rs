@@ -1,9 +1,7 @@
 //! Text, comment and DOCTYPE handling.
 
 use weblint_rules::Rule;
-use weblint_tokenizer::{
-    find_metachar, scan_entities, scan_metachars, Comment, Decl, MetaCharKind, Span, Text,
-};
+use weblint_tokenizer::{scan_entities, scan_metachars, Comment, Decl, MetaCharKind, Span, Text};
 
 use crate::fix::{Edit, Fix};
 
@@ -48,8 +46,8 @@ impl Checker<'_> {
             self.scratch.title_buf.push_str(text.raw);
         }
         // Both scanners need a `&`, `<` or `>` to report anything; most
-        // text runs have none, and one word-at-a-time search skips both.
-        if find_metachar(text.raw).is_none() {
+        // text runs have none, and the tokenizer noted which do.
+        if !text.has_metachar {
             return;
         }
         let t0 = self.prof_start();

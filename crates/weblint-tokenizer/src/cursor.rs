@@ -1,19 +1,38 @@
-//! A character cursor over the source with position tracking.
+//! A byte cursor over the source with position tracking.
+//!
+//! Every byte that decides where a token ends (`<`, `>`, `"`, `'`, `=`,
+//! `&`, whitespace, name characters) is ASCII, and no such byte occurs
+//! inside a multibyte UTF-8 character. So the cursor scans bytes, never
+//! decodes a `char`, and still stops on character boundaries; it advances
+//! its [`Pos`] over each scanned span in bulk, counting columns in
+//! characters. Text runs, the bulk of a document, take one pass per byte:
+//! [`Cursor::eat_text`] finds the run's end, counts its lines and
+//! characters, and notes whether it holds a metacharacter, all at once
+//! (see [`scan_run`]).
 
 use crate::pos::Pos;
+use crate::run::{is_char_start, scan_run};
 
 /// A forward-only cursor over `src` that tracks line/column/offset.
+///
+/// `src` may be a piece of a larger document that starts at document
+/// position `start`: positions are then the document's, so the spans of
+/// a resumed tokenization need no rebasing.
 #[derive(Debug, Clone)]
 pub(crate) struct Cursor<'a> {
     src: &'a str,
     pos: Pos,
+    /// Document offset of `src[0]`.
+    origin: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(src: &'a str) -> Cursor<'a> {
+    /// A cursor over `src`, which begins at document position `start`.
+    pub(crate) fn new(src: &'a str, start: Pos) -> Cursor<'a> {
         Cursor {
             src,
-            pos: Pos::START,
+            pos: start,
+            origin: start.offset,
         }
     }
 
@@ -27,31 +46,29 @@ impl<'a> Cursor<'a> {
         self.src
     }
 
+    /// Document offset just past the end of the source.
+    pub(crate) fn end(&self) -> usize {
+        self.origin + self.src.len()
+    }
+
+    /// Index into `src` of the cursor.
+    fn at(&self) -> usize {
+        self.pos.offset - self.origin
+    }
+
     /// Remaining unconsumed input.
     pub(crate) fn rest(&self) -> &'a str {
-        &self.src[self.pos.offset..]
+        &self.src[self.at()..]
     }
 
     /// True when all input has been consumed.
     pub(crate) fn is_eof(&self) -> bool {
-        self.pos.offset >= self.src.len()
+        self.at() >= self.src.len()
     }
 
-    /// Peek at the next character without consuming it.
-    pub(crate) fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
-    }
-
-    /// Peek at the character `n` characters ahead (0 == `peek`).
-    pub(crate) fn peek_nth(&self, n: usize) -> Option<char> {
-        self.rest().chars().nth(n)
-    }
-
-    /// Consume and return the next character.
-    pub(crate) fn bump(&mut self) -> Option<char> {
-        let ch = self.peek()?;
-        self.pos.advance(ch);
-        Some(ch)
+    /// The byte `n` bytes past the cursor, if the input holds one.
+    pub(crate) fn peek_byte(&self, n: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.at() + n).copied()
     }
 
     /// Whether the remaining input starts with `s` (case-sensitive).
@@ -74,36 +91,80 @@ impl<'a> Cursor<'a> {
         self.pos.advance_str(taken);
     }
 
-    /// Consume characters while `f` holds; return the consumed slice.
-    pub(crate) fn eat_while(&mut self, mut f: impl FnMut(char) -> bool) -> &'a str {
-        let start = self.pos.offset;
-        while let Some(ch) = self.peek() {
-            if !f(ch) {
+    /// Consume `n` bytes of ASCII that hold no newline: a delimiter such as
+    /// `<`, `</` or `>`.
+    pub(crate) fn bump_ascii(&mut self, n: usize) {
+        debug_assert!(self.rest().as_bytes()[..n]
+            .iter()
+            .all(|&b| b.is_ascii() && b != b'\n'));
+        self.pos.offset += n;
+        self.pos.col += n as u32;
+    }
+
+    /// Consume bytes before document offset `limit` while `f` holds;
+    /// return the consumed slice.
+    ///
+    /// `f` must decide on ASCII alone: hold for every non-ASCII byte or for
+    /// none. Either way the walk stops on a character boundary (an ASCII
+    /// byte, or the lead byte of a multibyte character), and so must
+    /// `limit`. The position advances in the same pass.
+    pub(crate) fn eat_bytes_while(&mut self, limit: usize, f: impl Fn(u8) -> bool) -> &'a str {
+        let bytes = &self.src.as_bytes()[..limit - self.origin];
+        let start = self.at();
+        let mut pos = self.pos;
+        while let Some(&b) = bytes.get(pos.offset - self.origin) {
+            if !f(b) {
                 break;
             }
-            self.pos.advance(ch);
+            pos.offset += 1;
+            if b == b'\n' {
+                pos.line += 1;
+                pos.col = 1;
+            } else {
+                pos.col += u32::from(is_char_start(b));
+            }
         }
-        &self.src[start..self.pos.offset]
+        self.pos = pos;
+        &self.src[start..self.at()]
     }
 
-    /// Consume up to (not including) the next occurrence of the ASCII byte
-    /// `stop`, or to end-of-file; return the consumed slice. The byte-level
-    /// fast path for long text runs: no character decoding at all.
-    pub(crate) fn eat_until_byte(&mut self, stop: u8) -> &'a str {
-        debug_assert!(
-            stop.is_ascii(),
-            "stop byte must be ASCII for boundary safety"
-        );
+    /// Consume bytes while `f` holds; return the consumed slice. `f` may
+    /// hold only for ASCII bytes other than a newline (a tag name's), so
+    /// the position moves by one column per byte.
+    pub(crate) fn eat_ascii_while(&mut self, f: impl Fn(u8) -> bool) -> &'a str {
         let rest = self.rest();
-        let idx = memchr(stop, rest.as_bytes()).unwrap_or(rest.len());
-        let content = &rest[..idx];
-        self.pos.advance_str(content);
-        content
+        let n = rest.bytes().position(|b| !f(b)).unwrap_or(rest.len());
+        self.bump_ascii(n);
+        &rest[..n]
     }
 
-    /// Consume ASCII whitespace; return true if any was consumed.
-    pub(crate) fn eat_ws(&mut self) -> bool {
-        !self.eat_while(|c| c.is_ascii_whitespace()).is_empty()
+    /// Consume ASCII whitespace before document offset `limit`; return
+    /// true if any was consumed.
+    pub(crate) fn eat_ws(&mut self, limit: usize) -> bool {
+        !self
+            .eat_bytes_while(limit, |b| b.is_ascii_whitespace())
+            .is_empty()
+    }
+
+    /// Consume a text run: everything up to (not including) the next `<`
+    /// that begins markup, or to end-of-file. Returns the run and whether
+    /// it holds a `&`, `<` or `>` (a bare `<` included): exactly
+    /// `find_metachar(run).is_some()`.
+    pub(crate) fn eat_text(&mut self) -> (&'a str, bool) {
+        let rest = self.rest();
+        let run = scan_run::<true>(rest.as_bytes());
+        self.pos.advance_run(&run);
+        (&rest[..run.len], run.has_metachar)
+    }
+
+    /// Consume the next `n` bytes, which must end on a character boundary,
+    /// as raw text, where `<` begins nothing. Returns them and whether they
+    /// hold a `&`, `<` or `>`, as [`Cursor::eat_text`] does.
+    pub(crate) fn eat_raw_text(&mut self, n: usize) -> (&'a str, bool) {
+        let raw = &self.rest()[..n];
+        let run = scan_run::<false>(raw.as_bytes());
+        self.pos.advance_run(&run);
+        (raw, run.has_metachar)
     }
 
     /// Consume up to and including the next occurrence of `needle`;
@@ -130,6 +191,12 @@ impl<'a> Cursor<'a> {
         self.pos.advance_str(rest);
         rest
     }
+}
+
+/// Whether `b`, just after a `<`, makes that `<` begin markup: a tag, an
+/// end tag, a declaration or a processing instruction.
+pub(crate) fn begins_markup(b: u8) -> bool {
+    b.is_ascii_alphabetic() || matches!(b, b'!' | b'?' | b'/')
 }
 
 /// Case-insensitive substring search (ASCII case only).
@@ -250,39 +317,58 @@ mod tests {
 
     #[test]
     fn bump_tracks_position() {
-        let mut c = Cursor::new("a\nb");
-        assert_eq!(c.bump(), Some('a'));
-        assert_eq!(c.bump(), Some('\n'));
-        assert_eq!(c.pos().line, 2);
-        assert_eq!(c.bump(), Some('b'));
+        let mut c = Cursor::new("a\nb", Pos::START);
+        c.bump_ascii(1);
+        c.bump_bytes(1);
+        assert_eq!(c.pos(), Pos::new(2, 1, 2));
+        c.bump_bytes(1);
         assert!(c.is_eof());
-        assert_eq!(c.bump(), None);
     }
 
     #[test]
-    fn eat_while_returns_slice() {
-        let mut c = Cursor::new("abc123");
-        assert_eq!(c.eat_while(|ch| ch.is_ascii_alphabetic()), "abc");
-        assert_eq!(c.rest(), "123");
+    fn eat_bytes_while_tracks_position() {
+        let mut c = Cursor::new("a\n\u{e9}b=c", Pos::START);
+        assert_eq!(c.eat_bytes_while(4, |b| b != b'='), "a\n\u{e9}");
+        assert_eq!(c.pos(), Pos::new(2, 2, 4));
+        assert_eq!(c.eat_bytes_while(6, |b| b != b'='), "b");
+        assert_eq!(c.rest(), "=c");
+        assert!(!c.eat_ws(7));
+        // A cursor over a piece of a document counts in the document's
+        // positions; `limit` is a document offset too.
+        let mut c = Cursor::new("x y\nz", Pos::new(3, 5, 100));
+        assert_eq!(c.eat_ascii_while(|b| b == b'x'), "x");
+        assert!(c.eat_ws(102));
+        assert_eq!(c.pos(), Pos::new(3, 7, 102));
+        assert_eq!(c.eat_bytes_while(c.end(), |b| b != b'z'), "y\n");
+        assert_eq!(c.pos(), Pos::new(4, 1, 104));
+        assert_eq!(c.rest(), "z");
+    }
+
+    #[test]
+    fn peek_byte() {
+        let c = Cursor::new("xyz", Pos::START);
+        assert_eq!(c.peek_byte(0), Some(b'x'));
+        assert_eq!(c.peek_byte(2), Some(b'z'));
+        assert_eq!(c.peek_byte(3), None);
     }
 
     #[test]
     fn eat_until_and_past_consumes_needle() {
-        let mut c = Cursor::new("foo-->bar");
+        let mut c = Cursor::new("foo-->bar", Pos::START);
         assert_eq!(c.eat_until_and_past("-->"), Some("foo"));
         assert_eq!(c.rest(), "bar");
     }
 
     #[test]
     fn eat_until_missing_needle_consumes_nothing() {
-        let mut c = Cursor::new("foobar");
+        let mut c = Cursor::new("foobar", Pos::START);
         assert_eq!(c.eat_until_and_past("-->"), None);
         assert_eq!(c.rest(), "foobar");
     }
 
     #[test]
     fn starts_with_ci_matches_any_case() {
-        let c = Cursor::new("DocType html");
+        let c = Cursor::new("DocType html", Pos::START);
         assert!(c.starts_with_ci("doctype"));
         assert!(!c.starts_with("doctype"));
     }
@@ -291,9 +377,9 @@ mod tests {
     fn starts_with_ci_survives_multibyte_input() {
         // Regression: the pattern length may fall inside a multibyte
         // character; byte-wise comparison must not panic.
-        let c = Cursor::new("<! '-eIn\u{feff} x");
+        let c = Cursor::new("<! '-eIn\u{feff} x", Pos::START);
         assert!(!c.starts_with_ci("<!doctype"));
-        let c = Cursor::new("é");
+        let c = Cursor::new("é", Pos::START);
         assert!(!c.starts_with_ci("ab"));
     }
 
@@ -331,22 +417,15 @@ mod tests {
     }
 
     #[test]
-    fn eat_until_byte_stops_or_hits_eof() {
-        let mut c = Cursor::new("abé\ncd<ef");
-        assert_eq!(c.eat_until_byte(b'<'), "abé\ncd");
-        assert_eq!(c.pos().line, 2);
-        assert_eq!(c.pos().col, 3);
-        assert_eq!(c.rest(), "<ef");
-        c.bump();
-        assert_eq!(c.eat_until_byte(b'<'), "ef");
+    fn eat_text_stops_at_markup_or_eof() {
+        let mut c = Cursor::new("ab\u{e9}\ncd<3f", Pos::START);
+        assert_eq!(c.eat_text(), ("ab\u{e9}\ncd<3f", true));
         assert!(c.is_eof());
-    }
-
-    #[test]
-    fn peek_nth() {
-        let c = Cursor::new("xyz");
-        assert_eq!(c.peek_nth(0), Some('x'));
-        assert_eq!(c.peek_nth(2), Some('z'));
-        assert_eq!(c.peek_nth(3), None);
+        let mut c = Cursor::new("ab\u{e9}\ncd<Ef", Pos::START);
+        assert_eq!(c.eat_text(), ("ab\u{e9}\ncd", false));
+        assert_eq!(c.pos(), Pos::new(2, 3, 7));
+        assert_eq!(c.rest(), "<Ef");
+        let mut c = Cursor::new("a < b, trailing <", Pos::START);
+        assert_eq!(c.eat_text(), ("a < b, trailing <", true));
     }
 }

@@ -17,6 +17,14 @@
 //! number of quotes, rather than silently consuming the rest of the document
 //! as an attribute value.
 //!
+//! The tokenizer reads bytes, not `char`s: every byte that decides where a
+//! token ends is ASCII, so a byte walk stops exactly where a character walk
+//! would, and columns are still counted in characters. A text run, most of
+//! a document, is read once: one pass finds its end, counts its lines and
+//! characters, and notes in [`Text::has_metachar`] whether it holds a
+//! `&`, `<` or `>`, so a consumer can skip its entity and metacharacter
+//! scans without reading the run again.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,6 +46,7 @@ mod cursor;
 mod entity;
 mod meta;
 mod pos;
+mod run;
 mod stream;
 mod token;
 mod tokenizer;

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::run::{scan_run, Run};
+
 /// A position within a source document.
 ///
 /// Lines and columns are 1-based, matching the line numbers weblint prints
@@ -48,61 +50,25 @@ impl Pos {
     /// Advance this position over every character in `s`.
     ///
     /// Equivalent to calling [`Pos::advance`] per character, but works on
-    /// bytes in one pass, eight at a time: per word it marks the newline
-    /// bytes and the character starts (every byte that is not a
-    /// continuation byte, `0b10xx_xxxx`), counts the newlines, and counts
-    /// the characters after the word's last newline. This is what makes
-    /// skipping a long text run cheap — no per-character decode at all.
+    /// bytes in one pass, eight or more at a time, with no per-character
+    /// decode: the newlines and the character starts (every byte that is
+    /// not a continuation byte, `0b10xx_xxxx`) are counted, and the
+    /// characters after the last newline.
     pub fn advance_str(&mut self, s: &str) {
-        let bytes = s.as_bytes();
-        self.offset += bytes.len();
-        let mut newlines = 0usize;
-        // Characters since the last newline (or since `self`, if none).
-        let mut tail = 0usize;
-        let mut count_word = |word: u64| {
-            let v = word ^ NEWLINES;
-            let nl = !(((v & LOW7) + LOW7) | v) & HIGH;
-            let starts = (!word | (word << 1)) & HIGH;
-            if nl == 0 {
-                tail += count_marks(starts);
-            } else {
-                newlines += count_marks(nl);
-                // Bit 7 of the last newline byte; the bytes above it
-                // follow that newline.
-                let last = 63 - nl.leading_zeros();
-                tail = count_marks(starts.checked_shr(last + 1).unwrap_or(0));
-            }
-        };
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            count_word(u64::from_le_bytes(
-                word.try_into().expect("chunks_exact yields 8 bytes"),
-            ));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            // Pad with continuation bytes: neither newlines nor characters.
-            let mut word = [0x80; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            count_word(u64::from_le_bytes(word));
-        }
-        if newlines == 0 {
-            self.col += tail as u32;
+        self.advance_run(&scan_run::<false>(s.as_bytes()));
+    }
+
+    /// Advance this position over a text run that [`scan_run`] read: the
+    /// run's bytes, its newlines and the characters after the last one.
+    pub(crate) fn advance_run(&mut self, run: &Run) {
+        self.offset += run.len;
+        if run.newlines == 0 {
+            self.col += run.tail;
         } else {
-            self.line += newlines as u32;
-            self.col = 1 + tail as u32;
+            self.line += run.newlines;
+            self.col = 1 + run.tail;
         }
     }
-}
-
-const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
-const HIGH: u64 = 0x8080_8080_8080_8080;
-const NEWLINES: u64 = 0x0A0A_0A0A_0A0A_0A0A;
-
-/// Number of bytes of `marks` whose bit 7 is set; every other bit must be
-/// clear. The multiply sums the eight 0/1 bytes into the top byte.
-fn count_marks(marks: u64) -> usize {
-    ((marks >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize
 }
 
 impl Default for Pos {

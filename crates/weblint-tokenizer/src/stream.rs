@@ -14,8 +14,9 @@
 //!    sequence, held back so the lossy decode matches
 //!    [`String::from_utf8_lossy`] of the whole input.
 //! 2. **The unconsumed buffer suffix** — bytes of a token still waiting for
-//!    its terminator, plus the global [`Pos`] of its first byte so resumed
-//!    spans rebase onto document coordinates.
+//!    its terminator, plus the global [`Pos`] of its first byte, where the
+//!    resumed tokenizer starts counting, so its spans are document
+//!    coordinates as they come.
 //! 3. **The tokenizer mode flags** — the pending raw-text close pattern
 //!    (`</script` …) and the `PLAINTEXT` latch.
 //!
@@ -25,8 +26,8 @@
 //! [`feed`]: StreamTokenizer::feed
 
 use crate::cursor::find_ci;
-use crate::pos::{Pos, Span};
-use crate::token::{Token, TokenKind};
+use crate::pos::Pos;
+use crate::token::Token;
 use crate::tokenizer::{find_markup_start, Step, Tokenizer};
 
 /// Compact the buffer only once this many consumed bytes have piled up (and
@@ -170,9 +171,8 @@ impl StreamTokenizer {
         self.compact();
         let slice = &self.buf[self.consumed..];
         let mut tokens = StreamTokens {
-            tok: Tokenizer::resume(slice, self.raw_text_until, self.plaintext),
+            tok: Tokenizer::resume(slice, self.base, self.raw_text_until, self.plaintext),
             eof: self.eof,
-            base: self.base,
             end: self.base,
         };
         f(slice, self.base.offset, &mut tokens);
@@ -250,8 +250,6 @@ impl StreamTokenizer {
 pub struct StreamTokens<'a> {
     tok: Tokenizer<'a>,
     eof: bool,
-    /// Global position of the drained slice's first byte.
-    base: Pos,
     /// Global position just past the last token yielded.
     end: Pos,
 }
@@ -260,56 +258,19 @@ impl<'a> Iterator for StreamTokens<'a> {
     type Item = Token<'a>;
 
     fn next(&mut self) -> Option<Token<'a>> {
-        let Step::Token(mut token) = self.tok.step(self.eof) else {
+        let Step::Token(token) = self.tok.step(self.eof) else {
             return None;
         };
-        rebase_token(&mut token, self.base);
         self.end = token.span.end;
         Some(token)
-    }
-}
-
-/// Map a position produced over a resumed suffix onto whole-document
-/// coordinates: `base` is the document position of the suffix's first byte.
-fn rebase_pos(p: Pos, base: Pos) -> Pos {
-    Pos {
-        line: base.line + p.line - 1,
-        // Columns reset at each newline, so only positions still on the
-        // suffix's first line shift by the base column.
-        col: if p.line == 1 {
-            base.col + p.col - 1
-        } else {
-            p.col
-        },
-        offset: base.offset + p.offset,
-    }
-}
-
-fn rebase_span(span: &mut Span, base: Pos) {
-    span.start = rebase_pos(span.start, base);
-    span.end = rebase_pos(span.end, base);
-}
-
-/// Rewrite every span a token carries (its own, each attribute's name span,
-/// each attribute value's span) onto whole-document coordinates.
-fn rebase_token(token: &mut Token<'_>, base: Pos) {
-    if base.offset == 0 {
-        return; // the suffix is the document start; spans already global
-    }
-    rebase_span(&mut token.span, base);
-    if let TokenKind::StartTag(tag) | TokenKind::EndTag(tag) = &mut token.kind {
-        for attr in &mut tag.attrs {
-            rebase_span(&mut attr.span, base);
-            if let Some(value) = &mut attr.value {
-                rebase_span(&mut value.span, base);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pos::Span;
+    use crate::token::TokenKind;
     use crate::tokenize;
     use crate::tokenizer::tests::TRICKY_DOCS;
 

@@ -114,6 +114,12 @@ pub struct Text<'a> {
     /// True when this text is the raw content of a `SCRIPT`, `STYLE`, `XMP`,
     /// `LISTING` or `PLAINTEXT` element, in which `<` and `&` are not markup.
     pub is_raw: bool,
+    /// The text holds a `&`, `<` or `>`: exactly when
+    /// [`find_metachar`](crate::find_metachar)`(raw)` finds one. The
+    /// tokenizer learns it in the pass that finds the run's end, so a
+    /// consumer can skip its entity and metacharacter scans on a run
+    /// without one at no further cost.
+    pub has_metachar: bool,
 }
 
 /// An SGML comment, `<!-- … -->`.
@@ -248,6 +254,7 @@ mod tests {
             kind: TokenKind::Text(Text {
                 raw: "abc",
                 is_raw: false,
+                has_metachar: false,
             }),
             span: span(),
         };

@@ -1,21 +1,33 @@
 //! The tokenizer state machine.
 
-use crate::cursor::Cursor;
-use crate::pos::Span;
+use crate::cursor::{begins_markup, Cursor};
+use crate::pos::{Pos, Span};
 use crate::token::{Attr, AttrValue, Comment, Decl, Quote, Tag, Text, Token, TokenKind};
 
-/// Elements whose content is raw text, paired with the close pattern that
-/// ends it — static, so recognizing one allocates nothing.
+/// What a start tag named `name` does to the text after it: `Some(close)`
+/// for an element whose content is raw text up to the close pattern
+/// (`"</script"` etc.), `None` for every other element.
 ///
 /// The paper (§5.1): "Certain elements require special processing, such as
 /// comments, SCRIPT and STYLE." `XMP` and `LISTING` are the obsolete HTML 2
-/// raw-text elements; `PLAINTEXT` swallows everything to end-of-file.
-const RAW_TEXT_ELEMENTS: &[(&str, &str)] = &[
-    ("script", "</script"),
-    ("style", "</style"),
-    ("xmp", "</xmp"),
-    ("listing", "</listing"),
-];
+/// raw-text elements. The name's length picks the one candidate to compare,
+/// so most start tags cost one length test.
+fn raw_text_close(name: &str) -> Option<&'static str> {
+    let close = match name.len() {
+        3 => "</xmp",
+        5 => "</style",
+        6 => "</script",
+        7 => "</listing",
+        _ => return None,
+    };
+    name.eq_ignore_ascii_case(&close[2..]).then_some(close)
+}
+
+/// Whether a start tag named `name` is `PLAINTEXT`, which makes the rest
+/// of the file text.
+fn is_plaintext(name: &str) -> bool {
+    name.len() == 9 && name.eq_ignore_ascii_case("plaintext")
+}
 
 /// Abort the quote-aware tag scan once a single quoted value exceeds this
 /// many bytes — at that point the quote is almost certainly unterminated and
@@ -74,15 +86,22 @@ pub struct Tokenizer<'a> {
 impl<'a> Tokenizer<'a> {
     /// Create a tokenizer over `src`.
     pub fn new(src: &'a str) -> Tokenizer<'a> {
-        Tokenizer::resume(src, None, false)
+        Tokenizer::resume(src, Pos::START, None, false)
     }
 
     /// Create a tokenizer over `src` that resumes mid-document: `src` is a
-    /// suffix of some larger document and the mode flags were captured (via
-    /// [`Tokenizer::mode`]) from the tokenizer that consumed the prefix.
-    pub fn resume(src: &'a str, raw_text_until: Option<&'static str>, plaintext: bool) -> Self {
+    /// suffix of some larger document, starting at document position
+    /// `start`, and the mode flags were captured (via [`Tokenizer::mode`])
+    /// from the tokenizer that consumed the prefix. Token spans are
+    /// document positions.
+    pub fn resume(
+        src: &'a str,
+        start: Pos,
+        raw_text_until: Option<&'static str>,
+        plaintext: bool,
+    ) -> Self {
         Tokenizer {
-            cur: Cursor::new(src),
+            cur: Cursor::new(src, start),
             raw_text_until,
             plaintext,
             open_ended: false,
@@ -134,54 +153,58 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn token(&self, start: crate::pos::Pos, kind: TokenKind<'a>) -> Token<'a> {
+    fn token(&self, start: Pos, kind: TokenKind<'a>) -> Token<'a> {
         Token {
             kind,
             span: Span::new(start, self.cur.pos()),
         }
     }
 
+    /// Consume raw-text content: the next `len` bytes, up to a close
+    /// pattern or to end-of-file.
+    fn raw_text(&mut self, len: usize) -> Token<'a> {
+        let start = self.cur.pos();
+        let (raw, has_metachar) = self.cur.eat_raw_text(len);
+        self.token(
+            start,
+            TokenKind::Text(Text {
+                raw,
+                is_raw: true,
+                has_metachar,
+            }),
+        )
+    }
+
     /// Consume raw-text content up to (not including) `close` (`"</script"`
     /// etc., matched case-insensitively).
     fn scan_raw_text(&mut self, close: &str) -> Option<Token<'a>> {
-        let start = self.cur.pos();
-        let raw = match self.cur.find_ci(close) {
+        let len = match self.cur.find_ci(close) {
             Some(0) => return None, // no content; parse the end tag normally
-            Some(idx) => {
-                let raw = &self.cur.rest()[..idx];
-                self.cur.bump_bytes(idx);
-                raw
-            }
-            None => self.cur.eat_to_eof(),
+            Some(idx) => idx,
+            None => self.cur.rest().len(),
         };
+        let tok = self.raw_text(len);
         // Only a close pattern inside the buffer pins the run.
         self.open_ended = self.cur.is_eof();
-        Some(self.token(start, TokenKind::Text(Text { raw, is_raw: true })))
+        Some(tok)
     }
 
     fn scan_text(&mut self) -> Token<'a> {
         let start = self.cur.pos();
-        loop {
-            self.cur.eat_until_byte(b'<');
-            match self.cur.peek_nth(1) {
-                // A '<' that begins markup ends the text run.
-                Some(c) if c.is_ascii_alphabetic() || c == '!' || c == '?' || c == '/' => break,
-                // A bare '<' (e.g. "i < 3") is part of the text.
-                Some(_) => {
-                    self.cur.bump();
-                }
-                None => {
-                    // Trailing '<' at end-of-file, or plain end-of-file.
-                    self.cur.bump();
-                    break;
-                }
-            }
-        }
+        // A bare `<` (e.g. "i < 3") is part of the text; one that begins
+        // markup ends the run.
+        let (raw, has_metachar) = self.cur.eat_text();
         // Only a markup-starting `<` inside the buffer pins the run; a
         // trailing `<` may yet begin markup.
         self.open_ended = self.cur.is_eof();
-        let raw = &self.cur.src()[start.offset..self.cur.pos().offset];
-        self.token(start, TokenKind::Text(Text { raw, is_raw: false }))
+        self.token(
+            start,
+            TokenKind::Text(Text {
+                raw,
+                is_raw: false,
+                has_metachar,
+            }),
+        )
     }
 
     fn scan_comment(&mut self) -> Token<'a> {
@@ -207,7 +230,7 @@ impl<'a> Tokenizer<'a> {
 
     /// Scan a `<!…>` declaration or `<?…>` processing instruction.
     /// `open_len` is the length of the opening delimiter to skip.
-    fn scan_decl(&mut self, open_len: usize) -> (Decl<'a>, crate::pos::Pos) {
+    fn scan_decl(&mut self, open_len: usize) -> (Decl<'a>, Pos) {
         let start = self.cur.pos();
         self.cur.bump_bytes(open_len);
         // CDATA marked sections close with "]]>", everything else with a
@@ -221,27 +244,29 @@ impl<'a> Tokenizer<'a> {
             self.open_ended = unterminated;
             return (Decl { text, unterminated }, start);
         }
-        let body_start = self.cur.pos().offset;
-        let mut in_quote: Option<char> = None;
-        let mut terminated = false;
-        while let Some(ch) = self.cur.peek() {
-            match in_quote {
-                None => match ch {
-                    '>' => {
-                        terminated = true;
-                        break;
-                    }
-                    '"' | '\'' => in_quote = Some(ch),
-                    _ => {}
-                },
-                Some(q) if ch == q => in_quote = None,
-                Some(_) => {}
+        let body = self.cur.rest();
+        let mut in_quote: Option<u8> = None;
+        let end = body.bytes().position(|b| match in_quote {
+            None => match b {
+                b'>' => true,
+                b'"' | b'\'' => {
+                    in_quote = Some(b);
+                    false
+                }
+                _ => false,
+            },
+            Some(q) => {
+                if b == q {
+                    in_quote = None;
+                }
+                false
             }
-            self.cur.bump();
-        }
-        let text = &self.cur.src()[body_start..self.cur.pos().offset];
+        });
+        let terminated = end.is_some();
+        let text = &body[..end.unwrap_or(body.len())];
+        self.cur.bump_bytes(text.len());
         if terminated {
-            self.cur.bump(); // '>'
+            self.cur.bump_ascii(1); // '>'
         }
         // A walk that ran off the buffer, in a quote or not, could still
         // meet its `>` (or close its quote and move it) in later bytes.
@@ -275,12 +300,25 @@ impl<'a> Tokenizer<'a> {
 
     fn scan_tag(&mut self, is_end: bool) -> Token<'a> {
         let start = self.cur.pos();
-        self.cur.bump(); // '<'
-        if is_end {
-            self.cur.bump(); // '/'
+        self.cur.bump_ascii(if is_end { 2 } else { 1 }); // '<' or '</'
+        let eof = self.cur.end();
+        let space_before_name = is_end && self.cur.eat_ws(eof);
+        let name = self.cur.eat_ascii_while(is_name_byte);
+
+        // The commonest tag has no body at all: `<P>`, `</TD>`.
+        if self.cur.peek_byte(0) == Some(b'>') {
+            self.cur.bump_ascii(1);
+            self.open_ended = false;
+            let tag = Tag {
+                name,
+                attrs: Vec::new(),
+                self_closing: false,
+                odd_quotes: false,
+                unterminated: false,
+                space_before_name,
+            };
+            return self.tag_token(start, is_end, tag);
         }
-        let space_before_name = is_end && self.cur.eat_ws();
-        let name = self.cur.eat_while(is_name_char);
 
         let (body_len, end_kind, odd_quotes, open_ended) = scan_tag_body(self.cur.rest());
         self.open_ended = open_ended;
@@ -288,10 +326,16 @@ impl<'a> Tokenizer<'a> {
 
         // An XML-style "/>" self-close: strip the trailing '/' from the body
         // so it is not parsed as a stray attribute.
-        let body = &self.cur.src()[self.cur.pos().offset..body_end_offset];
-        let self_closing = end_kind == BodyEnd::Gt && body.trim_end().ends_with('/');
+        let body = &self.cur.rest()[..body_len];
+        let trimmed = match body.as_bytes().last() {
+            // Most bodies end in a quote or a name character: nothing to
+            // trim, and no need to decode the last character to know it.
+            Some(b) if b.is_ascii_graphic() => body,
+            _ => body.trim_end(),
+        };
+        let self_closing = end_kind == BodyEnd::Gt && trimmed.ends_with('/');
         let attr_limit = if self_closing {
-            self.cur.pos().offset + body.trim_end().len() - 1
+            self.cur.pos().offset + trimmed.len() - 1
         } else {
             body_end_offset
         };
@@ -300,11 +344,12 @@ impl<'a> Tokenizer<'a> {
 
         // Step over anything the attribute parser left behind (e.g. the
         // trailing '/' of a self-close), then the closing '>'.
-        while self.cur.pos().offset < body_end_offset {
-            self.cur.bump();
+        let left = body_end_offset - self.cur.pos().offset;
+        if left > 0 {
+            self.cur.bump_bytes(left);
         }
         if end_kind == BodyEnd::Gt {
-            self.cur.bump(); // '>'
+            self.cur.bump_ascii(1); // '>'
         }
 
         let tag = Tag {
@@ -315,6 +360,10 @@ impl<'a> Tokenizer<'a> {
             unterminated: end_kind != BodyEnd::Gt,
             space_before_name,
         };
+        self.tag_token(start, is_end, tag)
+    }
+
+    fn tag_token(&self, start: Pos, is_end: bool, tag: Tag<'a>) -> Token<'a> {
         let kind = if is_end {
             TokenKind::EndTag(tag)
         } else {
@@ -327,27 +376,27 @@ impl<'a> Tokenizer<'a> {
     fn parse_attrs(&mut self, limit: usize) -> Vec<Attr<'a>> {
         let mut attrs = Vec::new();
         loop {
-            self.eat_ws_bounded(limit);
+            self.cur.eat_ws(limit);
             if self.cur.pos().offset >= limit {
                 break;
             }
             let name_start = self.cur.pos();
-            let name = self.eat_while_bounded(limit, |c| {
-                !c.is_ascii_whitespace() && c != '=' && c != '"' && c != '\''
+            let name = self.cur.eat_bytes_while(limit, |b| {
+                !b.is_ascii_whitespace() && !matches!(b, b'=' | b'"' | b'\'')
             });
-            if name.is_empty() && self.cur.peek() != Some('=') {
-                // Stray quote or junk: skip one character to guarantee progress.
-                self.cur.bump();
+            if name.is_empty() && self.cur.peek_byte(0) != Some(b'=') {
+                // A stray quote: skip it to guarantee progress.
+                self.cur.bump_ascii(1);
                 continue;
             }
             let name_span = Span::new(name_start, self.cur.pos());
-            self.eat_ws_bounded(limit);
+            self.cur.eat_ws(limit);
             let mut has_eq = false;
             let mut value = None;
-            if self.cur.pos().offset < limit && self.cur.peek() == Some('=') {
+            if self.cur.pos().offset < limit && self.cur.peek_byte(0) == Some(b'=') {
                 has_eq = true;
-                self.cur.bump();
-                self.eat_ws_bounded(limit);
+                self.cur.bump_ascii(1);
+                self.cur.eat_ws(limit);
                 if self.cur.pos().offset < limit {
                     value = Some(self.parse_attr_value(limit));
                 }
@@ -363,20 +412,19 @@ impl<'a> Tokenizer<'a> {
     }
 
     fn parse_attr_value(&mut self, limit: usize) -> AttrValue<'a> {
-        let first = self.cur.peek();
-        match first {
-            Some(q @ ('"' | '\'')) => {
-                self.cur.bump();
+        match self.cur.peek_byte(0) {
+            Some(q @ (b'"' | b'\'')) => {
+                self.cur.bump_ascii(1);
                 let vstart = self.cur.pos();
-                self.eat_while_bounded(limit, |c| c != q);
+                let raw = self.cur.eat_bytes_while(limit, |b| b != q);
                 let vspan = Span::new(vstart, self.cur.pos());
-                let terminated = self.cur.pos().offset < limit && self.cur.peek() == Some(q);
+                let terminated = self.cur.pos().offset < limit && self.cur.peek_byte(0) == Some(q);
                 if terminated {
-                    self.cur.bump();
+                    self.cur.bump_ascii(1);
                 }
                 AttrValue {
-                    raw: vspan.slice(self.cur.src()),
-                    quote: if q == '"' {
+                    raw,
+                    quote: if q == b'"' {
                         Quote::Double
                     } else {
                         Quote::Single
@@ -387,40 +435,17 @@ impl<'a> Tokenizer<'a> {
             }
             _ => {
                 let vstart = self.cur.pos();
-                self.eat_while_bounded(limit, |c| !c.is_ascii_whitespace());
-                let vspan = Span::new(vstart, self.cur.pos());
+                let raw = self
+                    .cur
+                    .eat_bytes_while(limit, |b| !b.is_ascii_whitespace());
                 AttrValue {
-                    raw: vspan.slice(self.cur.src()),
+                    raw,
                     quote: Quote::None,
                     terminated: true,
-                    span: vspan,
+                    span: Span::new(vstart, self.cur.pos()),
                 }
             }
         }
-    }
-
-    fn eat_ws_bounded(&mut self, limit: usize) {
-        while self.cur.pos().offset < limit {
-            match self.cur.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.cur.bump();
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn eat_while_bounded(&mut self, limit: usize, f: impl Fn(char) -> bool) -> &'a str {
-        let start = self.cur.pos().offset;
-        while self.cur.pos().offset < limit {
-            match self.cur.peek() {
-                Some(c) if f(c) => {
-                    self.cur.bump();
-                }
-                _ => break,
-            }
-        }
-        &self.cur.src()[start..self.cur.pos().offset]
     }
 }
 
@@ -432,33 +457,29 @@ impl<'a> Tokenizer<'a> {
             return None;
         }
         if self.plaintext {
-            let start = self.cur.pos();
-            let raw = self.cur.eat_to_eof();
             // PLAINTEXT swallows everything to end-of-file.
+            let tok = self.raw_text(self.cur.rest().len());
             self.open_ended = true;
-            return Some(self.token(start, TokenKind::Text(Text { raw, is_raw: true })));
+            return Some(tok);
         }
         if let Some(close) = self.raw_text_until.take() {
             if let Some(tok) = self.scan_raw_text(close) {
                 return Some(tok);
             }
         }
-        let tok = match (self.cur.peek(), self.cur.peek_nth(1)) {
-            (Some('<'), Some('!')) => self.scan_markup_decl(),
-            (Some('<'), Some('?')) => self.scan_pi(),
-            (Some('<'), Some('/')) => self.scan_tag(true),
-            (Some('<'), Some(c)) if c.is_ascii_alphabetic() => self.scan_tag(false),
-            (Some(_), _) => self.scan_text(),
-            (None, _) => return None,
+        let tok = match *self.cur.rest().as_bytes() {
+            [b'<', b'!', ..] => self.scan_markup_decl(),
+            [b'<', b'?', ..] => self.scan_pi(),
+            [b'<', b'/', ..] => self.scan_tag(true),
+            [b'<', c, ..] if c.is_ascii_alphabetic() => self.scan_tag(false),
+            [] => return None,
+            _ => self.scan_text(),
         };
         if let TokenKind::StartTag(tag) = &tok.kind {
-            if tag.name.eq_ignore_ascii_case("plaintext") {
-                self.plaintext = true;
-            } else if let Some(&(_, close)) = RAW_TEXT_ELEMENTS
-                .iter()
-                .find(|(name, _)| tag.name.eq_ignore_ascii_case(name))
-            {
+            if let Some(close) = raw_text_close(tag.name) {
                 self.raw_text_until = Some(close);
+            } else if is_plaintext(tag.name) {
+                self.plaintext = true;
             }
         }
         Some(tok)
@@ -483,9 +504,7 @@ pub(crate) fn find_markup_start(bytes: &[u8], from: usize) -> Result<usize, usiz
     while let Some(k) = crate::cursor::memchr(b'<', &bytes[i..]) {
         let at = i + k;
         match bytes.get(at + 1) {
-            Some(&n) if n.is_ascii_alphabetic() || n == b'!' || n == b'?' || n == b'/' => {
-                return Ok(at)
-            }
+            Some(&n) if begins_markup(n) => return Ok(at),
             Some(_) => i = at + 1,
             None => return Err(at),
         }
@@ -580,8 +599,8 @@ fn odd_quote_count(s: &str) -> bool {
     dq % 2 == 1 || sq % 2 == 1
 }
 
-fn is_name_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '_' | ':')
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'.' | b'-' | b'_' | b':')
 }
 
 /// Heuristic for "this comment contains markup": `<` immediately followed by

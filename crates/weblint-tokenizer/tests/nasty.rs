@@ -3,6 +3,9 @@
 //! The tokenizer's contract: never panic, never lose bytes, always produce
 //! a token stream whose spans tile the input exactly.
 
+mod common;
+
+use common::*;
 use weblint_tokenizer::{tokenize, Quote, TokenKind, Tokenizer};
 
 /// Assert the token spans tile `src` with no gaps or overlap.
@@ -17,93 +20,43 @@ fn assert_covers(src: &str) {
 
 #[test]
 fn empty_and_whitespace() {
-    for src in ["", " ", "\n\n\n", "\t \r\n"] {
+    for src in EMPTY_AND_WHITESPACE {
         assert_covers(src);
     }
 }
 
 #[test]
 fn lone_delimiters() {
-    for src in [
-        "<", ">", "&", "<>", "< >", "<<<", ">>>", "&&&", "</", "<!", "<?",
-    ] {
+    for src in LONE_DELIMITERS {
         assert_covers(src);
     }
 }
 
 #[test]
 fn unterminated_everything() {
-    for src in [
-        "<A",
-        "<A HREF",
-        "<A HREF=",
-        "<A HREF=\"",
-        "<A HREF=\"x",
-        "<A HREF='x",
-        "</A",
-        "<!--",
-        "<!-- almost -->extra<!--",
-        "<!DOCTYPE",
-        "<?php",
-        "<![CDATA[ never closed",
-        "<SCRIPT>while(1){}",
-        "<STYLE>b{",
-    ] {
+    for src in UNTERMINATED_EVERYTHING {
         assert_covers(src);
     }
 }
 
 #[test]
 fn pathological_quotes() {
-    for src in [
-        "<A HREF=\"a.html>x</A>",
-        "<A HREF='a.html>x</A>",
-        "<P X=\"a\" Y=\"b>z\">",
-        "<P X='\"'>",
-        "<P X=\"'\">",
-        "<P \"\">",
-        "<P ''=''>",
-        "<P X=\"a\"Y=\"b\">",
-    ] {
+    for src in PATHOLOGICAL_QUOTES {
         assert_covers(src);
     }
 }
 
 #[test]
 fn interleaved_and_nested_gibberish() {
-    for src in [
-        "<B><I></B></I>",
-        "<P <B <I>>>",
-        "<TABLE><TR><TD><TABLE><TR><TD></TD></TR></TABLE>",
-        "<A HREF=a<b>c</a>",
-        "<!-- <!-- nested --> -->",
-        "<<B>>double<<)/B>>",
-    ] {
+    for src in NESTED_GIBBERISH {
         assert_covers(src);
     }
 }
 
 #[test]
 fn real_world_1998_idioms() {
-    // Attribute soup from actual period tooling.
-    let front_page = r#"<html><head>
-<meta http-equiv=Content-Type content="text/html; charset=iso-8859-1">
-<meta name=GENERATOR content="Microsoft FrontPage 3.0">
-<title>Welcome !!!</title></head>
-<body bgcolor=#FFFFFF text=#000000 link=#0000EE vlink=#551A8B alink=#FF0000
- topmargin="0" leftmargin="0">
-<table border=0 cellpadding=0 cellspacing=0 width="100%">
-<tr><td><img src="spacer.gif" width=1 height=1></td></tr>
-</table>
-<font face="Arial, Helvetica" size=2>Hello&nbsp;world&nbsp;&copy;1998</font>
-<script language=JavaScript>
-<!--
-document.write("<b>generated</b>");
-// -->
-</script>
-</body></html>"#;
-    assert_covers(front_page);
-    let tokens = tokenize(front_page);
+    assert_covers(FRONT_PAGE);
+    let tokens = tokenize(FRONT_PAGE);
     // The script content (including the comment-wrapped document.write)
     // must be a single raw text token, not parsed as markup.
     let raw: Vec<_> = tokens
@@ -119,7 +72,7 @@ document.write("<b>generated</b>");
 
 #[test]
 fn unquoted_attribute_values_parse() {
-    let tokens = tokenize("<body bgcolor=#FFFFFF text=#000000>");
+    let tokens = tokenize(UNQUOTED_VALUES);
     let TokenKind::StartTag(tag) = &tokens[0].kind else {
         panic!("expected start tag");
     };
@@ -132,7 +85,7 @@ fn unquoted_attribute_values_parse() {
 
 #[test]
 fn crlf_line_endings_count_lines_correctly() {
-    let src = "line one\r\n<B>two</B>\r\n<I>three</I>\r\n";
+    let src = CRLF_LINES;
     let tokens = tokenize(src);
     let b = tokens
         .iter()
@@ -149,7 +102,7 @@ fn crlf_line_endings_count_lines_correctly() {
 
 #[test]
 fn eight_bit_latin1_as_utf8() {
-    let src = "<P>caf\u{e9} na\u{ef}ve \u{a9} 1998</P>";
+    let src = LATIN1_AS_UTF8;
     assert_covers(src);
     let tokens = tokenize(src);
     assert_eq!(tokens.len(), 3);
@@ -158,11 +111,7 @@ fn eight_bit_latin1_as_utf8() {
 #[test]
 fn huge_single_tag() {
     // A tag with 1000 attributes must not blow up or quadratically stall.
-    let mut src = String::from("<P");
-    for i in 0..1000 {
-        src.push_str(&format!(" a{i}=\"v{i}\""));
-    }
-    src.push('>');
+    let src = common::huge_single_tag();
     let tokens = tokenize(&src);
     assert_eq!(tokens.len(), 1);
     let TokenKind::StartTag(tag) = &tokens[0].kind else {
@@ -174,34 +123,21 @@ fn huge_single_tag() {
 
 #[test]
 fn deeply_nested_tags() {
-    let mut src = String::new();
-    for _ in 0..2000 {
-        src.push_str("<B>");
-    }
-    for _ in 0..2000 {
-        src.push_str("</B>");
-    }
+    let src = common::deeply_nested_tags();
     assert_eq!(tokenize(&src).len(), 4000);
     assert_covers(&src);
 }
 
 #[test]
 fn comment_like_decls() {
-    for src in [
-        "<!>",
-        "<!->",
-        "<!--->",
-        "<!---->",
-        "<!ENTITY % x \"y\">",
-        "<!DOCTYPE HTML SYSTEM \"html.dtd\" [ <!ENTITY a \"b\"> ]>",
-    ] {
+    for src in COMMENT_LIKE_DECLS {
         assert_covers(src);
     }
 }
 
 #[test]
 fn plaintext_eats_everything_after() {
-    let src = "<PLAINTEXT>all of <this> is </just> text & stuff";
+    let src = PLAINTEXT;
     let tokens = tokenize(src);
     assert_eq!(tokens.len(), 2);
     let TokenKind::Text(text) = &tokens[1].kind else {
@@ -209,4 +145,11 @@ fn plaintext_eats_everything_after() {
     };
     assert!(text.is_raw);
     assert!(text.raw.contains("</just>"));
+}
+
+#[test]
+fn every_shared_input_is_covered() {
+    for (_, src) in all() {
+        assert_covers(&src);
+    }
 }

@@ -227,6 +227,81 @@ fn streamed_raw_text_with_bare_lt_stays_linear() {
     );
 }
 
+/// Seconds for `iters` one-shot tokenizes plus `iters` one-shot lints of
+/// `doc`.
+fn one_shot_time(session: &mut LintSession, doc: &str, iters: usize) -> f64 {
+    let started = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(weblint_tokenizer::tokenize(doc).len());
+        std::hint::black_box(session.check_string(doc));
+    }
+    started.elapsed().as_secs_f64()
+}
+
+/// Assert that the one-shot time of `build(2 MiB)` stays within 3x that of
+/// `build(1 MiB)`: a scan that re-reads what it passed would grow
+/// quadratically. The sizes alternate within each round, so scheduler
+/// noise hits both alike, and each keeps its best round.
+fn assert_one_shot_linear(what: &str, build: impl Fn(usize) -> String) {
+    let (small, large) = (build(1 << 20), build(2 << 20));
+    let mut session = LintSession::new();
+    session.check_string(&small); // warm the scratch buffers
+    let (mut small_s, mut large_s) = (f64::MAX, f64::MAX);
+    for _ in 0..7 {
+        small_s = small_s.min(one_shot_time(&mut session, &small, 3));
+        large_s = large_s.min(one_shot_time(&mut session, &large, 3));
+    }
+    let ratio = large_s / small_s;
+    eprintln!("{what}: 2 MiB / 1 MiB one-shot = {ratio:.2}x");
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: ratio ceiling not armed");
+        return;
+    }
+    assert!(
+        ratio <= 3.0,
+        "{what}: 2 MiB took {ratio:.1}x the 1 MiB time one-shot; a scan re-reads its input"
+    );
+}
+
+/// `head`, then lines of `body` up to `bytes`, then `tail`.
+fn filled(head: &str, body: &str, bytes: usize, tail: &str) -> String {
+    let mut doc = String::from(head);
+    while doc.len() < bytes {
+        doc.push_str(body);
+    }
+    doc.push_str(tail);
+    doc
+}
+
+#[test]
+fn one_shot_unterminated_comment_stays_linear() {
+    // A comment with no `-->` runs to end-of-file: one token, found by one
+    // search for the terminator.
+    assert_one_shot_linear("unterminated comment", |bytes| {
+        filled(
+            "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\n<!-- ",
+            "a comment line, <B>markup</B> and -- dashes\n",
+            bytes,
+            "",
+        )
+    });
+}
+
+#[test]
+fn one_shot_runaway_quoted_value_stays_linear() {
+    // A quoted value that never closes: the quote-aware tag scan gives up
+    // at its cap and the quote-parity fallback cuts the tag at the first
+    // `>`, two megabytes on. The attribute parser then reads the value once.
+    assert_one_shot_linear("runaway quoted value", |bytes| {
+        filled(
+            "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\n<A HREF=\"",
+            "words of a value that never closes its quote\n",
+            bytes,
+            ">here</A></BODY></HTML>\n",
+        )
+    });
+}
+
 #[test]
 fn corpus_document_rate_floor() {
     let docs: Vec<String> = (0..32u64)
