@@ -216,8 +216,3 @@ timeout 180 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.
 # checked on federations the seed-1 run never sees. Exit status only.
 timeout 180 cargo run --release --offline --quiet --manifest-path wlbench/Cargo.toml -- \
     --workload crawl --seed 11 --seconds 3 --trace 0
-
-# weblint - must lint an unbuffered stdin stream like the file path.
-printf '<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>' \
-    | cargo run --release -p weblint-cli --bin weblint -- - \
-    | grep -q 'malformed heading'

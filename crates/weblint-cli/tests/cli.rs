@@ -64,23 +64,32 @@ fn default_format_is_lint_style() {
 fn stdin_via_dash() {
     use std::io::Write;
     use std::process::Stdio;
-    let mut child = Command::new(env!("CARGO_BIN_EXE_weblint"))
-        .args(["-noglobals", "-s", "-"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(b"<H1>x</H2>")
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8(out.stdout)
-        .unwrap()
-        .contains("malformed heading"));
+    // The flagged short case, then a whole page with no flags at all, so
+    // the default configuration layering runs; HOME is an empty directory
+    // and no rc variable is set, so no global rc is read.
+    let home = std::env::temp_dir().join(format!("weblint-stdin-home-{}", std::process::id()));
+    std::fs::create_dir_all(&home).unwrap();
+    let page: &[u8] = b"<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><H1>x</H2></BODY></HTML>";
+    for (args, input) in [
+        (&["-noglobals", "-s", "-"][..], &b"<H1>x</H2>"[..]),
+        (&["-"], page),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_weblint"))
+            .args(args)
+            .env_remove("WEBLINTRC")
+            .env_remove("WEBLINT_SITE_CONFIG")
+            .env("HOME", &home)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        child.stdin.take().unwrap().write_all(input).unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains("malformed heading"), "{args:?}: {stdout}");
+    }
+    std::fs::remove_dir_all(&home).ok();
 }
 
 /// Run `weblint -noglobals ARGS -` with `input` on stdin.

@@ -98,7 +98,7 @@ impl Checker<'_> {
             }
         }
 
-        match self.scratch.stack.iter().rposition(|o| o.id == id) {
+        match self.scratch.stack.rposition(id) {
             Some(index) => self.close_matched(index, tag, span),
             None => self.close_unmatched(id, tag, span),
         }
@@ -200,7 +200,7 @@ impl Checker<'_> {
     /// as unmatched.
     fn close_unmatched(&mut self, id: NameId, tag: &Tag<'_>, span: Span) {
         if self.config.heuristics {
-            if let Some(pos) = self.scratch.unresolved.iter().rposition(|o| o.id == id) {
+            if let Some(pos) = self.scratch.unresolved.rposition(id) {
                 // The element was displaced by an earlier overlap and has
                 // already been reported; its close resolves silently.
                 let open = self.scratch.unresolved.remove(pos);

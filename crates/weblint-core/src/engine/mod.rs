@@ -23,7 +23,7 @@ mod start;
 mod text;
 mod view;
 
-pub(crate) use open::{Open, NO_FIX};
+pub(crate) use open::Open;
 pub(crate) use scratch::Scratch;
 pub(crate) use view::SrcView;
 
@@ -33,7 +33,7 @@ use weblint_html::HtmlSpec;
 use weblint_rules::pattern::PatternRule;
 use weblint_rules::profile::Profile;
 use weblint_rules::{applies, kind_mask, Rule};
-use weblint_tokenizer::{Pos, Span, Step, Token, TokenKind, Tokenizer};
+use weblint_tokenizer::{Pos, Span, Token, TokenKind};
 
 use crate::fix::{Edit, Fix};
 use crate::message::Diagnostic;
@@ -41,47 +41,11 @@ use crate::options::{CaseStyle, LintConfig};
 
 use names::known;
 
-/// Run every enabled check over `src` and return the diagnostics in source
-/// order: the engine's single one-shot entry.
-///
-/// This is the pure-function core: (tokens, HTML tables, config) →
-/// diagnostics, with [`crate::LintSession`] as the object API over it.
-/// `scratch` is reset first, so any prior contents are irrelevant. With a
-/// `profile`, the check sections are bracketed by timers and the
-/// document's per-rule hits and total engine time are added to it; the
-/// diagnostics are the same either way.
-pub(crate) fn check(
-    spec: &HtmlSpec,
-    config: &LintConfig,
-    src: &str,
-    scratch: &mut Scratch,
-    mut profile: Option<&mut Profile>,
-) -> Vec<Diagnostic> {
-    scratch.reset();
-    let t0 = profile.is_some().then(Instant::now);
-    let mut checker = Checker::new(spec, config, SrcView::new(src), scratch);
-    checker.profile = profile.as_deref_mut();
-    // Every token goes through the same eof-aware `Tokenizer::step` the
-    // streaming session uses — `step(true)` is the whole-input case of the
-    // one engine path, with none of the stream path's copying or
-    // prefix-stability checks.
-    let mut tokens = Tokenizer::new(src);
-    while let Step::Token(token) = tokens.step(true) {
-        checker.on_token(&token);
-    }
-    let diags = checker.finish();
-    if let (Some(profile), Some(t0)) = (profile, t0) {
-        profile.total_nanos += t0.elapsed().as_nanos() as u64;
-        profile.documents += 1;
-    }
-    diags
-}
-
-/// The per-document engine state that must survive between feeds of a
-/// streamed document: everything in [`Checker`] that is not borrowed from
-/// the session or derivable from the config. A [`crate::LintSession`]
-/// holds one of these per in-flight document; [`Checker::resume`] loads it
-/// for the duration of a feed and [`Checker::suspend`] stores it back.
+/// The per-document engine state that must survive between drains of a
+/// document: everything in [`Checker`] that is not borrowed from the
+/// session or derivable from the config. A [`crate::LintSession`] holds
+/// one of these per document; [`Checker::resume`] loads it for the
+/// duration of a drain and [`Checker::suspend`] stores it back.
 /// (The element stacks and text accumulators also cross feeds, but they
 /// live in [`Scratch`], which the session owns directly.)
 #[derive(Debug, Clone)]
@@ -154,17 +118,6 @@ pub(crate) struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    pub(crate) fn new(
-        spec: &'a HtmlSpec,
-        config: &'a LintConfig,
-        src: SrcView<'a>,
-        scratch: &'a mut Scratch,
-    ) -> Checker<'a> {
-        Checker::with_mask(spec, config, src, scratch, config.rule_mask())
-    }
-
-    /// [`Checker::new`] with the rule mask supplied by the caller, for
-    /// resume paths that computed it once and cached it.
     fn with_mask(
         spec: &'a HtmlSpec,
         config: &'a LintConfig,
@@ -206,10 +159,10 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Rebuild a checker mid-document from suspended state, for the next
-    /// feed of a streamed document. The borrowed fields (spec, config,
-    /// scratch) come fresh from the session; everything else is moved or
-    /// copied out of `state`.
+    /// Rebuild a checker from suspended state, for the next drain of a
+    /// document. The borrowed fields (spec, config, scratch) come fresh
+    /// from the session; everything else is moved or copied out of
+    /// `state`.
     pub(crate) fn resume(
         spec: &'a HtmlSpec,
         config: &'a LintConfig,
@@ -238,7 +191,7 @@ impl<'a> Checker<'a> {
     }
 
     /// Store the surviving per-document state back into `state` at the end
-    /// of a feed, releasing the borrows of the session's buffers.
+    /// of a drain, releasing the borrows of the session's buffers.
     pub(crate) fn suspend(self, state: &mut DocState) {
         state.diags = self.diags;
         state.seen_doctype = self.seen_doctype;
@@ -347,14 +300,11 @@ impl<'a> Checker<'a> {
 
     /// Whether a `<HEAD>` element is currently open.
     pub(crate) fn in_head(&self) -> bool {
-        let head = known().head;
-        self.scratch.stack.iter().any(|o| o.id == head)
+        self.scratch.stack.holds(known().head)
     }
 
     /// End-of-document processing: force-close whatever is still open and
-    /// run the whole-document checks. Split out of [`Checker::finish`] so a
-    /// streaming session, which keeps the checker only for the duration of
-    /// one feed, can run it on the final feed without consuming self.
+    /// run the whole-document checks.
     pub(crate) fn run_eof_checks(&mut self) {
         let eof = Span::empty(self.end_pos);
         let end_offset = self.end_pos.offset;
@@ -397,23 +347,16 @@ impl<'a> Checker<'a> {
             }
         }
     }
-
-    /// One-shot end of document: run the EOF checks and yield the
-    /// accumulated diagnostics.
-    fn finish(mut self) -> Vec<Diagnostic> {
-        self.run_eof_checks();
-        self.diags
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::LintSession;
+
     fn lint(src: &str) -> Vec<Diagnostic> {
-        let spec = HtmlSpec::default();
-        let config = LintConfig::default();
-        check(&spec, &config, src, &mut Scratch::default(), None)
+        LintSession::new().check_string(src)
     }
 
     fn ids(src: &str) -> Vec<&'static str> {
@@ -462,16 +405,9 @@ mod tests {
 
     #[test]
     fn fragment_mode_skips_structure_checks() {
-        let spec = HtmlSpec::default();
         let mut config = LintConfig::default();
         config.fragment = true;
-        let diags = check(
-            &spec,
-            &config,
-            "<B>bold</B> and <I>italic</I>",
-            &mut Scratch::default(),
-            None,
-        );
+        let diags = LintSession::with_config(config).check_string("<B>bold</B> and <I>italic</I>");
         assert_eq!(diags, vec![]);
     }
 
@@ -497,8 +433,6 @@ mod tests {
         // Reusing one Scratch across documents — including ones that leave
         // elements open, unknown names interned, and buffers dirty — must
         // give exactly the diagnostics a fresh check gives.
-        let spec = HtmlSpec::default();
-        let config = LintConfig::default();
         let docs = [
             CLEAN,
             "<HTML><HEAD><TITLE>t</TITLE><BODY><A HREF=x>here</A>",
@@ -506,11 +440,10 @@ mod tests {
             "",
             CLEAN,
         ];
-        let mut scratch = Scratch::default();
+        let mut session = LintSession::new();
         for doc in docs {
-            let reused = check(&spec, &config, doc, &mut scratch, None);
-            let fresh = check(&spec, &config, doc, &mut Scratch::default(), None);
-            assert_eq!(reused, fresh, "{doc:?}");
+            let reused = session.check_string(doc);
+            assert_eq!(reused, lint(doc), "{doc:?}");
         }
     }
 }

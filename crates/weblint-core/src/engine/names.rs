@@ -8,6 +8,7 @@
 //! intern. Comparing two `NameId`s is a `u32` compare, which is what makes
 //! stack matching and dedup allocation-free.
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use weblint_html::Atom;
@@ -42,24 +43,38 @@ impl NameId {
 /// else. The side intern is cleared between documents; the fallback counter
 /// is cumulative across a session — it is the allocation canary, and stays
 /// at zero while every name a document uses is in the static tables.
+///
+/// The side intern is hashed: a document of thousands of distinct unknown
+/// names must not search every earlier one per lookup.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NameTable {
+    /// Side-interned names, lower-cased, in id order.
     extra: Vec<String>,
+    /// Position in `extra` of each side-interned name.
+    index: HashMap<String, usize>,
+    /// Reused buffer for the lower-cased spelling of a name looked up.
+    lower: String,
     fallbacks: u64,
 }
 
 impl NameTable {
-    /// Intern `name` (any ASCII case). Allocation-free for table names.
+    /// Intern `name` (any ASCII case). Allocation-free for table names,
+    /// and for side names after their first occurrence.
     pub(crate) fn id(&mut self, name: &str) -> NameId {
         if let Some(atom) = Atom::from_ascii(name.as_bytes()) {
             return NameId::from_atom(atom);
         }
-        let pos = match self.extra.iter().position(|s| s.eq_ignore_ascii_case(name)) {
-            Some(pos) => pos,
+        self.lower.clear();
+        self.lower.push_str(name);
+        self.lower.make_ascii_lowercase();
+        let pos = match self.index.get(self.lower.as_str()) {
+            Some(&pos) => pos,
             None => {
                 self.fallbacks += 1;
-                self.extra.push(name.to_ascii_lowercase());
-                self.extra.len() - 1
+                let pos = self.extra.len();
+                self.extra.push(self.lower.clone());
+                self.index.insert(self.lower.clone(), pos);
+                pos
             }
         };
         NameId((Atom::count() + pos) as u32)
@@ -77,6 +92,7 @@ impl NameTable {
     /// invalid. The fallback counter survives.
     pub(crate) fn clear(&mut self) {
         self.extra.clear();
+        self.index.clear();
     }
 
     /// Cumulative count of names that missed the static atom table.

@@ -7,18 +7,108 @@
 //! re-allocating any of it. [`Scratch::reset`] erases the contents but
 //! keeps every buffer's capacity.
 
+use std::ops::{Deref, DerefMut};
+
 use weblint_html::Atom;
 
 use super::names::{NameId, NameTable};
-use super::open::Open;
+use super::open::{Open, NO_FIX};
+
+/// A stack of elements that counts its entries per name, so looking for a
+/// name it does not hold costs no walk: under thousands of open elements,
+/// an end tag that matches none of them must not read them all.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ElementStack {
+    items: Vec<Open>,
+    /// Entries per name, indexed by [`NameId::index`].
+    counts: Vec<u32>,
+    /// Entries holding a deferred fix (`fix_diag != NO_FIX`).
+    deferred: usize,
+}
+
+impl ElementStack {
+    pub(crate) fn push(&mut self, open: Open) {
+        let index = open.id.index();
+        if index >= self.counts.len() {
+            self.counts.resize(index + 1, 0);
+        }
+        self.counts[index] += 1;
+        self.deferred += usize::from(open.fix_diag != NO_FIX);
+        self.items.push(open);
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Open> {
+        let open = self.items.pop()?;
+        self.forget(&open);
+        Some(open)
+    }
+
+    /// Remove and return the entry at `index`.
+    pub(crate) fn remove(&mut self, index: usize) -> Open {
+        let open = self.items.remove(index);
+        self.forget(&open);
+        open
+    }
+
+    fn forget(&mut self, open: &Open) {
+        self.counts[open.id.index()] -= 1;
+        self.deferred -= usize::from(open.fix_diag != NO_FIX);
+    }
+
+    /// The earliest diagnostic an entry's deferred fix may still amend.
+    /// Most stacks hold none, and then this reads no entry.
+    pub(crate) fn first_deferred_fix(&self) -> Option<usize> {
+        if self.deferred == 0 {
+            return None;
+        }
+        self.items
+            .iter()
+            .filter(|o| o.fix_diag != NO_FIX)
+            .map(|o| o.fix_diag as usize)
+            .min()
+    }
+
+    /// Whether an entry is named `id`.
+    pub(crate) fn holds(&self, id: NameId) -> bool {
+        self.counts.get(id.index()).is_some_and(|&n| n > 0)
+    }
+
+    /// Index of the innermost entry named `id`.
+    pub(crate) fn rposition(&self, id: NameId) -> Option<usize> {
+        if !self.holds(id) {
+            return None;
+        }
+        self.items.iter().rposition(|o| o.id == id)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.counts.clear();
+        self.deferred = 0;
+    }
+}
+
+impl Deref for ElementStack {
+    type Target = [Open];
+
+    fn deref(&self) -> &[Open] {
+        &self.items
+    }
+}
+
+impl DerefMut for ElementStack {
+    fn deref_mut(&mut self) -> &mut [Open] {
+        &mut self.items
+    }
+}
 
 /// The per-session working memory of the lint engine.
 #[derive(Debug, Clone)]
 pub(crate) struct Scratch {
     /// The main stack of open elements.
-    pub(crate) stack: Vec<Open>,
+    pub(crate) stack: ElementStack,
     /// The secondary stack of unresolved (overlapped) elements.
-    pub(crate) unresolved: Vec<Open>,
+    pub(crate) unresolved: ElementStack,
     /// First line each name was seen on, indexed by [`NameId::index`];
     /// 0 means "not seen" (real lines are 1-based).
     pub(crate) seen: Vec<u32>,
@@ -33,7 +123,11 @@ pub(crate) struct Scratch {
     /// Whether a `<TITLE>` is open and accumulating into `title_buf`.
     pub(crate) title_active: bool,
     /// Attribute names seen so far in the current tag, for duplicates.
-    pub(crate) attr_seen: Vec<NameId>,
+    attr_seen: Vec<NameId>,
+    /// Whether each name is in `attr_seen`, indexed by [`NameId::index`]:
+    /// a tag of thousands of attributes must not search them all per
+    /// attribute.
+    attr_marked: Vec<bool>,
     /// As-written spellings of the elements on the two stacks, packed
     /// end-to-end. [`Open`] entries index into this arena instead of the
     /// source because in streaming mode the source window may scroll past
@@ -44,8 +138,8 @@ pub(crate) struct Scratch {
 impl Default for Scratch {
     fn default() -> Scratch {
         Scratch {
-            stack: Vec::new(),
-            unresolved: Vec::new(),
+            stack: ElementStack::default(),
+            unresolved: ElementStack::default(),
             seen: vec![0; Atom::count()],
             names: NameTable::default(),
             anchor_buf: String::new(),
@@ -53,6 +147,7 @@ impl Default for Scratch {
             title_buf: String::new(),
             title_active: false,
             attr_seen: Vec::new(),
+            attr_marked: Vec::new(),
             origs: String::new(),
         }
     }
@@ -71,8 +166,30 @@ impl Scratch {
         self.anchor_active = false;
         self.title_buf.clear();
         self.title_active = false;
-        self.attr_seen.clear();
+        self.clear_attrs();
         self.origs.clear();
+    }
+
+    /// Forget the current tag's attribute names.
+    pub(crate) fn clear_attrs(&mut self) {
+        for id in self.attr_seen.drain(..) {
+            self.attr_marked[id.index()] = false;
+        }
+    }
+
+    /// Record attribute name `id` of the current tag; false if the tag
+    /// named it already.
+    pub(crate) fn first_attr(&mut self, id: NameId) -> bool {
+        let index = id.index();
+        if index >= self.attr_marked.len() {
+            self.attr_marked.resize(index + 1, false);
+        }
+        if self.attr_marked[index] {
+            return false;
+        }
+        self.attr_marked[index] = true;
+        self.attr_seen.push(id);
+        true
     }
 
     /// Copy an as-written element name into the orig-name arena, returning

@@ -339,8 +339,8 @@ impl Checker<'_> {
         if !known().non_nestable.contains(&id) {
             return;
         }
-        let line = match self.scratch.stack.iter().rev().find(|o| o.id == id) {
-            Some(outer) => outer.line,
+        let line = match self.scratch.stack.rposition(id) {
+            Some(outer) => self.scratch.stack[outer].line,
             None => return,
         };
         self.emit(
@@ -421,8 +421,7 @@ impl Checker<'_> {
             }
         }
         self.last_heading = Some(level);
-        let a = known().a;
-        if self.scratch.stack.iter().any(|o| o.id == a) {
+        if self.scratch.stack.holds(known().a) {
             self.emit(
                 Rule::HeadingInAnchor,
                 span,
@@ -436,11 +435,11 @@ impl Checker<'_> {
     /// matters: weblint reports quote problems for a whole tag before value
     /// problems (see the §4.2 example output).
     fn check_attrs_lexical(&mut self, tag: &Tag<'_>, span: Span) {
-        self.scratch.attr_seen.clear();
+        self.scratch.clear_attrs();
         for attr in &tag.attrs {
             self.check_name_case(attr.name, attr.span, "attribute");
             let aid = self.scratch.names.id(attr.name);
-            if self.scratch.attr_seen.contains(&aid) {
+            if !self.scratch.first_attr(aid) {
                 // Delete this whole repeated attribute (with the whitespace
                 // before it). Compute the end of what it wrote in the
                 // source; decline when quoting was mangled.
@@ -477,7 +476,6 @@ impl Checker<'_> {
                     },
                 );
             }
-            self.scratch.attr_seen.push(aid);
             match &attr.value {
                 None if attr.has_eq => {
                     self.emit(

@@ -1,11 +1,10 @@
 //! A window onto the document source.
 //!
-//! In one-shot mode the engine sees the whole document; in streaming mode
-//! each [`crate::LintSession::feed`] hands it only the unconsumed suffix of
-//! the stream buffer. [`SrcView`] papers over the difference: it pairs the
-//! visible text with the global byte offset of its first byte, so every
-//! span the tokenizer produces (always in whole-document coordinates) can
-//! be sliced without the caller knowing which mode it is in. Offsets below
+//! A one-shot check shows the engine the whole document; each drain of a
+//! streamed one only the unconsumed suffix of the stream buffer.
+//! [`SrcView`] pairs the visible text with the global byte offset of its
+//! first byte, so every span the tokenizer produces (always in
+//! whole-document coordinates) slices the same either way. Offsets below
 //! the window (spans from tokens of earlier feeds) resolve to `""`/`None`
 //! rather than panicking — callers that need an earlier tag's spelling use
 //! the [`super::Scratch`] orig-name arena instead.
@@ -22,13 +21,8 @@ pub(crate) struct SrcView<'a> {
 }
 
 impl<'a> SrcView<'a> {
-    /// A view of a whole document (one-shot mode).
-    pub(crate) fn new(text: &'a str) -> SrcView<'a> {
-        SrcView { text, base: 0 }
-    }
-
-    /// A view of the suffix of a streamed document whose first visible byte
-    /// sits at global offset `base`.
+    /// A view of the suffix of a document whose first visible byte sits
+    /// at global offset `base`.
     pub(crate) fn resumed(text: &'a str, base: usize) -> SrcView<'a> {
         SrcView { text, base }
     }

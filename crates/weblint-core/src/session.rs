@@ -25,19 +25,26 @@
 //! diagnostics as soon as their trigger token closes, then
 //! [`LintSession::finish`] at end of input for the end-of-document checks.
 //! The diagnostics, concatenated, are byte-identical to one-shot output
-//! regardless of where the chunk boundaries fall — both paths drive the
-//! same eof-aware tokenizer step and the same checker. Memory while
-//! streaming is bounded by the engine state plus the largest single token,
-//! not the document size.
+//! regardless of where the chunk boundaries fall, because there is one
+//! pump: a drain runs the checker over what the tokenizer yields from one
+//! buffer, and the drain of the buffer that ends the document also runs
+//! the end-of-document checks. A one-shot check is that last drain alone,
+//! over the caller's string in place; a streamed document is a drain per
+//! feed of the stream's buffer, whose tokenizer resumes a construct still
+//! open at a feed's end where its scan stopped, and a last one at
+//! `finish`. Memory while streaming is bounded by the engine state plus
+//! the largest single token, not the document size.
 
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::time::Instant;
 
 use weblint_html::HtmlSpec;
-use weblint_tokenizer::StreamTokenizer;
+use weblint_rules::profile::Profile;
+use weblint_tokenizer::{StreamTokenizer, Tokenizer};
 
-use crate::engine::{self, Checker, DocState, Scratch, SrcView, NO_FIX};
+use crate::engine::{Checker, DocState, Scratch, SrcView};
 use crate::message::Diagnostic;
 use crate::options::LintConfig;
 
@@ -120,29 +127,31 @@ impl LintSession {
     /// Check a document held in memory, reusing this session's buffers.
     /// Never fails; returns diagnostics in source order. Any document still
     /// streaming via [`LintSession::feed`] is abandoned first.
+    ///
+    /// This runs the one drain of the streamed path, once, over `src` in
+    /// place, as the buffer that ends the document.
     pub fn check_string(&mut self, src: &str) -> Vec<Diagnostic> {
-        self.stream = None;
-        self.documents += 1;
-        engine::check(&self.spec, &self.config, src, &mut self.scratch, None)
+        self.check_whole(src, None)
     }
 
     /// [`LintSession::check_string`], accumulating per-rule hit and
     /// wall-time counters into `profile`. The diagnostics are identical to
     /// the unprofiled call's. This is what `weblint -profile` runs.
-    pub fn check_string_profiled(
-        &mut self,
-        src: &str,
-        profile: &mut weblint_rules::profile::Profile,
-    ) -> Vec<Diagnostic> {
+    pub fn check_string_profiled(&mut self, src: &str, profile: &mut Profile) -> Vec<Diagnostic> {
+        let t0 = Instant::now();
+        let diags = self.check_whole(src, Some(&mut *profile));
+        profile.total_nanos += t0.elapsed().as_nanos() as u64;
+        profile.documents += 1;
+        diags
+    }
+
+    fn check_whole(&mut self, src: &str, profile: Option<&mut Profile>) -> Vec<Diagnostic> {
         self.stream = None;
+        self.scratch.reset();
+        let mut doc = DocState::default();
+        self.drain(&mut doc, 0, &mut Tokenizer::new(src), true, profile);
         self.documents += 1;
-        engine::check(
-            &self.spec,
-            &self.config,
-            src,
-            &mut self.scratch,
-            Some(profile),
-        )
+        doc.diags
     }
 
     /// Push the next chunk of a streamed document and collect the
@@ -171,28 +180,21 @@ impl LintSession {
     /// assert!(ids.contains(&"heading-mismatch"));
     /// ```
     pub fn feed(&mut self, chunk: &[u8]) -> impl Iterator<Item = Diagnostic> {
-        if self.stream.is_none() {
-            self.scratch.reset();
-            self.stream = Some(StreamState::default());
-        }
-        let state = self.stream.as_mut().expect("stream state just ensured");
+        let mut state = self.take_stream();
         state.tok.feed(chunk);
-        Self::drain(&self.spec, &self.config, &mut self.scratch, state);
+        state.tok.drain_tokens(|_, offset, tokens| {
+            self.drain(&mut state.doc, offset, tokens, false, None)
+        });
         // Hold back any diagnostic an element still on the stacks may yet
         // amend (a deferred obsolete-element rename attaches its fix when
         // the matching end tag arrives); everything earlier is final.
-        let safe = self
-            .scratch
-            .stack
-            .iter()
-            .chain(self.scratch.unresolved.iter())
-            .filter(|o| o.fix_diag != NO_FIX)
-            .map(|o| o.fix_diag as usize)
-            .min()
-            .unwrap_or(usize::MAX)
-            .min(state.doc.diags.len());
+        let safe = [&self.scratch.stack, &self.scratch.unresolved]
+            .into_iter()
+            .filter_map(|stack| stack.first_deferred_fix())
+            .fold(state.doc.diags.len(), usize::min);
         let fresh = state.doc.diags[state.yielded..safe].to_vec();
         state.yielded = safe;
+        self.stream = Some(state);
         fresh.into_iter()
     }
 
@@ -201,26 +203,22 @@ impl LintSession {
     /// Without a preceding [`LintSession::feed`] this checks an empty
     /// document. The session is ready for the next document afterwards.
     pub fn finish(&mut self) -> impl Iterator<Item = Diagnostic> {
-        if self.stream.is_none() {
-            self.scratch.reset();
-            self.stream = Some(StreamState::default());
-        }
-        let mut state = self.stream.take().expect("stream state just ensured");
+        let mut state = self.take_stream();
         state.tok.finish();
-        Self::drain(&self.spec, &self.config, &mut self.scratch, &mut state);
-        let view = SrcView::resumed("", state.tok.pos().offset);
-        let mut checker = Checker::resume(
-            &self.spec,
-            &self.config,
-            view,
-            &mut self.scratch,
-            &mut state.doc,
-        );
-        checker.run_eof_checks();
-        checker.suspend(&mut state.doc);
+        state.tok.drain_tokens(|_, offset, tokens| {
+            self.drain(&mut state.doc, offset, tokens, true, None)
+        });
         self.documents += 1;
         let yielded = state.yielded.min(state.doc.diags.len());
         state.doc.diags.split_off(yielded).into_iter()
+    }
+
+    /// The document streaming now, or a new one.
+    fn take_stream(&mut self) -> StreamState {
+        self.stream.take().unwrap_or_else(|| {
+            self.scratch.reset();
+            StreamState::default()
+        })
     }
 
     /// Abandon a document mid-stream (client hung up, finding budget
@@ -238,20 +236,29 @@ impl LintSession {
         self.stream.as_ref().map_or(0, |s| s.tok.buffered())
     }
 
-    /// Run every token the stream can currently complete through the
-    /// checker: one resume, every token of the drain, one suspend. The
-    /// per-document state is suspended between drains so the borrow of the
-    /// stream buffer never outlives the callback.
-    fn drain(spec: &HtmlSpec, config: &LintConfig, scratch: &mut Scratch, state: &mut StreamState) {
-        let doc = &mut state.doc;
-        state.tok.drain_tokens(|slice, offset, tokens| {
-            let view = SrcView::resumed(slice, offset);
-            let mut checker = Checker::resume(spec, config, view, scratch, doc);
-            for token in tokens {
-                checker.on_token(&token);
-            }
-            checker.suspend(doc);
-        });
+    /// The pump: run the checker over every token `tokens` yields, from
+    /// global offset `offset` of the document on, and then, if `eof`, the
+    /// end-of-document checks. The per-document state is resumed from
+    /// `doc` and suspended back into it, so no borrow of a buffer outlives
+    /// the drain.
+    fn drain(
+        &mut self,
+        doc: &mut DocState,
+        offset: usize,
+        tokens: &mut Tokenizer<'_>,
+        eof: bool,
+        profile: Option<&mut Profile>,
+    ) {
+        let view = SrcView::resumed(tokens.source(), offset);
+        let mut checker = Checker::resume(&self.spec, &self.config, view, &mut self.scratch, doc);
+        checker.profile = profile;
+        for token in tokens {
+            checker.on_token(&token);
+        }
+        if eof {
+            checker.run_eof_checks();
+        }
+        checker.suspend(doc);
     }
 
     /// Check a file on disk.
@@ -477,7 +484,7 @@ mod tests {
         let doc = "<H1>My Example</H2>";
         let mut session = LintSession::new();
         let plain = session.check_string(doc);
-        let mut profile = weblint_rules::profile::Profile::default();
+        let mut profile = Profile::default();
         let profiled = session.check_string_profiled(doc, &mut profile);
         assert_eq!(plain, profiled);
         assert_eq!(profile.documents, 1);

@@ -46,11 +46,6 @@ impl<'a> Cursor<'a> {
         self.src
     }
 
-    /// Document offset just past the end of the source.
-    pub(crate) fn end(&self) -> usize {
-        self.origin + self.src.len()
-    }
-
     /// Index into `src` of the cursor.
     fn at(&self) -> usize {
         self.pos.offset - self.origin
@@ -147,14 +142,31 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consume a text run: everything up to (not including) the next `<`
-    /// that begins markup, or to end-of-file. Returns the run and whether
-    /// it holds a `&`, `<` or `>` (a bare `<` included): exactly
-    /// `find_metachar(run).is_some()`.
-    pub(crate) fn eat_text(&mut self) -> (&'a str, bool) {
+    /// that begins markup, or to end-of-file, searching from byte `from`
+    /// (an earlier search over a shorter input found none before it).
+    /// Returns the run and whether it holds a `&`, `<` or `>` (a bare `<`
+    /// included): exactly `find_metachar(run).is_some()`.
+    ///
+    /// Unless `eof`, a run that reaches the end of the input could still
+    /// grow: nothing is consumed, and `Err` is where the search resumes,
+    /// short of a trailing `<` that the next byte may make markup.
+    pub(crate) fn eat_text(&mut self, from: usize, eof: bool) -> Result<(&'a str, bool), usize> {
         let rest = self.rest();
-        let run = scan_run::<true>(rest.as_bytes());
+        let bytes = rest.as_bytes();
+        let end = match bytes.last() {
+            Some(b'<') if !eof => bytes.len() - 1,
+            _ => bytes.len(),
+        };
+        let mut run = scan_run::<true>(&bytes[from..end]);
+        if from + run.len == end && !eof {
+            return Err(end);
+        }
+        if from > 0 {
+            // A run resumed past its start is counted once more, whole.
+            run = scan_run::<false>(&bytes[..from + run.len]);
+        }
         self.pos.advance_run(&run);
-        (&rest[..run.len], run.has_metachar)
+        Ok((&rest[..run.len], run.has_metachar))
     }
 
     /// Consume the next `n` bytes, which must end on a character boundary,
@@ -167,22 +179,15 @@ impl<'a> Cursor<'a> {
         (raw, run.has_metachar)
     }
 
-    /// Consume up to and including the next occurrence of `needle`;
-    /// return the slice *before* the needle, or `None` (consuming nothing)
-    /// if the needle does not occur.
-    pub(crate) fn eat_until_and_past(&mut self, needle: &str) -> Option<&'a str> {
+    /// Consume up to and including the first occurrence of `needle` that
+    /// starts at or after byte `from` of the remaining input, a character
+    /// boundary; return the consumed slice before the needle, or `None`
+    /// (consuming nothing) if there is none.
+    pub(crate) fn eat_until_and_past(&mut self, needle: &str, from: usize) -> Option<&'a str> {
         let rest = self.rest();
-        let idx = rest.find(needle)?;
-        let content = &rest[..idx];
-        self.pos.advance_str(content);
-        self.pos.advance_str(needle);
-        Some(content)
-    }
-
-    /// Find the next occurrence of `needle` case-insensitively in the
-    /// remaining input; returns byte index relative to [`Cursor::rest`].
-    pub(crate) fn find_ci(&self, needle: &str) -> Option<usize> {
-        find_ci(self.rest(), needle)
+        let idx = from + rest[from..].find(needle)?;
+        self.pos.advance_str(&rest[..idx + needle.len()]);
+        Some(&rest[..idx])
     }
 
     /// Consume everything to end-of-file; return it.
@@ -191,6 +196,14 @@ impl<'a> Cursor<'a> {
         self.pos.advance_str(rest);
         rest
     }
+}
+
+/// The largest character boundary of `s` at or below `at`.
+pub(crate) fn floor_char_boundary(s: &str, mut at: usize) -> usize {
+    while !s.is_char_boundary(at) {
+        at -= 1;
+    }
+    at
 }
 
 /// Whether `b`, just after a `<`, makes that `<` begin markup: a tag, an
@@ -339,7 +352,7 @@ mod tests {
         assert_eq!(c.eat_ascii_while(|b| b == b'x'), "x");
         assert!(c.eat_ws(102));
         assert_eq!(c.pos(), Pos::new(3, 7, 102));
-        assert_eq!(c.eat_bytes_while(c.end(), |b| b != b'z'), "y\n");
+        assert_eq!(c.eat_bytes_while(105, |b| b != b'z'), "y\n");
         assert_eq!(c.pos(), Pos::new(4, 1, 104));
         assert_eq!(c.rest(), "z");
     }
@@ -355,14 +368,18 @@ mod tests {
     #[test]
     fn eat_until_and_past_consumes_needle() {
         let mut c = Cursor::new("foo-->bar", Pos::START);
-        assert_eq!(c.eat_until_and_past("-->"), Some("foo"));
+        assert_eq!(c.eat_until_and_past("-->", 0), Some("foo"));
         assert_eq!(c.rest(), "bar");
+        // The search starts at `from`: a needle before it does not count.
+        let mut c = Cursor::new("<!-->a-->b", Pos::START);
+        assert_eq!(c.eat_until_and_past("-->", 4), Some("<!-->a"));
+        assert_eq!(c.rest(), "b");
     }
 
     #[test]
     fn eat_until_missing_needle_consumes_nothing() {
         let mut c = Cursor::new("foobar", Pos::START);
-        assert_eq!(c.eat_until_and_past("-->"), None);
+        assert_eq!(c.eat_until_and_past("-->", 0), None);
         assert_eq!(c.rest(), "foobar");
     }
 
@@ -419,13 +436,21 @@ mod tests {
     #[test]
     fn eat_text_stops_at_markup_or_eof() {
         let mut c = Cursor::new("ab\u{e9}\ncd<3f", Pos::START);
-        assert_eq!(c.eat_text(), ("ab\u{e9}\ncd<3f", true));
+        assert_eq!(c.eat_text(0, true), Ok(("ab\u{e9}\ncd<3f", true)));
         assert!(c.is_eof());
         let mut c = Cursor::new("ab\u{e9}\ncd<Ef", Pos::START);
-        assert_eq!(c.eat_text(), ("ab\u{e9}\ncd", false));
+        assert_eq!(c.eat_text(0, false), Ok(("ab\u{e9}\ncd", false)));
         assert_eq!(c.pos(), Pos::new(2, 3, 7));
         assert_eq!(c.rest(), "<Ef");
         let mut c = Cursor::new("a < b, trailing <", Pos::START);
-        assert_eq!(c.eat_text(), ("a < b, trailing <", true));
+        assert_eq!(c.eat_text(0, true), Ok(("a < b, trailing <", true)));
+        // Before end-of-file a run that reaches the end of the input stays
+        // open, short of a trailing `<`, and resumes where it stopped.
+        let mut c = Cursor::new("a < b, trailing <", Pos::START);
+        assert_eq!(c.eat_text(0, false), Err("a < b, trailing ".len()));
+        assert_eq!(c.rest(), "a < b, trailing <");
+        let mut c = Cursor::new("a < b,\ntrailing <I>x", Pos::START);
+        assert_eq!(c.eat_text(16, false), Ok(("a < b,\ntrailing ", true)));
+        assert_eq!(c.pos(), Pos::new(2, 10, 16));
     }
 }

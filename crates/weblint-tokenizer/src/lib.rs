@@ -55,9 +55,9 @@ pub use cursor::find_metachar;
 pub use entity::{scan_entities, EntityRef};
 pub use meta::{scan_metachars, MetaChar, MetaCharKind};
 pub use pos::{Pos, Span};
-pub use stream::{StreamTokenizer, StreamTokens};
+pub use stream::StreamTokenizer;
 pub use token::{Attr, AttrValue, Comment, Decl, Quote, Tag, Text, Token, TokenKind};
-pub use tokenizer::{Step, Tokenizer};
+pub use tokenizer::Tokenizer;
 
 /// Tokenize an entire document into a vector.
 ///

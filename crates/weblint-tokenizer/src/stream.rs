@@ -3,32 +3,33 @@
 //! [`StreamTokenizer`] is the buffer-management layer that turns the
 //! pull-based [`Tokenizer`] into a push-based one: callers [`feed`] byte
 //! chunks as they arrive (off a socket, a pipe, a fetch in progress) and
-//! drain the tokens that are already *prefix-stable* — tokens whose extent
-//! no future byte can change (see [`Tokenizer::step`]). The token stream,
-//! spans included, is byte-identical to tokenizing the concatenated
-//! document in one shot.
+//! drain the tokens that are already complete — tokens whose extent no
+//! future byte can change. The token stream, spans included, is
+//! byte-identical to tokenizing the concatenated document in one shot.
 //!
-//! Three pieces of state cross a feed boundary:
+//! Each drain runs the one [`Tokenizer`] over the unconsumed buffer. Two
+//! pieces of state cross a feed boundary besides that buffer and the
+//! global [`Pos`] of its first byte:
 //!
 //! 1. **The undecoded tail** — up to three bytes of an incomplete UTF-8
 //!    sequence, held back so the lossy decode matches
 //!    [`String::from_utf8_lossy`] of the whole input.
-//! 2. **The unconsumed buffer suffix** — bytes of a token still waiting for
-//!    its terminator, plus the global [`Pos`] of its first byte, where the
-//!    resumed tokenizer starts counting, so its spans are document
-//!    coordinates as they come.
-//! 3. **The tokenizer mode flags** — the pending raw-text close pattern
-//!    (`</script` …) and the `PLAINTEXT` latch.
+//! 2. **The tokenizer's carry** — the pending raw-text close pattern
+//!    (`</script` …), the `PLAINTEXT` latch, and the suspended scan: when
+//!    a text run, raw-text body, comment, CDATA section, declaration or
+//!    tag is still open at the end of the buffer, its scan records how far
+//!    its terminator search got and the search's state there (the open
+//!    quote of a tag body, say). The next drain resumes that search, so
+//!    every byte of a construct is searched once however many feeds it
+//!    spans, and the token is built once, when its terminator arrives.
 //!
 //! Consumed prefixes are compacted away, so memory is bounded by the
 //! largest single token, not the document.
 //!
 //! [`feed`]: StreamTokenizer::feed
 
-use crate::cursor::find_ci;
 use crate::pos::Pos;
-use crate::token::Token;
-use crate::tokenizer::{find_markup_start, Step, Tokenizer};
+use crate::tokenizer::{Carry, Tokenizer};
 
 /// Compact the buffer only once this many consumed bytes have piled up (and
 /// they are at least half the buffer), so steady chunked feeding does not
@@ -68,22 +69,10 @@ pub struct StreamTokenizer {
     /// Undecoded tail: a so-far-valid prefix of one UTF-8 character cut off
     /// by the chunk boundary (at most 3 bytes).
     pending: Vec<u8>,
-    /// Carried [`Tokenizer::mode`] flags.
-    raw_text_until: Option<&'static str>,
-    plaintext: bool,
+    /// What the tokenizer of the last drain left for the next one.
+    carry: Carry,
     /// `finish` was called: the next drain treats the buffer end as EOF.
     eof: bool,
-    /// How far into the unconsumed suffix the search for the pending text
-    /// run's terminator has got: no terminator *starts* before this
-    /// offset. The terminator is the raw-text close pattern (`</script`
-    /// …) in raw-text mode, else a `<` that begins markup. A bare `<`
-    /// (`a<b`, `i < 3`) does not end a run, so the watermark passes it;
-    /// it stops short only of a tail that could still grow into a
-    /// terminator (a trailing `<`, or a close-pattern prefix), which the
-    /// next feed re-reads. Without it, every feed of a long text run
-    /// would re-scan the whole carry, turning a streamed `<PRE>` dump or
-    /// `<SCRIPT>` body quadratic.
-    text_scan: usize,
 }
 
 impl StreamTokenizer {
@@ -151,72 +140,27 @@ impl StreamTokenizer {
         }
     }
 
-    /// Emit every token that is already stable (every remaining token, after
-    /// [`finish`](Self::finish)).
+    /// Emit every token that is already complete (every remaining token,
+    /// after [`finish`](Self::finish)).
     ///
-    /// `f` runs at most once per drain — not at all when no token can have
-    /// completed. It receives the backing text slice, the global byte
-    /// offset of that slice's first byte, and an iterator over the stable
-    /// tokens, each with **global** (whole-document) spans: any span a
-    /// token carries resolves via `&slice[span.start.offset - offset..]`.
-    /// Tokens the callback leaves unread stay in the stream for the next
-    /// drain.
-    pub fn drain_tokens<F: FnOnce(&str, usize, &mut StreamTokens<'_>)>(&mut self, f: F) {
-        // `<PLAINTEXT>` swallows the rest of the document as one token;
-        // nothing can stabilize until finish.
-        if !self.eof && (self.plaintext || !self.pending_run_may_end()) {
-            return;
-        }
-        self.text_scan = 0;
+    /// `f` runs once per drain. It receives the backing text slice, the
+    /// global byte offset of that slice's first byte, and the tokenizer
+    /// over it, which yields the complete tokens, each with **global**
+    /// (whole-document) spans: any span a token carries resolves via
+    /// `&slice[span.start.offset - offset..]`. Tokens the callback leaves
+    /// unread stay in the stream for the next drain.
+    pub fn drain_tokens<F>(&mut self, f: F)
+    where
+        F: for<'s> FnOnce(&'s str, usize, &mut Tokenizer<'s>),
+    {
         self.compact();
         let slice = &self.buf[self.consumed..];
-        let mut tokens = StreamTokens {
-            tok: Tokenizer::resume(slice, self.base, self.raw_text_until, self.plaintext),
-            eof: self.eof,
-            end: self.base,
-        };
+        let mut tokens = Tokenizer::resume(slice, self.base, self.carry, self.eof);
         f(slice, self.base.offset, &mut tokens);
-        let (raw_text_until, plaintext) = tokens.tok.mode();
-        let end = tokens.end;
-        self.raw_text_until = raw_text_until;
-        self.plaintext = plaintext;
+        let end = tokens.pos();
+        self.carry = tokens.carry();
         self.consumed += end.offset - self.base.offset;
         self.base = end;
-    }
-
-    /// Whether the token pending at the start of the unconsumed suffix may
-    /// complete with the bytes buffered so far. Only a text run (or a raw
-    /// text body) is answered from the suffix: its search resumes at the
-    /// [`text_scan`](Self::text_scan) watermark and moves it on, so each
-    /// byte of a long run is read a bounded number of times however many
-    /// feeds it spans. Any other pending token defers to the tokenizer.
-    fn pending_run_may_end(&mut self) -> bool {
-        let suffix = &self.buf[self.consumed..];
-        let from = self.text_scan.min(suffix.len());
-        self.text_scan = match self.raw_text_until {
-            Some(close) => {
-                // The close pattern is ASCII, so a match starts on a
-                // character boundary; the watermark may not, so back it up
-                // to one.
-                let from = (0..=from)
-                    .rev()
-                    .find(|&i| suffix.is_char_boundary(i))
-                    .unwrap_or(0);
-                if find_ci(&suffix[from..], close).is_some() {
-                    return true;
-                }
-                // A match could still start in the last `close.len() - 1`
-                // bytes, completed by the next chunk.
-                suffix.len().saturating_sub(close.len() - 1)
-            }
-            // A pending tag, comment or declaration starts with a `<` that
-            // begins markup, so it is found at offset 0 and answered true.
-            None => match find_markup_start(suffix.as_bytes(), from) {
-                Ok(_) => return true,
-                Err(resume) => resume,
-            },
-        };
-        false
     }
 
     /// Bytes currently buffered (unconsumed suffix plus any undecoded
@@ -241,28 +185,6 @@ impl StreamTokenizer {
             self.buf.drain(..self.consumed);
             self.consumed = 0;
         }
-    }
-}
-
-/// The stable tokens of one [`StreamTokenizer::drain_tokens`] call, in
-/// document order, with whole-document spans.
-#[derive(Debug)]
-pub struct StreamTokens<'a> {
-    tok: Tokenizer<'a>,
-    eof: bool,
-    /// Global position just past the last token yielded.
-    end: Pos,
-}
-
-impl<'a> Iterator for StreamTokens<'a> {
-    type Item = Token<'a>;
-
-    fn next(&mut self) -> Option<Token<'a>> {
-        let Step::Token(token) = self.tok.step(self.eof) else {
-            return None;
-        };
-        self.end = token.span.end;
-        Some(token)
     }
 }
 
@@ -411,7 +333,7 @@ mod tests {
         stream.finish();
         stream.drain_tokens(check_slice);
 
-        fn check_slice(slice: &str, offset: usize, tokens: &mut StreamTokens<'_>) {
+        fn check_slice(slice: &str, offset: usize, tokens: &mut Tokenizer<'_>) {
             let local = |span: Span| &slice[span.start.offset - offset..span.end.offset - offset];
             for t in tokens {
                 if let TokenKind::StartTag(tag) = &t.kind {
@@ -446,24 +368,5 @@ mod tests {
         stream.finish();
         stream.drain_tokens(|_, _, tokens| tokens.for_each(drop));
         assert_eq!(stream.buffered(), 0);
-    }
-
-    #[test]
-    fn step_with_eof_matches_iterator() {
-        let src = "<P>one<BR>two <!-- c --> three <B class=x>four</B><A HREF=\"x";
-        let mut by_iter = Vec::new();
-        for t in Tokenizer::new(src) {
-            by_iter.push(format!("{t:?}"));
-        }
-        let mut by_step = Vec::new();
-        let mut tok = Tokenizer::new(src);
-        loop {
-            match tok.step(true) {
-                Step::Token(t) => by_step.push(format!("{t:?}")),
-                Step::Done => break,
-                Step::NeedMore => panic!("NeedMore is unreachable at eof"),
-            }
-        }
-        assert_eq!(by_iter, by_step);
     }
 }

@@ -1,7 +1,8 @@
 //! The tokenizer state machine.
 
-use crate::cursor::{begins_markup, Cursor};
+use crate::cursor::{floor_char_boundary, Cursor};
 use crate::pos::{Pos, Span};
+use crate::run::is_char_start;
 use crate::token::{Attr, AttrValue, Comment, Decl, Quote, Tag, Text, Token, TokenKind};
 
 /// What a start tag named `name` does to the text after it: `Some(close)`
@@ -34,18 +35,54 @@ fn is_plaintext(name: &str) -> bool {
 /// the quote-parity fallback produces far better diagnostics.
 const QUOTE_SCAN_CAP: usize = 32 * 1024;
 
-/// One move of an incremental tokenization — what [`Tokenizer::step`]
-/// returns when the source may still be growing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step<'a> {
-    /// A complete token whose extent can never change, no matter what bytes
-    /// are appended after the current buffer.
-    Token(Token<'a>),
-    /// The next token's extent (or even its kind) depends on bytes that have
-    /// not arrived yet. Nothing was consumed; feed more input and retry.
-    NeedMore,
-    /// All input has been consumed.
-    Done,
+/// A scan that reached the end of a buffer that is not the end of the
+/// document, before its construct's terminator arrived: which construct,
+/// how far its search got, and the search's state there. Offsets count
+/// from the construct's first byte, where the next buffer begins, so the
+/// next drain resumes the search instead of restarting it and builds the
+/// token once, when its terminator arrives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scan {
+    /// A text run: no `<` that begins markup starts before `at`.
+    Text { at: usize },
+    /// A raw-text body: no close pattern starts before `at`.
+    RawText { at: usize },
+    /// A comment: no `-->` starts before `at`.
+    Comment { at: usize },
+    /// A CDATA section: no `]]>` starts before `at`.
+    Cdata { at: usize },
+    /// A declaration or processing instruction: the quote-aware walk for
+    /// its `>` reached `at` with `quote` open.
+    Decl { at: usize, quote: Option<u8> },
+    /// A start or end tag: the walk for its end reached `at`, counted
+    /// from past the `<` or `</`, in state `walk`.
+    Tag { is_end: bool, at: usize, walk: Walk },
+}
+
+/// The state of a tag's walk (see [`walk_tag`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Walk {
+    /// Outside any quote.
+    Plain,
+    /// Inside a `quote` opened at body offset `start`.
+    Quoted { quote: u8, start: usize },
+    /// The quote-aware walk gave up; the quote-parity fallback is
+    /// searching for its `>`.
+    Fallback,
+}
+
+/// Everything of a tokenizer's state besides its cursor that a tokenizer
+/// over the next buffer needs to carry on where this one stopped.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Carry {
+    /// When set, the content of a just-opened raw-text element must be
+    /// consumed as text before normal tokenization resumes. Holds the close
+    /// pattern (`"</script"` etc.) from [`raw_text_close`].
+    raw_text_until: Option<&'static str>,
+    /// A `PLAINTEXT` start tag was seen: the rest of the file is text.
+    plaintext: bool,
+    /// The scan that ran out of input, if the last one did.
+    scan: Option<Scan>,
 }
 
 /// A streaming HTML tokenizer.
@@ -53,10 +90,11 @@ pub enum Step<'a> {
 /// Iterate it to receive [`Token`]s. The tokenizer never fails: any input,
 /// however mangled, produces a token stream covering the whole document.
 ///
-/// For incremental input, [`Tokenizer::step`] reports [`Step::NeedMore`]
-/// instead of committing to a token that later bytes could change; the
-/// [`StreamTokenizer`](crate::StreamTokenizer) wrapper carries the
-/// in-between state across buffers.
+/// A tokenizer made by [`Tokenizer::new`] reads a whole document. The
+/// [`StreamTokenizer`](crate::StreamTokenizer) drives the same tokenizer
+/// over each buffer of a document that arrives in pieces: there a construct
+/// still open at the buffer's end ends the iteration, and the next buffer's
+/// tokenizer resumes its scan where this one stopped.
 ///
 /// # Examples
 ///
@@ -70,49 +108,39 @@ pub enum Step<'a> {
 #[derive(Debug, Clone)]
 pub struct Tokenizer<'a> {
     cur: Cursor<'a>,
-    /// When set, the content of a just-opened raw-text element must be
-    /// consumed as text before normal tokenization resumes. Holds the close
-    /// pattern (`"</script"` etc.) from [`RAW_TEXT_ELEMENTS`].
-    raw_text_until: Option<&'static str>,
-    /// A `PLAINTEXT` start tag was seen: the rest of the file is text.
-    plaintext: bool,
-    /// The last token's extent rests on the end of the buffer: its scan ran
-    /// out of input before finding a terminator (or, for a tag, decided on
-    /// a quote still open there), so bytes appended later could change it.
-    /// Every scanner sets it.
-    open_ended: bool,
+    carry: Carry,
+    /// The end of the buffer is the end of the document. When false, a
+    /// construct that reaches the end of the buffer is left unconsumed,
+    /// its scan recorded in `carry.scan`, and the iteration ends.
+    eof: bool,
 }
 
 impl<'a> Tokenizer<'a> {
     /// Create a tokenizer over `src`.
     pub fn new(src: &'a str) -> Tokenizer<'a> {
-        Tokenizer::resume(src, Pos::START, None, false)
+        Tokenizer::resume(src, Pos::START, Carry::default(), true)
     }
 
-    /// Create a tokenizer over `src` that resumes mid-document: `src` is a
-    /// suffix of some larger document, starting at document position
-    /// `start`, and the mode flags were captured (via [`Tokenizer::mode`])
-    /// from the tokenizer that consumed the prefix. Token spans are
-    /// document positions.
-    pub fn resume(
-        src: &'a str,
-        start: Pos,
-        raw_text_until: Option<&'static str>,
-        plaintext: bool,
-    ) -> Self {
+    /// A tokenizer over `src`, a piece of a larger document that starts at
+    /// document position `start`, carrying on from `carry`, the state of
+    /// the tokenizer over the piece before. Token spans are document
+    /// positions.
+    pub(crate) fn resume(src: &'a str, start: Pos, carry: Carry, eof: bool) -> Self {
         Tokenizer {
             cur: Cursor::new(src, start),
-            raw_text_until,
-            plaintext,
-            open_ended: false,
+            carry,
+            eof,
         }
     }
 
-    /// The cross-token mode flags — everything (besides the cursor) that a
-    /// resumed tokenizer needs to continue where this one stopped: the
-    /// pending raw-text close pattern and the `PLAINTEXT` latch.
-    pub fn mode(&self) -> (Option<&'static str>, bool) {
-        (self.raw_text_until, self.plaintext)
+    /// The state the tokenizer over the next piece carries on from.
+    pub(crate) fn carry(&self) -> Carry {
+        self.carry
+    }
+
+    /// Document position just past the last token.
+    pub(crate) fn pos(&self) -> Pos {
+        self.cur.pos()
     }
 
     /// The full source this tokenizer reads from.
@@ -120,37 +148,11 @@ impl<'a> Tokenizer<'a> {
         self.cur.src()
     }
 
-    /// Produce the next token, treating the end of the buffer as the end of
-    /// the document only when `eof` is true.
-    ///
-    /// With `eof == false`, a token is returned only when its extent is
-    /// *prefix-stable*: no bytes appended after the current buffer could
-    /// change it. A scan that terminates on a delimiter found *inside* the
-    /// buffer (a closing `>`, a `-->`, a markup-starting `<`) is stable; a
-    /// scan that ran to the end of the buffer is not, and yields
-    /// [`Step::NeedMore`] without consuming anything. The token is scanned
-    /// once either way: the scanner itself reports whether it ran out of
-    /// input, and an open-ended scan is rolled back.
-    ///
-    /// `step(true)` is exactly the [`Iterator`] implementation.
-    pub fn step(&mut self, eof: bool) -> Step<'a> {
-        if self.cur.is_eof() {
-            return if eof { Step::Done } else { Step::NeedMore };
-        }
-        if eof {
-            return match self.next_token() {
-                Some(tok) => Step::Token(tok),
-                None => Step::Done,
-            };
-        }
-        let before = self.clone();
-        match self.next_token() {
-            Some(tok) if !self.open_ended => Step::Token(tok),
-            _ => {
-                *self = before;
-                Step::NeedMore
-            }
-        }
+    /// Record `scan` for the tokenizer over the next buffer and end the
+    /// iteration, consuming nothing.
+    fn suspend(&mut self, scan: Scan) -> Option<Token<'a>> {
+        self.carry.scan = Some(scan);
+        None
     }
 
     fn token(&self, start: Pos, kind: TokenKind<'a>) -> Token<'a> {
@@ -175,140 +177,179 @@ impl<'a> Tokenizer<'a> {
         )
     }
 
-    /// Consume raw-text content up to (not including) `close` (`"</script"`
-    /// etc., matched case-insensitively).
-    fn scan_raw_text(&mut self, close: &str) -> Option<Token<'a>> {
-        let len = match self.cur.find_ci(close) {
-            Some(0) => return None, // no content; parse the end tag normally
-            Some(idx) => idx,
-            None => self.cur.rest().len(),
-        };
-        let tok = self.raw_text(len);
-        // Only a close pattern inside the buffer pins the run.
-        self.open_ended = self.cur.is_eof();
-        Some(tok)
+    /// Search for a raw-text body's end, `close` (`"</script"` etc.,
+    /// matched case-insensitively), from byte `from`: `Ok(len)` is the
+    /// body's length, `Err(at)` where the search resumes once more input
+    /// arrives.
+    fn raw_text_end(&self, close: &str, from: usize) -> Result<usize, usize> {
+        let rest = self.cur.rest();
+        match crate::cursor::find_ci(&rest[from..], close) {
+            Some(at) => Ok(from + at),
+            None if self.eof => Ok(rest.len()),
+            None => Err(resume_at(rest, from, close)),
+        }
     }
 
-    fn scan_text(&mut self) -> Token<'a> {
+    fn scan_text(&mut self, from: usize) -> Option<Token<'a>> {
         let start = self.cur.pos();
         // A bare `<` (e.g. "i < 3") is part of the text; one that begins
         // markup ends the run.
-        let (raw, has_metachar) = self.cur.eat_text();
-        // Only a markup-starting `<` inside the buffer pins the run; a
-        // trailing `<` may yet begin markup.
-        self.open_ended = self.cur.is_eof();
-        self.token(
-            start,
-            TokenKind::Text(Text {
-                raw,
-                is_raw: false,
-                has_metachar,
-            }),
-        )
+        match self.cur.eat_text(from, self.eof) {
+            Ok((raw, has_metachar)) => Some(self.token(
+                start,
+                TokenKind::Text(Text {
+                    raw,
+                    is_raw: false,
+                    has_metachar,
+                }),
+            )),
+            // Nothing but a `<` that the next byte decides: dispatch
+            // afresh then.
+            Err(0) => None,
+            Err(at) => self.suspend(Scan::Text { at }),
+        }
     }
 
-    fn scan_comment(&mut self) -> Token<'a> {
+    /// Consume the construct at the cursor up to and including `close`,
+    /// searched for from byte `from`: its bytes before `close`, and
+    /// whether the document ended first. `None` when more input may still
+    /// bring `close`: then `scan` records where the search resumes.
+    fn eat_closed_by(
+        &mut self,
+        close: &str,
+        from: usize,
+        scan: fn(usize) -> Scan,
+    ) -> Option<(&'a str, bool)> {
+        match self.cur.eat_until_and_past(close, from) {
+            Some(body) => Some((body, false)),
+            None if self.eof => Some((self.cur.eat_to_eof(), true)),
+            None => {
+                let at = resume_at(self.cur.rest(), from, close);
+                self.suspend(scan(at));
+                None
+            }
+        }
+    }
+
+    /// Scan a comment whose `-->` search starts at byte `from` (4, past
+    /// the `<!--`, on the first scan).
+    fn scan_comment(&mut self, from: usize) -> Option<Token<'a>> {
         let start = self.cur.pos();
-        self.cur.bump_bytes(4); // "<!--"
-        let (text, unterminated) = match self.cur.eat_until_and_past("-->") {
-            Some(t) => (t, false),
-            None => (self.cur.eat_to_eof(), true),
-        };
-        self.open_ended = unterminated;
-        let contains_markup = looks_like_markup(text);
-        let interior_dashes = text.contains("--");
-        self.token(
+        let (body, unterminated) = self.eat_closed_by("-->", from, |at| Scan::Comment { at })?;
+        let text = &body[4..];
+        Some(self.token(
             start,
             TokenKind::Comment(Comment {
                 text,
                 unterminated,
-                contains_markup,
-                interior_dashes,
+                contains_markup: looks_like_markup(text),
+                interior_dashes: text.contains("--"),
             }),
-        )
+        ))
     }
 
-    /// Scan a `<!…>` declaration or `<?…>` processing instruction.
-    /// `open_len` is the length of the opening delimiter to skip.
-    fn scan_decl(&mut self, open_len: usize) -> (Decl<'a>, Pos) {
+    /// Scan a CDATA marked section whose `]]>` search starts at byte
+    /// `from` (9, past the `<![CDATA[`, on the first scan).
+    fn scan_cdata(&mut self, from: usize) -> Option<Token<'a>> {
         let start = self.cur.pos();
-        self.cur.bump_bytes(open_len);
-        // CDATA marked sections close with "]]>", everything else with a
-        // quote-aware ">".
-        if self.cur.starts_with_ci("[CDATA[") {
-            self.cur.bump_bytes("[CDATA[".len());
-            let (text, unterminated) = match self.cur.eat_until_and_past("]]>") {
-                Some(t) => (t, false),
-                None => (self.cur.eat_to_eof(), true),
-            };
-            self.open_ended = unterminated;
-            return (Decl { text, unterminated }, start);
-        }
-        let body = self.cur.rest();
-        let mut in_quote: Option<u8> = None;
-        let end = body.bytes().position(|b| match in_quote {
-            None => match b {
-                b'>' => true,
-                b'"' | b'\'' => {
-                    in_quote = Some(b);
+        let (body, unterminated) = self.eat_closed_by("]]>", from, |at| Scan::Cdata { at })?;
+        let decl = Decl {
+            text: &body[CDATA_OPEN.len()..],
+            unterminated,
+        };
+        Some(self.token(start, TokenKind::Decl(decl)))
+    }
+
+    /// Scan a `<!…>` declaration or `<?…>` processing instruction, which
+    /// closes with a quote-aware `>`, resuming its walk at byte `from`
+    /// with `quote` open (2 and `None` on the first scan).
+    fn scan_decl(&mut self, from: usize, mut quote: Option<u8>) -> Option<Token<'a>> {
+        let rest = self.cur.rest();
+        let bytes = rest.as_bytes();
+        let end = bytes[from..]
+            .iter()
+            .position(|&b| match quote {
+                None => match b {
+                    b'>' => true,
+                    b'"' | b'\'' => {
+                        quote = Some(b);
+                        false
+                    }
+                    _ => false,
+                },
+                Some(q) => {
+                    if b == q {
+                        quote = None;
+                    }
                     false
                 }
-                _ => false,
-            },
-            Some(q) => {
-                if b == q {
-                    in_quote = None;
-                }
-                false
-            }
-        });
-        let terminated = end.is_some();
-        let text = &body[..end.unwrap_or(body.len())];
-        self.cur.bump_bytes(text.len());
-        if terminated {
-            self.cur.bump_ascii(1); // '>'
-        }
+            })
+            .map(|at| from + at);
         // A walk that ran off the buffer, in a quote or not, could still
         // meet its `>` (or close its quote and move it) in later bytes.
-        self.open_ended = !terminated;
-        (
-            Decl {
-                text,
-                unterminated: !terminated,
-            },
-            start,
-        )
-    }
-
-    fn scan_markup_decl(&mut self) -> Token<'a> {
-        if self.cur.starts_with("<!--") {
-            return self.scan_comment();
+        if end.is_none() && !self.eof {
+            let at = bytes.len();
+            return self.suspend(Scan::Decl { at, quote });
         }
-        let is_doctype = self.cur.starts_with_ci("<!doctype");
-        let (decl, start) = self.scan_decl(2);
-        if is_doctype {
-            self.token(start, TokenKind::Doctype(decl))
-        } else {
-            self.token(start, TokenKind::Decl(decl))
-        }
-    }
-
-    fn scan_pi(&mut self) -> Token<'a> {
-        let (decl, start) = self.scan_decl(2);
-        self.token(start, TokenKind::Pi(decl))
-    }
-
-    fn scan_tag(&mut self, is_end: bool) -> Token<'a> {
         let start = self.cur.pos();
+        let is_doctype = self.cur.starts_with_ci("<!doctype");
+        let decl = Decl {
+            text: &rest[2..end.unwrap_or(rest.len())],
+            unterminated: end.is_none(),
+        };
+        self.cur.bump_bytes(end.map_or(rest.len(), |at| at + 1));
+        let kind = if bytes[1] == b'?' {
+            TokenKind::Pi(decl)
+        } else if is_doctype {
+            TokenKind::Doctype(decl)
+        } else {
+            TokenKind::Decl(decl)
+        };
+        Some(self.token(start, kind))
+    }
+
+    fn scan_markup_decl(&mut self) -> Option<Token<'a>> {
+        // Until its opener is whole, a `<!` could still become a comment
+        // or a CDATA section, each with its own terminator.
+        let rest = self.cur.rest().as_bytes();
+        let cut = |open: &str| {
+            rest.len() < open.len() && open.as_bytes()[..rest.len()].eq_ignore_ascii_case(rest)
+        };
+        if !self.eof && (cut("<!--") || cut(CDATA_OPEN)) {
+            return None;
+        }
+        if self.cur.starts_with("<!--") {
+            self.scan_comment(4)
+        } else if self.cur.starts_with_ci(CDATA_OPEN) {
+            self.scan_cdata(CDATA_OPEN.len())
+        } else {
+            self.scan_decl(2, None)
+        }
+    }
+
+    /// Scan a tag whose walk for its end resumes at byte `at` past the
+    /// `<` or `</` in state `walk` (0 and [`Walk::Plain`] on the first
+    /// scan).
+    fn scan_tag(&mut self, is_end: bool, at: usize, walk: Walk) -> Option<Token<'a>> {
+        let head = 1 + usize::from(is_end);
+        match walk_tag(&self.cur.rest().as_bytes()[head..], at, walk, self.eof) {
+            Ok((len, end, odd_quotes)) => Some(self.build_tag(is_end, head + len, end, odd_quotes)),
+            Err((at, walk)) => self.suspend(Scan::Tag { is_end, at, walk }),
+        }
+    }
+
+    /// Consume the tag at the cursor, whose body ends `len` bytes on, how
+    /// [`walk_tag`] found, and parse its name and attributes.
+    fn build_tag(&mut self, is_end: bool, len: usize, end: BodyEnd, odd_quotes: bool) -> Token<'a> {
+        let start = self.cur.pos();
+        let body_end_offset = start.offset + len;
         self.cur.bump_ascii(if is_end { 2 } else { 1 }); // '<' or '</'
-        let eof = self.cur.end();
-        let space_before_name = is_end && self.cur.eat_ws(eof);
+        let space_before_name = is_end && self.cur.eat_ws(body_end_offset);
         let name = self.cur.eat_ascii_while(is_name_byte);
 
         // The commonest tag has no body at all: `<P>`, `</TD>`.
-        if self.cur.peek_byte(0) == Some(b'>') {
+        if self.cur.pos().offset == body_end_offset && end == BodyEnd::Gt {
             self.cur.bump_ascii(1);
-            self.open_ended = false;
             let tag = Tag {
                 name,
                 attrs: Vec::new(),
@@ -320,20 +361,16 @@ impl<'a> Tokenizer<'a> {
             return self.tag_token(start, is_end, tag);
         }
 
-        let (body_len, end_kind, odd_quotes, open_ended) = scan_tag_body(self.cur.rest());
-        self.open_ended = open_ended;
-        let body_end_offset = self.cur.pos().offset + body_len;
-
         // An XML-style "/>" self-close: strip the trailing '/' from the body
         // so it is not parsed as a stray attribute.
-        let body = &self.cur.rest()[..body_len];
+        let body = &self.cur.rest()[..body_end_offset - self.cur.pos().offset];
         let trimmed = match body.as_bytes().last() {
             // Most bodies end in a quote or a name character: nothing to
             // trim, and no need to decode the last character to know it.
             Some(b) if b.is_ascii_graphic() => body,
             _ => body.trim_end(),
         };
-        let self_closing = end_kind == BodyEnd::Gt && trimmed.ends_with('/');
+        let self_closing = end == BodyEnd::Gt && trimmed.ends_with('/');
         let attr_limit = if self_closing {
             self.cur.pos().offset + trimmed.len() - 1
         } else {
@@ -348,7 +385,7 @@ impl<'a> Tokenizer<'a> {
         if left > 0 {
             self.cur.bump_bytes(left);
         }
-        if end_kind == BodyEnd::Gt {
+        if end == BodyEnd::Gt {
             self.cur.bump_ascii(1); // '>'
         }
 
@@ -357,19 +394,24 @@ impl<'a> Tokenizer<'a> {
             attrs,
             self_closing,
             odd_quotes,
-            unterminated: end_kind != BodyEnd::Gt,
+            unterminated: end != BodyEnd::Gt,
             space_before_name,
         };
         self.tag_token(start, is_end, tag)
     }
 
-    fn tag_token(&self, start: Pos, is_end: bool, tag: Tag<'a>) -> Token<'a> {
-        let kind = if is_end {
-            TokenKind::EndTag(tag)
-        } else {
-            TokenKind::StartTag(tag)
-        };
-        self.token(start, kind)
+    /// The token of a tag that ends at the cursor. A start tag may switch
+    /// the mode the tokenizer reads what follows it in.
+    fn tag_token(&mut self, start: Pos, is_end: bool, tag: Tag<'a>) -> Token<'a> {
+        if is_end {
+            return self.token(start, TokenKind::EndTag(tag));
+        }
+        if let Some(close) = raw_text_close(tag.name) {
+            self.carry.raw_text_until = Some(close);
+        } else if is_plaintext(tag.name) {
+            self.carry.plaintext = true;
+        }
+        self.token(start, TokenKind::StartTag(tag))
     }
 
     /// Parse attributes up to byte offset `limit` (exclusive).
@@ -447,42 +489,56 @@ impl<'a> Tokenizer<'a> {
             }
         }
     }
-}
 
-impl<'a> Tokenizer<'a> {
-    /// The one token-producing path, shared by [`Iterator::next`] (eof
-    /// semantics) and [`Tokenizer::step`] (which gates it on stability).
+    /// The one token-producing path: resume the suspended scan, if any,
+    /// else dispatch on the next bytes.
     fn next_token(&mut self) -> Option<Token<'a>> {
         if self.cur.is_eof() {
             return None;
         }
-        if self.plaintext {
+        if self.carry.plaintext {
             // PLAINTEXT swallows everything to end-of-file.
-            let tok = self.raw_text(self.cur.rest().len());
-            self.open_ended = true;
-            return Some(tok);
+            return self.eof.then(|| self.raw_text(self.cur.rest().len()));
         }
-        if let Some(close) = self.raw_text_until.take() {
-            if let Some(tok) = self.scan_raw_text(close) {
-                return Some(tok);
+        match self.carry.scan {
+            None => self.scan_next(0),
+            Some(_) => self.resume_scan(),
+        }
+    }
+
+    /// Scan the next token from its first byte; in raw-text mode, search
+    /// for the body's end from byte `raw_from`.
+    fn scan_next(&mut self, raw_from: usize) -> Option<Token<'a>> {
+        if let Some(close) = self.carry.raw_text_until.take() {
+            match self.raw_text_end(close, raw_from) {
+                Ok(0) => {} // no content; parse the end tag normally
+                Ok(len) => return Some(self.raw_text(len)),
+                Err(at) => {
+                    self.carry.raw_text_until = Some(close);
+                    return self.suspend(Scan::RawText { at });
+                }
             }
         }
-        let tok = match *self.cur.rest().as_bytes() {
+        match *self.cur.rest().as_bytes() {
             [b'<', b'!', ..] => self.scan_markup_decl(),
-            [b'<', b'?', ..] => self.scan_pi(),
-            [b'<', b'/', ..] => self.scan_tag(true),
-            [b'<', c, ..] if c.is_ascii_alphabetic() => self.scan_tag(false),
-            [] => return None,
-            _ => self.scan_text(),
-        };
-        if let TokenKind::StartTag(tag) = &tok.kind {
-            if let Some(close) = raw_text_close(tag.name) {
-                self.raw_text_until = Some(close);
-            } else if is_plaintext(tag.name) {
-                self.plaintext = true;
-            }
+            [b'<', b'?', ..] => self.scan_decl(2, None),
+            [b'<', b'/', ..] => self.scan_tag(true, 0, Walk::Plain),
+            [b'<', c, ..] if c.is_ascii_alphabetic() => self.scan_tag(false, 0, Walk::Plain),
+            _ => self.scan_text(0),
         }
-        Some(tok)
+    }
+
+    /// Carry on the scan the tokenizer over the last buffer suspended.
+    #[cold]
+    fn resume_scan(&mut self) -> Option<Token<'a>> {
+        match self.carry.scan.take()? {
+            Scan::Text { at } => self.scan_text(at),
+            Scan::RawText { at } => self.scan_next(at),
+            Scan::Comment { at } => self.scan_comment(at),
+            Scan::Cdata { at } => self.scan_cdata(at),
+            Scan::Decl { at, quote } => self.scan_decl(at, quote),
+            Scan::Tag { is_end, at, walk } => self.scan_tag(is_end, at, walk),
+        }
     }
 }
 
@@ -494,22 +550,14 @@ impl<'a> Iterator for Tokenizer<'a> {
     }
 }
 
-/// Search `bytes` from `from` for the `<` that ends a text run — one that
-/// begins markup. `Ok(at)` is its offset. `Err(resume)` means none is
-/// buffered yet: every `<` before `resume` is a bare one, and a search
-/// after more bytes arrive may start at `resume` (a trailing `<` is not yet
-/// decided, so `resume` stops at it).
-pub(crate) fn find_markup_start(bytes: &[u8], from: usize) -> Result<usize, usize> {
-    let mut i = from;
-    while let Some(k) = crate::cursor::memchr(b'<', &bytes[i..]) {
-        let at = i + k;
-        match bytes.get(at + 1) {
-            Some(&n) if begins_markup(n) => return Ok(at),
-            Some(_) => i = at + 1,
-            None => return Err(at),
-        }
-    }
-    Err(bytes.len())
+/// The opener of a CDATA marked section, matched case-insensitively.
+const CDATA_OPEN: &str = "<![CDATA[";
+
+/// Where a search of `rest` for `needle` that began at byte `from` and
+/// found nothing resumes once more bytes arrive: before the tail that the
+/// next bytes could complete into `needle`, on a character boundary.
+fn resume_at(rest: &str, from: usize, needle: &str) -> usize {
+    floor_char_boundary(rest, rest.len().saturating_sub(needle.len() - 1).max(from))
 }
 
 /// How a tag body scan ended.
@@ -523,8 +571,13 @@ enum BodyEnd {
     Eof,
 }
 
-/// Find the extent of a tag body (everything between the element name and
-/// the closing `>`).
+/// Find where a tag ends: `tag` is its bytes past the `<` or `</`, and
+/// the walk resumes at byte `i` in state `walk`. Returns the length of
+/// the name and body (everything before the closing `>`), how they ended
+/// and whether their quotes are odd, or, when the walk reaches the end of
+/// `tag` and `eof` is false, where it stopped. The name, and the
+/// whitespace an end tag allows before it, hold no byte the walk decides
+/// on, so the walk reads them as it reads the body.
 ///
 /// First a quote-aware walk is attempted: quoted values may contain `>` and
 /// newlines. If that walk finds a `<` *inside* a quote, runs past
@@ -534,68 +587,71 @@ enum BodyEnd {
 /// reports whether the quote count in that span is odd (the paper's §4.2
 /// "odd number of quotes in element" diagnostic).
 ///
-/// The last field is true when bytes appended after `rest` could change the
-/// result. A quote-aware `>` or unquoted `<` pins it, and so does an abort
-/// (a `<` inside a quote, or a quote past the cap) once the fallback finds
-/// its `>`. Running off the end of `rest`, in a quote or not, pins nothing:
-/// a later byte could close the quote and move the real terminator.
-fn scan_tag_body(rest: &str) -> (usize, BodyEnd, bool, bool) {
+/// A quote-aware `>` or unquoted `<` settles the extent, and so does an
+/// abort (a `<` inside a quote, or a quote past the cap) once the fallback
+/// finds its `>`. Running off the end of `body` settles nothing before
+/// end-of-file: a later byte could close the quote and move the real
+/// terminator.
+// Inlined into its one caller: every tag takes this path, and a call per
+// bodiless tag (`<P>`, `</TD>`) cost 5–10% of tokenizing them.
+#[inline]
+fn walk_tag(
+    tag: &[u8],
+    mut i: usize,
+    mut walk: Walk,
+    eof: bool,
+) -> Result<(usize, BodyEnd, bool), (usize, Walk)> {
     // A byte walk, not a char walk: every byte that decides anything
     // (`>` `<` `"` `'`) is ASCII and can never match inside a multibyte
-    // character. The cap check fires only at character starts so the abort
-    // point is identical to the old per-char scan.
-    let bytes = rest.as_bytes();
-    let mut in_quote: Option<u8> = None;
-    let mut quote_start = 0usize;
-    let mut aborted = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match in_quote {
-            None => match b {
-                b'>' => return (i, BodyEnd::Gt, false, false),
-                b'<' => return (i, BodyEnd::EarlyLt, false, false),
-                b'"' | b'\'' => {
-                    in_quote = Some(b);
-                    quote_start = i;
-                }
+    // character. The cap check fires only at character starts, so the
+    // abort point is where a per-char walk would abort.
+    while i < tag.len() {
+        let b = tag[i];
+        match walk {
+            Walk::Plain => match b {
+                b'>' => return Ok((i, BodyEnd::Gt, false)),
+                b'<' => return Ok((i, BodyEnd::EarlyLt, false)),
+                b'"' | b'\'' => walk = Walk::Quoted { quote: b, start: i },
                 _ => {}
             },
-            Some(q) => {
-                if b == q {
-                    in_quote = None;
-                } else if b == b'<' || ((b & 0xC0) != 0x80 && i - quote_start > QUOTE_SCAN_CAP) {
-                    aborted = true;
+            Walk::Quoted { quote, start } => {
+                if b == quote {
+                    walk = Walk::Plain;
+                } else if b == b'<' || (is_char_start(b) && i - start > QUOTE_SCAN_CAP) {
                     break;
                 }
             }
+            Walk::Fallback => break,
         }
         i += 1;
     }
-    let (len, end, odd_quotes) = match in_quote {
-        // EOF outside a quote: tag just never closed.
-        None if !aborted => (rest.len(), BodyEnd::Eof, false),
-        // EOF inside a quote, or an abort: the parity heuristic.
-        _ => naive_tag_body(rest),
-    };
-    let open_ended = !aborted || end != BodyEnd::Gt;
-    (len, end, odd_quotes, open_ended)
-}
-
-/// The quote-parity fallback: cut the tag at the first `>` (quote-blind).
-fn naive_tag_body(rest: &str) -> (usize, BodyEnd, bool) {
-    match rest.find('>') {
-        Some(i) => (i, BodyEnd::Gt, odd_quote_count(&rest[..i])),
-        None => match rest.find('<') {
-            Some(i) => (i, BodyEnd::EarlyLt, odd_quote_count(&rest[..i])),
-            None => (rest.len(), BodyEnd::Eof, odd_quote_count(rest)),
-        },
+    // An abort, or EOF inside a quote: the quote-parity fallback cuts the
+    // tag at the first `>`, which may sit anywhere in it.
+    if matches!(walk, Walk::Quoted { .. }) && (i < tag.len() || eof) {
+        (walk, i) = (Walk::Fallback, 0);
     }
+    if walk != Walk::Fallback {
+        // EOF outside a quote: the tag just never closed.
+        return if eof {
+            Ok((tag.len(), BodyEnd::Eof, false))
+        } else {
+            Err((i, walk))
+        };
+    }
+    let (len, end) = match crate::cursor::memchr(b'>', &tag[i..]) {
+        Some(at) => (i + at, BodyEnd::Gt),
+        None if !eof => return Err((tag.len(), walk)),
+        None => match crate::cursor::memchr(b'<', tag) {
+            Some(at) => (at, BodyEnd::EarlyLt),
+            None => (tag.len(), BodyEnd::Eof),
+        },
+    };
+    Ok((len, end, odd_quote_count(&tag[..len])))
 }
 
-fn odd_quote_count(s: &str) -> bool {
-    let dq = s.bytes().filter(|&b| b == b'"').count();
-    let sq = s.bytes().filter(|&b| b == b'\'').count();
+fn odd_quote_count(s: &[u8]) -> bool {
+    let dq = s.iter().filter(|&&b| b == b'"').count();
+    let sq = s.iter().filter(|&&b| b == b'\'').count();
     dq % 2 == 1 || sq % 2 == 1
 }
 
@@ -681,10 +737,10 @@ pub(crate) mod tests {
 
     /// The stability verdicts as they stood before the scanners reported
     /// them: a separate read-only pass over the buffer per token. Kept as
-    /// the oracle `step` is checked against.
+    /// the oracle the suspended scans are checked against.
     mod reference {
-        use crate::cursor::find_ci;
-        use crate::tokenizer::{find_markup_start, QUOTE_SCAN_CAP};
+        use crate::cursor::{begins_markup, find_ci};
+        use crate::tokenizer::QUOTE_SCAN_CAP;
 
         /// Whether the next token of `rest` (tokenized in the given mode)
         /// is already fully determined by the bytes in the buffer.
@@ -720,7 +776,9 @@ pub(crate) mod tests {
         /// run that consumed to the buffer's end (no `<`, a trailing bare `<`, or
         /// only non-markup `<`s) could still grow.
         fn text_stable(rest: &str) -> bool {
-            find_markup_start(rest.as_bytes(), 0).is_ok()
+            rest.as_bytes()
+                .windows(2)
+                .any(|w| w[0] == b'<' && begins_markup(w[1]))
         }
 
         /// Stability of a `<!…>` markup declaration. Classification between comment,
@@ -827,41 +885,38 @@ pub(crate) mod tests {
         }
     }
 
-    /// Step `buf` with `eof == false` until it needs more, checking before
-    /// every step that a token comes out exactly when the reference says
-    /// the next token is already stable.
-    fn assert_steps_match_reference(buf: &str) {
-        let mut tok = Tokenizer::new(buf);
+    /// Tokenize `buf` as a buffer that does not end its document,
+    /// checking before every token that one comes out exactly when the
+    /// reference says the next token is already stable, and that a scan
+    /// suspended at the end consumed nothing.
+    fn assert_scans_match_reference(buf: &str) {
+        let mut tok = Tokenizer::resume(buf, Pos::START, Carry::default(), false);
         loop {
-            let (raw_text_until, plaintext) = tok.mode();
+            let mode = (tok.carry.raw_text_until, tok.carry.plaintext);
             let rest = tok.cur.rest();
-            let stable =
-                !rest.is_empty() && reference::next_token_stable(rest, raw_text_until, plaintext);
-            match tok.step(false) {
-                Step::Token(_) => assert!(stable, "unstable token taken at {rest:?} of {buf:?}"),
-                Step::NeedMore => {
-                    assert!(!stable, "stable token refused at {rest:?} of {buf:?}");
-                    assert_eq!(tok.cur.rest(), rest, "NeedMore consumed input");
-                    assert_eq!(tok.mode(), (raw_text_until, plaintext));
-                    return;
-                }
-                Step::Done => panic!("Done is unreachable before eof"),
+            let stable = !rest.is_empty() && reference::next_token_stable(rest, mode.0, mode.1);
+            if tok.next().is_some() {
+                assert!(stable, "unstable token taken at {rest:?} of {buf:?}");
+                continue;
             }
+            assert!(!stable, "stable token refused at {rest:?} of {buf:?}");
+            assert_eq!(tok.cur.rest(), rest, "a suspended scan consumed input");
+            return;
         }
     }
 
     #[test]
-    fn step_takes_exactly_the_stable_tokens_of_every_prefix() {
+    fn scans_take_exactly_the_stable_tokens_of_every_prefix() {
         for doc in TRICKY_DOCS {
             let doc = String::from_utf8_lossy(doc);
             for cut in (0..=doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
-                assert_steps_match_reference(&doc[..cut]);
+                assert_scans_match_reference(&doc[..cut]);
             }
         }
     }
 
     #[test]
-    fn step_matches_reference_around_the_quote_scan_cap() {
+    fn scans_match_reference_around_the_quote_scan_cap() {
         // A quote that runs past the cap aborts the quote-aware walk; the
         // fallback then needs a `>` anywhere to pin the tag.
         let long = "x".repeat(QUOTE_SCAN_CAP + 8);
@@ -877,7 +932,7 @@ pub(crate) mod tests {
             doc.len() - 3,
             doc.len(),
         ] {
-            assert_steps_match_reference(&doc[..cut]);
+            assert_scans_match_reference(&doc[..cut]);
         }
     }
 
@@ -1243,9 +1298,9 @@ pub(crate) mod tests {
 
     #[test]
     fn odd_quote_parity_detects_singles() {
-        assert!(odd_quote_count("a'b"));
-        assert!(!odd_quote_count("a'b'c"));
-        assert!(odd_quote_count("\""));
-        assert!(!odd_quote_count("\"\""));
+        assert!(odd_quote_count(b"a'b"));
+        assert!(!odd_quote_count(b"a'b'c"));
+        assert!(odd_quote_count(b"\""));
+        assert!(!odd_quote_count(b"\"\""));
     }
 }

@@ -227,39 +227,79 @@ fn streamed_raw_text_with_bare_lt_stays_linear() {
     );
 }
 
-/// Seconds for `iters` one-shot tokenizes plus `iters` one-shot lints of
-/// `doc`.
-fn one_shot_time(session: &mut LintSession, doc: &str, iters: usize) -> f64 {
-    let started = Instant::now();
-    for _ in 0..iters {
+/// Seconds for `iters` one-shot tokenizes, for `iters` one-shot lints and
+/// for `iters` lints streamed in [`CHUNK`]-byte feeds of `doc`.
+fn linear_times(session: &mut LintSession, doc: &str, iters: usize) -> [f64; 3] {
+    let time = |run: &mut dyn FnMut()| {
+        let started = Instant::now();
+        for _ in 0..iters {
+            run();
+        }
+        started.elapsed().as_secs_f64()
+    };
+    let tokenize = time(&mut || {
         std::hint::black_box(weblint_tokenizer::tokenize(doc).len());
+    });
+    let one_shot = time(&mut || {
         std::hint::black_box(session.check_string(doc));
-    }
-    started.elapsed().as_secs_f64()
+    });
+    let streamed = time(&mut || {
+        std::hint::black_box(stream(session, doc));
+    });
+    [tokenize, one_shot, streamed]
 }
 
-/// Assert that the one-shot time of `build(2 MiB)` stays within 3x that of
-/// `build(1 MiB)`: a scan that re-reads what it passed would grow
-/// quadratically. The sizes alternate within each round, so scheduler
-/// noise hits both alike, and each keeps its best round.
-fn assert_one_shot_linear(what: &str, build: impl Fn(usize) -> String) {
-    let (small, large) = (build(1 << 20), build(2 << 20));
+/// Assert that tokenizing and linting `build(bytes)`, one-shot and
+/// streamed in [`CHUNK`]-byte feeds, stays linear in `bytes`: from `small`
+/// bytes to `step` times as many, each path's time may grow at most
+/// `1.5 * step`-fold, where a scan or walk that re-reads what it passed
+/// grows `step * step`-fold. At the larger size the streamed lint may take
+/// at most 5x the one-shot one, the ceiling of
+/// `streamed_raw_text_with_bare_lt_stays_linear`. The sizes alternate
+/// within each round, so scheduler noise hits both alike, and each keeps
+/// its best round.
+fn assert_linear(what: &str, small: usize, step: usize, build: impl Fn(usize) -> String) {
+    let (small_doc, large_doc) = (build(small), build(small * step));
     let mut session = LintSession::new();
-    session.check_string(&small); // warm the scratch buffers
-    let (mut small_s, mut large_s) = (f64::MAX, f64::MAX);
-    for _ in 0..7 {
-        small_s = small_s.min(one_shot_time(&mut session, &small, 3));
-        large_s = large_s.min(one_shot_time(&mut session, &large, 3));
+    assert_eq!(
+        stream(&mut session, &large_doc),
+        session.check_string(&large_doc),
+        "{what}: streamed lint differs from one-shot"
+    );
+    let (mut small_s, mut large_s) = ([f64::MAX; 3], [f64::MAX; 3]);
+    // Debug builds arm no ceiling, so one round shows the figures.
+    let rounds = if cfg!(debug_assertions) { 1 } else { 7 };
+    for _ in 0..rounds {
+        for (best, doc) in [(&mut small_s, &small_doc), (&mut large_s, &large_doc)] {
+            let times = linear_times(&mut session, doc, 3);
+            for (best, t) in best.iter_mut().zip(times) {
+                *best = best.min(t);
+            }
+        }
     }
-    let ratio = large_s / small_s;
-    eprintln!("{what}: 2 MiB / 1 MiB one-shot = {ratio:.2}x");
+    let one_shot = (large_s[0] + large_s[1]) / (small_s[0] + small_s[1]);
+    let streamed = large_s[2] / small_s[2];
+    let toll = large_s[2] / large_s[1];
+    eprintln!(
+        "{what}: {step}x the bytes takes {one_shot:.2}x one-shot, {streamed:.2}x streamed; \
+         streamed/one-shot = {toll:.2}x"
+    );
     if cfg!(debug_assertions) {
-        eprintln!("debug build: ratio ceiling not armed");
+        eprintln!("debug build: ratio ceilings not armed");
         return;
     }
+    let ceiling = 1.5 * step as f64;
     assert!(
-        ratio <= 3.0,
-        "{what}: 2 MiB took {ratio:.1}x the 1 MiB time one-shot; a scan re-reads its input"
+        one_shot <= ceiling,
+        "{what}: {step}x the bytes took {one_shot:.1}x the time one-shot; a scan re-reads its input"
+    );
+    assert!(
+        streamed <= ceiling,
+        "{what}: {step}x the bytes took {streamed:.1}x the time streamed; a feed re-reads its carry"
+    );
+    assert!(
+        toll <= 5.0,
+        "{what}: streamed took {toll:.1}x one-shot; a feed re-reads its carry"
     );
 }
 
@@ -273,13 +313,28 @@ fn filled(head: &str, body: &str, bytes: usize, tail: &str) -> String {
     doc
 }
 
+/// `head`, then `piece(0)`, `piece(1)`, … up to `bytes`, then `tail`.
+fn numbered(head: &str, piece: impl Fn(usize) -> String, bytes: usize, tail: &str) -> String {
+    let mut doc = String::from(head);
+    for i in 0.. {
+        if doc.len() >= bytes {
+            break;
+        }
+        doc.push_str(&piece(i));
+    }
+    doc.push_str(tail);
+    doc
+}
+
+const HEAD: &str = "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\n";
+
 #[test]
 fn one_shot_unterminated_comment_stays_linear() {
     // A comment with no `-->` runs to end-of-file: one token, found by one
-    // search for the terminator.
-    assert_one_shot_linear("unterminated comment", |bytes| {
+    // search for the terminator, which each feed resumes.
+    assert_linear("unterminated comment", 1 << 20, 2, |bytes| {
         filled(
-            "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\n<!-- ",
+            &format!("{HEAD}<!-- "),
             "a comment line, <B>markup</B> and -- dashes\n",
             bytes,
             "",
@@ -292,13 +347,73 @@ fn one_shot_runaway_quoted_value_stays_linear() {
     // A quoted value that never closes: the quote-aware tag scan gives up
     // at its cap and the quote-parity fallback cuts the tag at the first
     // `>`, two megabytes on. The attribute parser then reads the value once.
-    assert_one_shot_linear("runaway quoted value", |bytes| {
+    assert_linear("runaway quoted value", 1 << 20, 2, |bytes| {
         filled(
-            "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\n<A HREF=\"",
+            &format!("{HEAD}<A HREF=\""),
             "words of a value that never closes its quote\n",
             bytes,
             ">here</A></BODY></HTML>\n",
         )
+    });
+}
+
+#[test]
+fn open_doctype_quote_stays_linear() {
+    // A DOCTYPE whose quoted public id never closes: the quote-aware walk
+    // for its `>` runs to end-of-file, passing every `>` in the quote.
+    assert_linear("open DOCTYPE quote", 1 << 20, 2, |bytes| {
+        filled(
+            "<!DOCTYPE HTML PUBLIC \"",
+            "a public id that never closes, with > and <B> inside\n",
+            bytes,
+            "",
+        )
+    });
+}
+
+#[test]
+fn open_cdata_section_stays_linear() {
+    // A CDATA section with no `]]>` runs to end-of-file.
+    assert_linear("open CDATA section", 1 << 20, 2, |bytes| {
+        filled(
+            &format!("{HEAD}<![CDATA[ "),
+            "character data with <B>markup</B>, ]] and > but no close\n",
+            bytes,
+            "",
+        )
+    });
+}
+
+#[test]
+fn distinct_unknown_element_names_stay_linear() {
+    // Every tag names an element the tables do not hold, each a new one,
+    // so each misses the static atoms and interns a new side name.
+    assert_linear("distinct unknown elements", 32 << 10, 4, |bytes| {
+        numbered(HEAD, |i| format!("<Q{i:x}>\n"), bytes, "")
+    });
+}
+
+#[test]
+fn distinct_unknown_attribute_names_stay_linear() {
+    // One tag holding ever more attributes, each with a new unknown name:
+    // one default-capped `POST /lint` body of this shape once held a
+    // thread for 24 s.
+    assert_linear("distinct unknown attributes", 32 << 10, 4, |bytes| {
+        numbered(
+            &format!("{HEAD}<P"),
+            |i| format!(" a{i:x}"),
+            bytes,
+            ">x</P>\n",
+        )
+    });
+}
+
+#[test]
+fn stray_end_tags_under_a_deep_stack_stay_linear() {
+    // Thousands of open `<DIV>`s, then as many bytes of `</P>`s that match
+    // nothing on either stack.
+    assert_linear("stray end tags under a deep stack", 32 << 10, 4, |bytes| {
+        filled(&filled(HEAD, "<DIV>", bytes / 2, ""), "</P>", bytes, "")
     });
 }
 

@@ -12,6 +12,13 @@
 //! - tokenize identically through [`StreamTokenizer`] at random chunkings,
 //!   and at every two-way split when it is short.
 //!
+//! A second mutator leaves a comment, CDATA section, declaration, tag,
+//! quoted value or raw-text body open across chunk cuts: it inserts the
+//! construct's opener with a cut inside or just after it, perhaps drops
+//! every later terminator, and feeds the rest in small chunks, so the
+//! stream suspends and resumes the construct's scan many times. Its
+//! streamed tokens must equal the one-shot ones.
+//!
 //! The default run fits a short CI budget. Set `WEBLINT_FUZZ_ITERS` for a
 //! long run, e.g.
 //!
@@ -66,6 +73,27 @@ const INSERTS: &[&str] = &[
     "/>",
 ];
 
+/// Openers the open-construct mutator inserts, each with the terminator
+/// it may drop from the text after it.
+const OPENERS: &[(&str, &str)] = &[
+    ("<!--", "-->"),
+    ("<![CDATA[", "]]>"),
+    ("<!DOCTYPE HTML PUBLIC \"", ">"),
+    ("<!ENTITY x '", ">"),
+    ("<?pi \"", ">"),
+    ("<A HREF=\"", ">"),
+    ("<P TITLE='", ">"),
+    ("<IMG SRC=x ", ">"),
+    ("</ ", ">"),
+    ("<SCRIPT>", "</SCRIPT>"),
+    ("<style>", "</style>"),
+    ("<XMP>", "</XMP>"),
+];
+
+/// Open-construct mutants per run in a release build; debug builds run
+/// an eighth.
+const OPEN_ITERS: usize = 2_000;
+
 /// xorshift64*: small, seedable, and the same on every platform.
 struct Rng(u64);
 
@@ -82,11 +110,13 @@ impl Rng {
     }
 }
 
-fn iterations() -> usize {
+/// `default` mutants in a release build, an eighth of it in a debug
+/// build, or the `WEBLINT_FUZZ_ITERS` count.
+fn iterations(default: usize) -> usize {
     match std::env::var("WEBLINT_FUZZ_ITERS") {
         Ok(n) => n.parse().expect("WEBLINT_FUZZ_ITERS is a count"),
-        Err(_) if cfg!(debug_assertions) => DEFAULT_ITERS / 8,
-        Err(_) => DEFAULT_ITERS,
+        Err(_) if cfg!(debug_assertions) => default / 8,
+        Err(_) => default,
     }
 }
 
@@ -124,6 +154,27 @@ fn mutate(doc: &str, rng: &mut Rng) -> String {
         out.replace_range(a..b, "");
     }
     out
+}
+
+/// A mutated window with a construct's opener inserted and perhaps every
+/// later occurrence of its terminator dropped, and the chunk cuts to feed
+/// it at: one inside or just after the opener, then every few bytes.
+fn open_construct(doc: &str, rng: &mut Rng) -> (String, Vec<usize>) {
+    let mut out = mutate(doc, rng);
+    let (open, close) = OPENERS[rng.below(OPENERS.len())];
+    let at = floor_boundary(&out, rng.below(out.len() + 1));
+    out.insert_str(at, open);
+    let after = at + open.len();
+    if rng.below(2) == 0 {
+        let tail = out[after..].replace(close, "");
+        out.truncate(after);
+        out.push_str(&tail);
+    }
+    let step = 1 + rng.below(64);
+    let cuts = std::iter::once(at + 1 + rng.below(open.len()))
+        .chain((after..out.len()).step_by(step))
+        .collect();
+    (out, cuts)
 }
 
 /// Every token of `src` rendered in full, checking the one-shot
@@ -184,11 +235,31 @@ fn check(src: &str, rng: &mut Rng) {
 fn mutated_documents_tokenize_alike_one_shot_and_streamed() {
     let seeds = seeds();
     let mut rng = Rng(0x5EED_7041_2E2E_F022);
-    for i in 0..iterations() {
+    for i in 0..iterations(DEFAULT_ITERS) {
         let src = mutate(&seeds[rng.below(seeds.len())], &mut rng);
         let mut case_rng = Rng(rng.next() | 1);
         if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(&src, &mut case_rng))) {
             eprintln!("mutant {i} failed: {src:?}");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+#[test]
+fn constructs_left_open_across_chunk_cuts_resume_alike() {
+    let seeds = seeds();
+    let mut rng = Rng(0x0BE7_C0DE_5CA7_7E11);
+    for i in 0..iterations(OPEN_ITERS) {
+        let (src, cuts) = open_construct(&seeds[rng.below(seeds.len())], &mut rng);
+        let same = catch_unwind(AssertUnwindSafe(|| {
+            assert_eq!(
+                streamed(src.as_bytes(), &cuts),
+                one_shot(&src),
+                "chunked at {cuts:?}"
+            );
+        }));
+        if let Err(panic) = same {
+            eprintln!("open-construct mutant {i} failed: {src:?}");
             std::panic::resume_unwind(panic);
         }
     }
